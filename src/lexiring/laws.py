@@ -300,10 +300,8 @@ def random_prob_scene(rng, n_levels=2, atoms_per_level=3):
     return LMeasure(d, AtomSpace(list(values)), values)
 
 
-def random_tree(rng, n, struct_text="O"):
-    from .tree import LTree
-
-    d = parse_struct(struct_text)
+def random_tree_edges(rng, n):
+    """Nodes and (a, b, value) edges of a random tree over O."""
     nodes = [f"n{i}" for i in range(n)]
     edges = []
     for i in range(1, n):
@@ -313,7 +311,7 @@ def random_tree(rng, n, struct_text="O"):
             Scalar(XReal(rng.randrange(1, 9), rng.randrange(1, 5))),
         )
         edges.append((parent, nodes[i], v))
-    return LTree(d, nodes, edges)
+    return nodes, edges
 
 
 def random_weight_system(rng, struct_text="P"):
@@ -496,23 +494,36 @@ def prob_laws(seed: int, cases: int):
 
 
 def tree_laws(seed: int, cases: int):
-    from .tree import meet, segment, verify_metric
+    from .tree import LTree, bfs_paths, distance, meet, segment, verify_metric
 
     rng = random.Random(seed)
     results = []
     n = max(1, cases)
     ok, detail, i = True, "", 0
+    d = parse_struct("O")
     for i in range(1, n + 1):
-        t = random_tree(rng, rng.randrange(2, 13))
+        nodes, edges = random_tree_edges(rng, rng.randrange(2, 13))
+        t = LTree(d, nodes, edges)
         if not verify_metric(t)["ok"]:
             ok, detail = False, "metric axioms failed"
             break
-        nodes = t.nodes
+        # the oracle walks the generated edge list, not the tree's rooting
+        adj = {u: {} for u in nodes}
+        for a, b, v in edges:
+            adj[a][b] = adj[b][a] = v
         for _ in range(10):
             x, y, z = (rng.choice(nodes) for _ in range(3))
-            inter = [u for u in segment(t, x, y) if u in set(segment(t, x, z))]
-            if inter != segment(t, x, meet(t, x, y, z)):
+            paths = bfs_paths(adj, x)
+            path, on_xz, acc = paths[y], set(paths[z]), zero(d)
+            for a, b in zip(path, path[1:]):
+                acc = ops.add(d, acc, adj[a][b])
+            if segment(t, x, y) != path:
+                ok, detail = False, "segment disagrees with the BFS path"
+            elif distance(t, x, y) != acc:
+                ok, detail = False, "distance disagrees with the fold along the BFS path"
+            elif [u for u in path if u in on_xz] != paths[meet(t, x, y, z)]:
                 ok, detail = False, "meet disagrees with path intersection"
+            if not ok:
                 break
         else:
             continue

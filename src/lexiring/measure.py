@@ -93,10 +93,6 @@ class LMeasure:
         return sorted(levels)
 
 
-def measure_of(m: LMeasure, E) -> Value:
-    return m.value(E)
-
-
 def slice_at(m: LMeasure, k: int, E) -> XReal:
     """The ordinary extended-real measure read off at level k."""
     d = m.desc

@@ -89,10 +89,6 @@ def cmp(d: StructDesc, x: Value, y: Value) -> int:
     return _cmp(d, x, y)
 
 
-def leq(d: StructDesc, x: Value, y: Value) -> bool:
-    return _cmp(d, x, y) <= 0
-
-
 # ---------------------------------------------------------------------------
 # addition
 # ---------------------------------------------------------------------------
@@ -250,21 +246,6 @@ def residue(d: StructDesc, x: Value) -> Value:
     raise DomainError(f"{d!r} elements have no residue part")
 
 
-def level_int(d: StructDesc, x: Value) -> int:
-    """Level as a plain integer, for int-leveled descriptors."""
-    lv = level(d, x)
-    if isinstance(lv, Scalar) and isinstance(lv.x, int):
-        return lv.x
-    raise ShapeError(f"level of {x!r} is not an integer")
-
-
-def residue_xreal(d: StructDesc, x: Value) -> XReal:
-    rv = residue(d, x)
-    if isinstance(rv, Scalar) and isinstance(rv.x, XReal):
-        return rv.x
-    raise ShapeError(f"residue of {x!r} is not an extended rational")
-
-
 def shift(d: StructDesc, x: Value, k: int) -> Value:
     """Multiply by (k, 1): shift the top-level integer level by k."""
     if x is ZERO or x is TOP:
@@ -400,8 +381,8 @@ def assoc_iso_inv(d: StructDesc, x: Value) -> Value:
 
 
 __all__ = [
-    "LT", "EQ", "GT", "cmp", "leq", "add", "add_all", "mul", "inv", "try_inv",
-    "divide", "level", "residue", "level_int", "residue_xreal", "shift",
+    "LT", "EQ", "GT", "cmp", "add", "add_all", "mul", "inv", "try_inv",
+    "divide", "level", "residue", "shift",
     "double_add", "neg", "OVector", "scalar_mul_vec", "is_lattice_point",
     "regroup_desc", "assoc_iso", "assoc_iso_inv", "one", "zero",
 ]

@@ -5,6 +5,11 @@ path, and the distance is the level-dominant sum of edge values along
 it.  With every edge value nonzero ("full support") this is a metric
 valued in the ordered structure; ``verify_metric`` checks the metric and
 segment axioms directly instead of assuming them.
+
+A tree is rooted at its first listed node when built, keeping each node's
+parent, edge value up and depth: ``segment``, ``distance`` and ``meet``
+climb to the lowest common ancestor in O(path length).  ``verify_metric``
+stays O(n^3) over all node triples, on BFS paths.
 """
 
 from __future__ import annotations
@@ -23,108 +28,111 @@ class LTree:
         self.nodes = list(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise DomainError("node identifiers must be distinct")
-        node_set = set(self.nodes)
-        self.adj = {n: {} for n in self.nodes}
+        adj = {n: {} for n in self.nodes}
         count = 0
         for a, b, v in edges:
-            if a not in node_set or b not in node_set:
+            if a not in adj or b not in adj:
                 raise DomainError(f"edge ({a!r},{b!r}) uses unknown nodes")
-            if a == b or b in self.adj[a]:
+            if a == b or b in adj[a]:
                 raise DomainError(f"bad edge ({a!r},{b!r})")
             check_value(desc, v)
-            self.adj[a][b] = v
-            self.adj[b][a] = v
+            adj[a][b] = v
+            adj[b][a] = v
             count += 1
         if count != len(self.nodes) - 1:
             raise DomainError("a tree has exactly |nodes| - 1 edges")
-        # connectivity
-        seen = {self.nodes[0]}
-        work = deque(seen)
+        # root at the first node (no parent, no edge up); BFS checks connectivity
+        self.parent, self.up, self.depth = {}, {}, {self.nodes[0]: 0}
+        work = deque(self.depth)
         while work:
-            for nxt in self.adj[work.popleft()]:
-                if nxt not in seen:
-                    seen.add(nxt)
+            cur = work.popleft()
+            below = self.depth[cur] + 1
+            for nxt, v in adj[cur].items():
+                if nxt not in self.depth:
+                    self.parent[nxt] = cur
+                    self.up[nxt] = v
+                    self.depth[nxt] = below
                     work.append(nxt)
-        if len(seen) != len(self.nodes):
+        if len(self.depth) != len(self.nodes):
             raise DomainError("the edge set is not connected")
 
     def has_full_support(self) -> bool:
-        done = set()
-        for a, nbrs in self.adj.items():
-            for b, v in nbrs.items():
-                if (b, a) not in done:
-                    done.add((a, b))
-                    if is_zero(self.desc, v):
-                        return False
-        return True
+        return not any(is_zero(self.desc, v) for v in self.up.values())
 
     def _check_node(self, x):
-        if x not in self.adj:
+        if x not in self.depth:
             raise DomainError(f"unknown node {x!r}")
+
+
+def _lca(t: LTree, x, y):
+    """The lowest common ancestor of x and y."""
+    parent, depth = t.parent, t.depth
+    if depth[x] < depth[y]:
+        x, y = y, x
+    for _ in range(depth[x] - depth[y]):
+        x = parent[x]
+    while x != y:
+        x = parent[x]
+        y = parent[y]
+    return x
+
+
+def _path_sum(t: LTree, path) -> Value:
+    """Edge values along path, added in path order (doubles do not associate)."""
+    up, depth = t.up, t.depth
+    acc = zero(t.desc)
+    for a, b in zip(path, path[1:]):
+        acc = _add(t.desc, acc, up[a] if depth[a] > depth[b] else up[b])
+    return acc
 
 
 def segment(t: LTree, x, y):
     """The ordered node path from x to y; [x] when x == y."""
     t._check_node(x)
     t._check_node(y)
-    parent = {x: None}
-    work = deque((x,))
-    while work:
-        cur = work.popleft()
-        if cur == y:
-            break
-        for nxt in t.adj[cur]:
-            if nxt not in parent:
-                parent[nxt] = cur
-                work.append(nxt)
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    w = _lca(t, x, y)
+    up_x, up_y = [x], [y]
+    while up_x[-1] != w:
+        up_x.append(t.parent[up_x[-1]])
+    while up_y[-1] != w:
+        up_y.append(t.parent[up_y[-1]])
+    return up_x + up_y[-2::-1]
 
 
 def meet(t: LTree, x, y, z):
-    """The node w with [x,y] n [x,z] = [x,w] (the median of the triple)."""
-    py = segment(t, x, y)
-    pz = segment(t, x, z)
-    w = x
-    for a, b in zip(py, pz):
-        if a != b:
-            break
-        w = a
-    return w
+    """The node w with [x,y] n [x,z] = [x,w] (the median of the triple):
+    the deepest of the three pairwise lowest common ancestors."""
+    t._check_node(x)
+    t._check_node(y)
+    t._check_node(z)
+    a, b = _lca(t, x, y), _lca(t, x, z)
+    if a == b:
+        return _lca(t, y, z)
+    return a if t.depth[a] > t.depth[b] else b
 
 
 def distance(t: LTree, x, y) -> Value:
-    path = segment(t, x, y)
-    acc = zero(t.desc)
-    for a, b in zip(path, path[1:]):
-        acc = _add(t.desc, acc, t.adj[a][b])
-    return acc
+    return _path_sum(t, segment(t, x, y))
+
+
+def bfs_paths(adj, src) -> dict:
+    """Every node's path from src, in a tree given as an adjacency mapping."""
+    paths, work = {src: [src]}, [src]
+    for cur in work:
+        for nxt in adj[cur]:
+            if nxt not in paths:
+                paths[nxt] = paths[cur] + [nxt]
+                work.append(nxt)
+    return paths
 
 
 def all_segments(t: LTree) -> dict:
     """Every ordered node pair's path, from one BFS per source."""
-    paths = {}
-    for src in t.nodes:
-        parent = {src: None}
-        order = [src]
-        work = deque((src,))
-        while work:
-            cur = work.popleft()
-            for nxt in t.adj[cur]:
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    order.append(nxt)
-                    work.append(nxt)
-        for dst in order:
-            path = [dst]
-            while path[-1] != src:
-                path.append(parent[path[-1]])
-            path.reverse()
-            paths[(src, dst)] = path
-    return paths
+    adj = {n: [] for n in t.nodes}
+    for n, p in t.parent.items():
+        adj[n].append(p)
+        adj[p].append(n)
+    return {(src, dst): path for src in t.nodes for dst, path in bfs_paths(adj, src).items()}
 
 
 def verify_metric(t: LTree, triples=None) -> dict:
@@ -139,12 +147,7 @@ def verify_metric(t: LTree, triples=None) -> dict:
         failures.append("an edge carries value zero (no full support)")
     nodes = t.nodes
     paths = all_segments(t)
-    dist = {}
-    for (x, y), path in paths.items():
-        acc = zero(d)
-        for a, b in zip(path, path[1:]):
-            acc = _add(d, acc, t.adj[a][b])
-        dist[(x, y)] = acc
+    dist = {pair: _path_sum(t, path) for pair, path in paths.items()}
     for x in nodes:
         if not is_zero(d, dist[(x, x)]):
             failures.append(f"d({x},{x}) != 0")

@@ -390,7 +390,7 @@ def parse_value(d: StructDesc, text: str) -> Value:
     p = _ValueParser(text)
     v = p.value(d)
     p.done()
-    return check_value(d, v)
+    return v
 
 
 def format_value(d: StructDesc, v: Value) -> str:

@@ -1,13 +1,15 @@
 """Tree segments, meets, and the induced metric."""
 
 import random
+from collections import deque
 
 import pytest
 
 from lexiring.descriptors import parse_struct
 from lexiring.errors import DomainError
+from lexiring.ops import add
 from lexiring.tree import LTree, distance, meet, segment, verify_metric
-from lexiring.values import ZERO, parse_value
+from lexiring.values import ZERO, parse_value, zero
 
 
 def pv(struct, text):
@@ -117,15 +119,18 @@ def test_malformed_trees_rejected():
         LTree(d, ["a"], [("a", "a", pv("O", "(0,1)"))])
 
 
-def random_tree(rng, n, struct="O"):
-    d = parse_struct(struct)
+def random_edges(rng, n, struct="O"):
     nodes = [f"n{i}" for i in range(n)]
     edges = []
     for i in range(1, n):
         parent = nodes[rng.randrange(i)]
         lit = f"({rng.randrange(-2, 3)},{rng.randrange(1, 9)}/{rng.randrange(1, 5)})"
         edges.append((parent, nodes[i], pv(struct, lit)))
-    return LTree(d, nodes, edges)
+    return nodes, edges
+
+
+def random_tree(rng, n, struct="O"):
+    return LTree(parse_struct(struct), *random_edges(rng, n, struct))
 
 
 def test_random_trees_satisfy_metric_axioms():
@@ -133,3 +138,112 @@ def test_random_trees_satisfy_metric_axioms():
     for _ in range(40):
         t = random_tree(rng, rng.randrange(2, 13))
         assert verify_metric(t)["ok"]
+
+
+def bfs_path(adj, x, y):
+    """The x -> y path by a BFS over the edge list, independent of the tree's rooting."""
+    parent = {x: None}
+    work = deque((x,))
+    while work:
+        cur = work.popleft()
+        for nxt in adj[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                work.append(nxt)
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def check_queries_against_bfs(t, edges, triples):
+    adj = {n: {} for n in t.nodes}
+    for a, b, v in edges:
+        adj[a][b] = adj[b][a] = v
+    for x, y, z in triples:
+        pxy, pxz = bfs_path(adj, x, y), bfs_path(adj, x, z)
+        assert segment(t, x, y) == pxy
+        acc = zero(t.desc)
+        for a, b in zip(pxy, pxy[1:]):
+            acc = add(t.desc, acc, adj[a][b])
+        assert distance(t, x, y) == acc
+        on_xz = set(pxz)
+        assert bfs_path(adj, x, meet(t, x, y, z)) == [u for u in pxy if u in on_xz]
+
+
+def sample_triples(rng, nodes, k):
+    triples = [tuple(rng.choice(nodes) for _ in range(3)) for _ in range(k)]
+    x, y = rng.choice(nodes), rng.choice(nodes)
+    return triples + [(x, x, y), (y, x, x), (x, y, y), (x, x, x)]
+
+
+def test_queries_match_bfs_on_bushy_trees():
+    # doubles add non-associatively, so a distance folded in another order differs
+    rng = random.Random(14)
+    for struct in ("O", "double(O)"):
+        for _ in range(30):
+            nodes, edges = random_edges(rng, rng.randrange(2, 40), struct)
+            rng.shuffle(nodes)  # root the tree at an arbitrary node
+            edges = [(b, a, v) if rng.random() < 0.5 else (a, b, v) for a, b, v in edges]
+            if struct != "O":
+                edges = [(a, b, pv(struct, "-(0,1)")) if rng.random() < 0.3 else (a, b, v) for a, b, v in edges]
+            t = LTree(parse_struct(struct), nodes, edges)
+            check_queries_against_bfs(t, edges, sample_triples(rng, nodes, 20))
+
+
+def test_queries_match_bfs_on_caterpillar_rooted_at_a_leaf():
+    rng = random.Random(15)
+    spine = [f"s{i}" for i in range(200)]
+    edges = [(a, b, pv("O", f"({rng.randrange(-1, 2)},{rng.randrange(1, 5)})")) for a, b in zip(spine, spine[1:])]
+    legs = []
+    for s in spine:
+        at = s
+        for j in range(rng.randint(1, 2)):
+            leg = f"{s}_{j}"
+            edges.append((at, leg, pv("O", f"({rng.randrange(-1, 2)},1/{rng.randrange(1, 4)})")))
+            legs.append(leg)
+            at = leg
+        if s == "s100":
+            leaf = at  # the end of a leg halfway along the spine
+    nodes = [leaf] + [n for n in spine + legs if n != leaf]
+    assert len(nodes) >= 300
+    t = LTree(parse_struct("O"), nodes, edges)
+    check_queries_against_bfs(t, edges, sample_triples(rng, nodes, 150))
+
+
+def test_meet_checks_every_node():
+    t = star_tree()
+    for args in (("nope", "p", "q"), ("p", "nope", "q"), ("p", "q", "nope")):
+        with pytest.raises(DomainError, match="unknown node 'nope'"):
+            meet(t, *args)
+
+
+def test_zero_edge_fails_full_support():
+    d = parse_struct("O")
+    nodes = ["c", "a", "b", "d"]
+    edges = [("a", "b", pv("O", "(0,1)")), ("b", "c", pv("O", "(1,2)")), ("d", "b", pv("O", "(0,3)"))]
+    assert LTree(d, nodes, edges).has_full_support()
+    for i, (a, b, _) in enumerate(edges):
+        with_zero = edges[:i] + [(a, b, ZERO)] + edges[i + 1:]
+        assert not LTree(d, nodes, with_zero).has_full_support()
+
+
+def test_tree_laws_catch_a_wrong_climb_or_edge_record(monkeypatch):
+    import lexiring.tree as tree
+    from lexiring.laws import tree_laws
+
+    assert tree_laws(seed=5, cases=20)[0].ok
+    with monkeypatch.context() as m:
+        m.setattr(tree, "_lca", lambda t, x, y: t.nodes[0])  # every climb goes to the root
+        [r] = tree_laws(seed=5, cases=20)
+        assert not r.ok and r.detail == "segment disagrees with the BFS path"
+    built = tree.LTree.__init__
+
+    def record_one_edge_value(self, desc, nodes, edges):
+        built(self, desc, nodes, edges)
+        first = next(iter(self.up.values()), None)
+        self.up = dict.fromkeys(self.up, first)
+
+    monkeypatch.setattr(tree.LTree, "__init__", record_one_edge_value)
+    [r] = tree_laws(seed=5, cases=20)
+    assert not r.ok and r.detail == "distance disagrees with the fold along the BFS path"
