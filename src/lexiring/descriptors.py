@@ -30,7 +30,8 @@ BASE_NAMES = ("N0", "Z", "Rc", "Ro", "Nbar0")
 
 
 class StructDesc:
-    __slots__ = ()
+    # _kernel: the compiled operations (lexiring.kernel), filled on first use
+    __slots__ = ("_kernel", "__weakref__")
 
 
 class Base(StructDesc):

@@ -16,10 +16,11 @@ Infinite residues propagate through the arithmetic; no special casing.
 
 from __future__ import annotations
 
-from .descriptors import Base, BarInsert, DoubleOf, Insert, StructDesc
+from .descriptors import Base, DoubleOf, StructDesc
 from .errors import CapabilityError, DomainError, ShapeError
-from .measure import LMeasure
-from .ops import _add, _double_add, shift
+from .kernel import kernel_of
+from .measure import LMeasure, is_sliceable
+from .ops import _add, shift
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, check_value, is_zero, zero
 from .xreal import XReal
 from .xreal import ZERO as XR_ZERO
@@ -63,14 +64,7 @@ class SimpleFunction:
 
 
 def _require_sliceable(d: StructDesc):
-    ok = (
-        isinstance(d, (Insert, BarInsert))
-        and isinstance(d.a, Base)
-        and d.a.name in ("N0", "Z")
-        and isinstance(d.b, Base)
-        and d.b.name in ("Rc", "Ro")
-    )
-    if not ok:
+    if not is_sliceable(d):
         raise CapabilityError("integration needs an (integer level, rational residue) measure")
 
 
@@ -99,10 +93,6 @@ def integrate_real(m: LMeasure, f: SimpleFunction, A) -> Value:
     return Pair(Scalar(best), Scalar(weighted[best]))
 
 
-def _levels_are_ints(d: StructDesc) -> bool:
-    return isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
-
-
 def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
     """Integral of a structure-valued function, by level partition."""
     if g.kind != "lvalued":
@@ -116,7 +106,7 @@ def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
                 raise CapabilityError(f"cannot integrate values of {desc!r}")
             f = SimpleFunction.real({a: values[a].x for a in atoms})
             return integrate_real(m, f, atoms)
-        if not _levels_are_ints(desc):
+        if not kernel_of(desc).int_levels:
             raise CapabilityError("integrand must be a right-nested integer-leveled structure")
         parts = {}
         for a in atoms:
@@ -156,4 +146,4 @@ def integrate_signed(m: LMeasure, f: SimpleFunction, A) -> Value:
         raise DomainError("signed integral with an unbounded part is undefined")
     p_signed = ZERO if is_zero(dd.inner, p) else Signed(1, p)
     n_signed = ZERO if is_zero(dd.inner, n) else Signed(-1, n)
-    return _double_add(dd, p_signed, n_signed)
+    return _add(dd, p_signed, n_signed)

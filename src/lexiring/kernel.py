@@ -1,0 +1,440 @@
+"""Elements of described structures and the kernel compiled once per descriptor.
+
+A ``Value`` is well-shaped for exactly one descriptor, supplied alongside
+it by every operation.  Variants:
+
+  * ``ZERO``        -- the adjoined zero of an insertion / double (and the
+    canonical spelling of any additive identity in the literal grammar).
+  * ``TOP``         -- the greatest element of a bar structure.
+  * ``Scalar(x)``   -- a base-structure element: int for N0/Z, XReal for
+    Rc/Ro/Nbar0.
+  * ``Pair(l, r)``  -- level part and residue part.
+  * ``Signed(s, m)``-- sign (+1/-1) and nonzero magnitude, under double().
+
+``kernel_of(d)`` compiles d, the first time it is used, into a ``Kernel``
+of closures (shape check, zero test, comparison, addition,
+multiplication, seeded random draws) and capability flags, and keeps it
+in d's ``_kernel`` slot: it lives and dies with the descriptor object.  A
+composite kernel captures its parts' closures, so no call walks the
+descriptor again (Feeley & Lapalme, "Using closures for code generation",
+Computer Languages 12(1), 1987).  All but ``check`` assume well-shaped
+operands.
+"""
+
+from __future__ import annotations
+
+from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc,
+                          is_semifield, is_semiring)
+from .errors import CapabilityError, ShapeError
+from .xreal import INF, XReal
+from .xreal import ZERO as XR_ZERO
+
+
+class Value:
+    __slots__ = ()
+
+
+class _ZeroVal(Value):
+    __slots__ = ()
+
+    def __repr__(self):
+        return "0"
+
+
+class _TopVal(Value):
+    __slots__ = ()
+
+    def __repr__(self):
+        return "top"
+
+
+ZERO = _ZeroVal()
+TOP = _TopVal()
+
+
+class Scalar(Value):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __eq__(self, other):
+        return isinstance(other, Scalar) and self.x == other.x
+
+    def __hash__(self):
+        return hash(("Scalar", self.x))
+
+    def __repr__(self):
+        return str(self.x)
+
+
+class Pair(Value):
+    __slots__ = ("level", "residue")
+
+    def __init__(self, level: Value, residue: Value):
+        self.level = level
+        self.residue = residue
+
+    def __eq__(self, other):
+        return isinstance(other, Pair) and self.level == other.level and self.residue == other.residue
+
+    def __hash__(self):
+        return hash(("Pair", self.level, self.residue))
+
+    def __repr__(self):
+        return f"({self.level!r},{self.residue!r})"
+
+
+class Signed(Value):
+    __slots__ = ("sign", "mag")
+
+    def __init__(self, sign: int, mag: Value):
+        self.sign = sign
+        self.mag = mag
+
+    def __eq__(self, other):
+        return isinstance(other, Signed) and self.sign == other.sign and self.mag == other.mag
+
+    def __hash__(self):
+        return hash(("Signed", self.sign, self.mag))
+
+    def __repr__(self):
+        return ("-" if self.sign < 0 else "+") + repr(self.mag)
+
+
+LT, EQ, GT = -1, 0, 1
+ZERO_P = 0.12  # chance of drawing an adjoined zero, where the caller does not say
+
+
+class Kernel:
+    """One descriptor's compiled operations and capability flags.
+
+    ``zero`` is the additive identity itself; ``mul`` is None where d has
+    no multiplication; ``prob_depth`` counts the integer levels stacked
+    over the finite rationals (None unless d is such a probability structure).
+    """
+
+    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "mul", "gen", "nonzero",
+                 "semiring", "semifield", "int_levels", "prob_depth")
+
+    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None):
+        self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
+        self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
+        self.semiring, self.semifield = is_semiring(d), is_semifield(d)
+        self.int_levels = isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
+        text = repr(d)  # not d: a closure over d would tie d and its kernel in a reference cycle
+
+        def nonzero(rng, tries=64):
+            for _ in range(tries):
+                v = gen(rng, 0.0)
+                if not is_zero(v):
+                    return v
+            raise AssertionError(f"could not generate a nonzero value of {text}")
+
+        self.nonzero = nonzero
+
+
+def kernel_of(d: StructDesc) -> Kernel:
+    """d's kernel, compiled on first use and kept on d."""
+    try:
+        return d._kernel
+    except AttributeError:
+        k = d._kernel = _compile(d)
+        return k
+
+
+def _compile(d: StructDesc) -> Kernel:
+    if isinstance(d, Base):
+        return _compile_base(d)
+    if isinstance(d, (SInsert, BarSInsert, Insert, BarInsert)):
+        return _compile_pairing(d)
+    if isinstance(d, MixedInsert):
+        return _compile_mixed(d)
+    if isinstance(d, DoubleOf):
+        return _compile_double(d)
+    raise ShapeError(f"unknown descriptor {d!r}")
+
+
+def _is_adjoined_zero(v) -> bool:
+    return v is ZERO
+
+
+# ---------------------------------------------------------------------------
+# base structures
+# ---------------------------------------------------------------------------
+
+def random_xreal(rng, allow_inf=True, allow_zero=True):
+    r = rng.random()
+    if allow_inf and r < 0.10:
+        return INF
+    if allow_zero and r < 0.18:
+        return XReal(0)
+    return XReal(rng.randrange(1, 13), rng.randrange(1, 9))
+
+
+_BASE_GENS = {
+    "N0": lambda rng, zero_p: Scalar(rng.randrange(0, 8)),
+    "Z": lambda rng, zero_p: Scalar(rng.randrange(-7, 8)),
+    "Rc": lambda rng, zero_p: Scalar(random_xreal(rng)),
+    "Ro": lambda rng, zero_p: Scalar(random_xreal(rng, allow_inf=False)),
+    "Nbar0": lambda rng, zero_p: Scalar(INF if rng.random() < 0.1 else XReal(rng.randrange(0, 9))),
+}
+
+
+def _scalar_is_zero(v) -> bool:
+    if not isinstance(v, Scalar):
+        return v is ZERO
+    return v.x.is_zero if isinstance(v.x, XReal) else v.x == 0
+
+
+def _int_cmp(x, y) -> int:
+    return (x.x > y.x) - (x.x < y.x)
+
+
+def _xreal_cmp(x, y) -> int:
+    return x.x._cmp(y.x)
+
+
+def _scalar_add(x, y):
+    return Scalar(x.x + y.x)
+
+
+def _scalar_mul(x, y):
+    return Scalar(x.x * y.x)  # XReal has 0 * inf == 0, so zeros need no special case
+
+
+def _compile_base(d: Base) -> Kernel:
+    name = d.name
+    integers = name in ("N0", "Z")
+
+    def check(v):
+        if not isinstance(v, Scalar):
+            raise ShapeError(f"expected a {name} scalar, got {v!r}")
+        x = v.x
+        if integers:
+            if not isinstance(x, int):
+                raise ShapeError(f"{name} values are integers, got {v!r}")
+            if x < 0 and name == "N0":
+                raise ShapeError(f"negative value {v!r} in N0")
+        elif not isinstance(x, XReal):
+            raise ShapeError(f"{name} values are extended rationals, got {v!r}")
+        elif name == "Ro" and x.is_inf:
+            raise ShapeError("inf does not belong to [0,inf)")
+        elif name == "Nbar0" and not (x.is_inf or x.is_integral):
+            raise ShapeError(f"{v!r} is not a natural number or inf")
+        return v
+
+    return Kernel(d, check, _scalar_is_zero, Scalar(0 if integers else XR_ZERO),
+                  _int_cmp if integers else _xreal_cmp, _scalar_add, _scalar_mul, _BASE_GENS[name])
+
+
+# ---------------------------------------------------------------------------
+# insertions and s-insertions
+# ---------------------------------------------------------------------------
+
+def _compile_pairing(d) -> Kernel:
+    ka, kb = kernel_of(d.a), kernel_of(d.b)
+    check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
+    cmp_a, cmp_b, add_a, add_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.mul
+    gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
+    bar = isinstance(d, (BarSInsert, BarInsert))
+    full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
+    b = d.b
+    prob_depth = None
+    if not (full or bar) and isinstance(d.a, Base) and d.a.name == "Z":
+        inner = 0 if isinstance(b, Base) and b.name == "Ro" else kb.prob_depth
+        prob_depth = None if inner is None else inner + 1
+
+    if full:
+        zero = Pair(ka.zero, kb.zero)
+
+        def is_zero(v):
+            return v is ZERO or (isinstance(v, Pair) and zero_a(v.level) and zero_b(v.residue))
+    else:
+        zero, is_zero = ZERO, _is_adjoined_zero
+
+    def check(v):
+        if v is ZERO and not full:
+            return v
+        if v is TOP:
+            if bar:
+                return v
+            raise ShapeError("top only exists in bar structures")
+        if not isinstance(v, Pair):
+            raise ShapeError(f"expected a pair, got {v!r}" if full else f"expected a pair or 0, got {v!r}")
+        check_a(v.level)
+        check_b(v.residue)
+        if not full and zero_b(v.residue):
+            raise ShapeError(f"residue of {v!r} is the zero of {b!r}; insertion removes it")
+        return v
+
+    def cmp(x, y):
+        if x is TOP:
+            return EQ if y is TOP else GT
+        if y is TOP:
+            return LT
+        if x is ZERO:
+            return EQ if is_zero(y) else LT
+        if y is ZERO:
+            return EQ if is_zero(x) else GT
+        return cmp_a(x.level, y.level) or cmp_b(x.residue, y.residue)
+
+    def add(x, y):
+        if x is TOP or y is TOP:
+            return TOP
+        if x is ZERO:
+            return y
+        if y is ZERO:
+            return x
+        c = cmp_a(x.level, y.level)
+        if c:
+            return x if c > 0 else y
+        return Pair(x.level, add_b(x.residue, y.residue))
+
+    def mul(x, y):
+        if is_zero(x) or is_zero(y):
+            return zero
+        if x is TOP or y is TOP:
+            return TOP
+        return Pair(add_a(x.level, y.level), mul_b(x.residue, y.residue))
+
+    def gen(rng, zero_p):
+        if not full and rng.random() < zero_p:
+            return ZERO
+        if bar and rng.random() < 0.05:
+            return TOP
+        return Pair(gen_a(rng, ZERO_P), gen_b(rng, ZERO_P) if full else nonzero_b(rng))
+
+    return Kernel(d, check, is_zero, zero, cmp, add, mul, gen, prob_depth)
+
+
+# ---------------------------------------------------------------------------
+# mixed insertions
+# ---------------------------------------------------------------------------
+
+def _compile_mixed(d: MixedInsert) -> Kernel:
+    lo, hi, naturals = d.lo, d.hi, d.base.name == "N0"
+    subs = {lev: kernel_of(sd) for lev, sd in d.table}
+    default = None if d.default is None else kernel_of(d.default)
+
+    def sub(lev):
+        """The kernel of level lev's residue structure; None outside the range."""
+        if lo is not None and lev < lo or hi is not None and lev > hi or naturals and lev < 0:
+            return None
+        return subs.get(lev, default)
+
+    def check(v):
+        if v is ZERO:
+            return v
+        if not isinstance(v, Pair):
+            raise ShapeError(f"expected a pair or 0, got {v!r}")
+        if not (isinstance(v.level, Scalar) and isinstance(v.level.x, int)):
+            raise ShapeError(f"mixed insertion level must be an integer, got {v.level!r}")
+        k = sub(v.level.x)
+        if k is None:
+            raise ShapeError(f"level {v.level.x} lies outside the mixed insertion range")
+        k.check(v.residue)
+        if k.is_zero(v.residue):
+            raise ShapeError("residue is the zero of its level structure")
+        return v
+
+    def cmp(x, y):
+        if x is ZERO or y is ZERO:
+            return (y is ZERO) - (x is ZERO)
+        lx, ly = x.level.x, y.level.x
+        if lx != ly:
+            return GT if lx > ly else LT
+        return sub(lx).cmp(x.residue, y.residue)
+
+    def add(x, y):
+        if x is ZERO or y is ZERO:
+            return y if x is ZERO else x
+        lx, ly = x.level.x, y.level.x
+        if lx != ly:
+            return x if lx > ly else y
+        return Pair(x.level, sub(lx).add(x.residue, y.residue))
+
+    # draw among the levels of [glo, ghi] that carry a residue structure,
+    # without walking the range (it may span billions of levels); on a
+    # range without gaps this consumes the rng as randrange(glo, ghi + 1)
+    glo = (0 if naturals else -3 if hi is None else hi - 4) if lo is None else lo
+    ghi = glo + 4 if hi is None else hi
+    if default is not None:
+        start = max(glo, 0) if naturals else glo
+        width = ghi + 1 - start
+
+        def level(rng):
+            return start + rng.randrange(width)
+    else:
+        levels = sorted(lev for lev in subs if glo <= lev <= ghi)
+
+        def level(rng):
+            return levels[rng.randrange(len(levels))]
+
+    def gen(rng, zero_p):
+        if rng.random() < zero_p:
+            return ZERO
+        lev = level(rng)
+        return Pair(Scalar(lev), sub(lev).nonzero(rng))
+
+    return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen)
+
+
+# ---------------------------------------------------------------------------
+# signed values (double structures)
+# ---------------------------------------------------------------------------
+
+def _split_int_level(x: Value):
+    if not (isinstance(x, Pair) and isinstance(x.level, Scalar) and isinstance(x.level.x, int)
+            and isinstance(x.residue, Scalar) and isinstance(x.residue.x, XReal)):
+        raise CapabilityError("signed addition needs (integer level, rational residue) magnitudes")
+    return x.level.x, x.residue.x
+
+
+def _compile_double(d: DoubleOf) -> Kernel:
+    ki = kernel_of(d.inner)
+    check_i, zero_i, cmp_i, add_i, nonzero_i = ki.check, ki.is_zero, ki.cmp, ki.add, ki.nonzero
+
+    def check(v):
+        if v is ZERO:
+            return v
+        if not isinstance(v, Signed):
+            raise ShapeError(f"expected a signed value or 0, got {v!r}")
+        if v.sign not in (1, -1):
+            raise ShapeError(f"bad sign {v.sign!r}")
+        check_i(v.mag)
+        if zero_i(v.mag):
+            raise ShapeError("signed magnitude must be nonzero")
+        return v
+
+    def cmp(x, y):
+        sx = 0 if x is ZERO else x.sign
+        sy = 0 if y is ZERO else y.sign
+        if sx != sy:
+            return GT if sx > sy else LT
+        return 0 if sx == 0 else sx * cmp_i(x.mag, y.mag)
+
+    def add(x, y):
+        # sign-aware, in operand order: this addition is not associative
+        if x is ZERO or y is ZERO:
+            return y if x is ZERO else x
+        if x.sign == y.sign:
+            return Signed(x.sign, add_i(x.mag, y.mag))
+        pos, neg = (x, y) if x.sign > 0 else (y, x)
+        i, s = _split_int_level(pos.mag)
+        j, t = _split_int_level(neg.mag)
+        if i != j:
+            return pos if i > j else neg
+        c = s._cmp(t)
+        if c == 0:
+            return ZERO
+        if c > 0:
+            return Signed(1, Pair(Scalar(i), Scalar(s.minus(t))))
+        return Signed(-1, Pair(Scalar(i), Scalar(t.minus(s))))
+
+    def gen(rng, zero_p):
+        if rng.random() < zero_p:
+            return ZERO
+        return Signed(rng.choice((1, -1)), nonzero_i(rng))
+
+    return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen)

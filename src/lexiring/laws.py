@@ -12,18 +12,8 @@ import random
 
 from . import ops
 from .errors import LexiringError
-from .descriptors import (
-    Base,
-    BarInsert,
-    BarSInsert,
-    DoubleOf,
-    Insert,
-    MixedInsert,
-    SInsert,
-    StructDesc,
-    is_semifield,
-    parse_struct,
-)
+from .descriptors import BarInsert, BarSInsert, StructDesc, is_semifield, parse_struct
+from .kernel import ZERO_P, kernel_of, random_xreal
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, is_zero, one, zero
 from .xreal import INF, XReal
 
@@ -32,60 +22,12 @@ from .xreal import INF, XReal
 # random elements
 # ---------------------------------------------------------------------------
 
-def random_xreal(rng, allow_inf=True, allow_zero=True):
-    r = rng.random()
-    if allow_inf and r < 0.10:
-        return INF
-    if allow_zero and r < 0.18:
-        return XReal(0)
-    return XReal(rng.randrange(1, 13), rng.randrange(1, 9))
-
-
-def random_value(rng: random.Random, d: StructDesc, zero_p: float = 0.12) -> Value:
-    if isinstance(d, Base):
-        if d.name == "N0":
-            return Scalar(rng.randrange(0, 8))
-        if d.name == "Z":
-            return Scalar(rng.randrange(-7, 8))
-        if d.name == "Rc":
-            return Scalar(random_xreal(rng))
-        if d.name == "Ro":
-            return Scalar(random_xreal(rng, allow_inf=False))
-        return Scalar(INF if rng.random() < 0.1 else XReal(rng.randrange(0, 9)))
-    if isinstance(d, (SInsert, BarSInsert)):
-        if isinstance(d, BarSInsert) and rng.random() < 0.05:
-            return TOP
-        return Pair(random_value(rng, d.a), random_value(rng, d.b))
-    if isinstance(d, (Insert, BarInsert)):
-        if rng.random() < zero_p:
-            return ZERO
-        if isinstance(d, BarInsert) and rng.random() < 0.05:
-            return TOP
-        return Pair(random_value(rng, d.a), nonzero_value(rng, d.b))
-    if isinstance(d, MixedInsert):
-        if rng.random() < zero_p:
-            return ZERO
-        lo, hi = d.lo, d.hi
-        if lo is None:
-            lo = 0 if d.base.name == "N0" else (hi - 4 if hi is not None else -3)
-        if hi is None:
-            hi = lo + 4
-        lev = rng.randrange(lo, hi + 1)
-        sub = d.residue_desc(lev)
-        return Pair(Scalar(lev), nonzero_value(rng, sub))
-    if isinstance(d, DoubleOf):
-        if rng.random() < zero_p:
-            return ZERO
-        return Signed(rng.choice((1, -1)), nonzero_value(rng, d.inner))
-    raise AssertionError(f"no generator for {d!r}")
+def random_value(rng: random.Random, d: StructDesc, zero_p: float = ZERO_P) -> Value:
+    return kernel_of(d).gen(rng, zero_p)
 
 
 def nonzero_value(rng, d, tries: int = 64) -> Value:
-    for _ in range(tries):
-        v = random_value(rng, d, zero_p=0.0)
-        if not is_zero(d, v):
-            return v
-    raise AssertionError(f"could not generate a nonzero value of {d!r}")
+    return kernel_of(d).nonzero(rng, tries)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ total height, interior-gap alignment and level shifts.
 
 from __future__ import annotations
 
-from .descriptors import Base, BarInsert, Insert, StructDesc
+from .descriptors import Base, StructDesc
 from .errors import DomainError, InconsistentSlicesError, ShapeError
+from .kernel import kernel_of
 from .ops import _add, shift
 from .values import TOP, ZERO, Pair, Scalar, Value, check_value, zero
 from .xreal import INF, XReal
@@ -50,8 +51,9 @@ class AtomSpace:
         raise DomainError(f"unknown event {name!r}")
 
 
-def _int_leveled(d: StructDesc) -> bool:
-    return isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
+def is_sliceable(d: StructDesc) -> bool:
+    """Integer levels over a rational residue: what slices and integrals need."""
+    return kernel_of(d).int_levels and isinstance(d.b, Base) and d.b.name in ("Rc", "Ro")
 
 
 class LMeasure:
@@ -84,7 +86,7 @@ class LMeasure:
 
     def attained_levels(self):
         """Sorted integer levels carried by the atoms (tops and zeros excluded)."""
-        if not _int_leveled(self.desc):
+        if not kernel_of(self.desc).int_levels:
             raise ShapeError("measure values do not have an integer top level")
         levels = set()
         for v in self.atom_values.values():
@@ -96,7 +98,7 @@ class LMeasure:
 def slice_at(m: LMeasure, k: int, E) -> XReal:
     """The ordinary extended-real measure read off at level k."""
     d = m.desc
-    if not (_int_leveled(d) and isinstance(d.b, Base) and d.b.name in ("Rc", "Ro")):
+    if not is_sliceable(d):
         raise ShapeError("slices need an (integer level, rational residue) structure")
     v = m.value(E)
     if v is ZERO:

@@ -15,43 +15,24 @@ finite scene.
 
 from __future__ import annotations
 
-from .descriptors import Base, Insert, StructDesc
+from .descriptors import StructDesc
 from .errors import CapabilityError, DomainError, InfiniteMassError
 from .integrate import SimpleFunction, integrate_lvalued, integrate_real
+from .kernel import kernel_of
 from .measure import LMeasure, align_levels, shift_levels
 from .ops import _add, _mul, divide
-from .values import TOP, ZERO, Pair, Scalar, Value, is_zero, zero
+from .values import TOP, ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels, zero
 from .xreal import ONE as XR_ONE
 from .xreal import XReal
 
 
-def prob_depth_of_desc(d: StructDesc):
-    """How many integer levels are stacked over the finite rationals; None if not a probability structure."""
-    n = 0
-    while isinstance(d, Insert) and isinstance(d.a, Base) and d.a.name == "Z":
-        n += 1
-        d = d.b
-    if n and isinstance(d, Base) and d.name == "Ro":
-        return n
-    return None
-
-
 def _require_prob_desc(d: StructDesc) -> int:
-    n = prob_depth_of_desc(d)
+    n = kernel_of(d).prob_depth
     if n is None:
         raise CapabilityError("probability needs integer levels over finite rationals")
     if n > 3:
         raise CapabilityError("probability levels deeper than 3 are not supported")
     return n
-
-
-def _level_vector(v: Value, n: int):
-    levels = []
-    cur = v
-    for _ in range(n):
-        levels.append(cur.level.x)
-        cur = cur.residue
-    return tuple(levels), cur.x
 
 
 class PMeasure:
@@ -77,7 +58,7 @@ def level_masses(m: LMeasure) -> dict:
     for v in m.atom_values.values():
         if v is ZERO:
             continue
-        vec, s = _level_vector(v, n)
+        vec, s = level_vector(v, n)
         key = vec[0] if n == 1 else vec
         masses[key] = masses.get(key, XReal(0)) + s
     return masses
@@ -130,27 +111,21 @@ def standardize(m: LMeasure) -> PMeasure:
         return PMeasure(aligned, True, d)
     # nested levels: shift so the componentwise maximum becomes the zero vector
     vecs = [
-        _level_vector(v, n)[0] for v in m.atom_values.values() if v is not ZERO
+        level_vector(v, n)[0] for v in m.atom_values.values() if v is not ZERO
     ]
     if not vecs:
         raise DomainError("the zero measure cannot be standardized")
     kappa = tuple(-max(vec[i] for vec in vecs) for i in range(n))
-    unit = _unit_with_levels(m.desc, kappa)
+    unit = stack_levels(kappa, XR_ONE)
     atom_values = {a: _mul(m.desc, unit, v) for a, v in m.atom_values.items()}
     out = LMeasure(m.desc, m.space, atom_values)
-    return PMeasure(out, True, -min(_level_vector(v, n)[0][0] for v in out.atom_values.values() if v is not ZERO))
-
-
-def _unit_with_levels(d: StructDesc, kappa) -> Value:
-    if isinstance(d, Base):
-        return Scalar(XR_ONE)
-    return Pair(Scalar(kappa[0]), _unit_with_levels(d.b, kappa[1:]))
+    return PMeasure(out, True, -min(level_vector(v, n)[0][0] for v in out.atom_values.values() if v is not ZERO))
 
 
 def depth(m, E) -> int:
     """Depth of an event under a standard single-level-stack measure."""
     pm = m if isinstance(m, PMeasure) else standardize(m)
-    if prob_depth_of_desc(pm.desc) != 1:
+    if kernel_of(pm.desc).prob_depth != 1:
         raise CapabilityError("depth is defined for single-stack probability measures")
     if not pm.is_standard:
         raise DomainError("depth needs a standard measure")
@@ -237,7 +212,7 @@ def bayes(m, partition, B) -> dict:
 
 def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> PMeasure:
     """Integrate a density against a scene, then renormalize each level to mass one."""
-    if prob_depth_of_desc(mu.desc) != 1:
+    if kernel_of(mu.desc).prob_depth != 1:
         raise CapabilityError("densities are supported over single-stack probability scenes")
     atom_values = {}
     for a in mu.space.atoms:

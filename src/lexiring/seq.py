@@ -30,6 +30,7 @@ from .descriptors import (
     has_top,
 )
 from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError, ShapeError
+from .kernel import kernel_of
 from .ops import _add, _cmp, add_all
 from .values import TOP, Pair, Scalar, Value, check_value, is_zero, zero
 from .xreal import INF, XReal
@@ -72,7 +73,7 @@ class SeqGen:
 
 
 def _require_int_levels(d: StructDesc):
-    if not (isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")):
+    if not kernel_of(d).int_levels:
         raise CapabilityError("infinite tails need an integer-leveled insertion structure")
 
 

@@ -1,15 +1,9 @@
-"""Tagged elements of described structures, plus literal parsing/formatting.
+"""Shape checks and canonical elements of described structures, plus literal parsing/formatting.
 
-A ``Value`` is well-shaped for exactly one descriptor, supplied alongside
-it by every operation.  Variants:
-
-  * ``ZERO``        -- the adjoined zero of an insertion / double (and the
-    canonical spelling of any additive identity in the literal grammar).
-  * ``TOP``         -- the greatest element of a bar structure.
-  * ``Scalar(x)``   -- a base-structure element: int for N0/Z, XReal for
-    Rc/Ro/Nbar0.
-  * ``Pair(l, r)``  -- level part and residue part.
-  * ``Signed(s, m)``-- sign (+1/-1) and nonzero magnitude, under double().
+The value variants (``ZERO``, ``TOP``, ``Scalar``, ``Pair``, ``Signed``)
+are defined in ``kernel`` and re-exported here.  ``check_value``,
+``is_zero`` and ``zero`` are lookups into the descriptor's kernel, which
+is compiled lazily, once per descriptor object.
 
 Literals: ``0``, ``top``, ``inf``, integers, ``p/q``, nested tuples, and
 a leading ``-`` under double().  Flat tuples like ``(-1,2,3)`` are
@@ -29,80 +23,8 @@ from .descriptors import (
     StructDesc,
 )
 from .errors import ParseError, ShapeError
+from .kernel import TOP, ZERO, Pair, Scalar, Signed, Value, kernel_of
 from .xreal import INF, XReal
-from .xreal import ZERO as XR_ZERO
-
-
-class Value:
-    __slots__ = ()
-
-
-class _ZeroVal(Value):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "0"
-
-
-class _TopVal(Value):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "top"
-
-
-ZERO = _ZeroVal()
-TOP = _TopVal()
-
-
-class Scalar(Value):
-    __slots__ = ("x",)
-
-    def __init__(self, x):
-        self.x = x
-
-    def __eq__(self, other):
-        return isinstance(other, Scalar) and self.x == other.x
-
-    def __hash__(self):
-        return hash(("Scalar", self.x))
-
-    def __repr__(self):
-        return str(self.x)
-
-
-class Pair(Value):
-    __slots__ = ("level", "residue")
-
-    def __init__(self, level: Value, residue: Value):
-        self.level = level
-        self.residue = residue
-
-    def __eq__(self, other):
-        return isinstance(other, Pair) and self.level == other.level and self.residue == other.residue
-
-    def __hash__(self):
-        return hash(("Pair", self.level, self.residue))
-
-    def __repr__(self):
-        return f"({self.level!r},{self.residue!r})"
-
-
-class Signed(Value):
-    __slots__ = ("sign", "mag")
-
-    def __init__(self, sign: int, mag: Value):
-        self.sign = sign
-        self.mag = mag
-
-    def __eq__(self, other):
-        return isinstance(other, Signed) and self.sign == other.sign and self.mag == other.mag
-
-    def __hash__(self):
-        return hash(("Signed", self.sign, self.mag))
-
-    def __repr__(self):
-        return ("-" if self.sign < 0 else "+") + repr(self.mag)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +33,11 @@ class Signed(Value):
 
 def zero(d: StructDesc) -> Value:
     """The additive identity of d, in its structural representation."""
-    if isinstance(d, Base):
-        return Scalar(0) if d.name in ("N0", "Z") else Scalar(XR_ZERO)
-    if isinstance(d, (SInsert, BarSInsert)):
-        return Pair(zero(d.a), zero(d.b))
-    return ZERO
+    return kernel_of(d).zero
 
 
 def is_zero(d: StructDesc, v: Value) -> bool:
-    if v is ZERO:
-        return True
-    if isinstance(d, Base) and isinstance(v, Scalar):
-        return v.x == 0 or (isinstance(v.x, XReal) and v.x.is_zero)
-    if isinstance(d, (SInsert, BarSInsert)) and isinstance(v, Pair):
-        return is_zero(d.a, v.level) and is_zero(d.b, v.residue)
-    return False
+    return kernel_of(d).is_zero(v)
 
 
 def one(d: StructDesc) -> Value:
@@ -141,78 +53,30 @@ def one(d: StructDesc) -> Value:
     raise ShapeError(f"{d!r} has no multiplicative identity")
 
 
+def stack_levels(levels, residue: XReal) -> Value:
+    """The element (l1, (l2, ... (ln, residue))) of integer levels stacked over a rational."""
+    v = Scalar(residue)
+    for lev in reversed(levels):
+        v = Pair(Scalar(lev), v)
+    return v
+
+
+def level_vector(v: Value, n: int):
+    """Inverse of ``stack_levels`` for n levels: (levels tuple, innermost rational)."""
+    levels = []
+    for _ in range(n):
+        levels.append(v.level.x)
+        v = v.residue
+    return tuple(levels), v.x
+
+
 # ---------------------------------------------------------------------------
 # shape validation
 # ---------------------------------------------------------------------------
 
 def check_value(d: StructDesc, v: Value) -> Value:
     """Raise ShapeError unless v is well-shaped for d."""
-    if isinstance(d, Base):
-        if not isinstance(v, Scalar):
-            raise ShapeError(f"expected a {d.name} scalar, got {v!r}")
-        if d.name in ("N0", "Z"):
-            if not isinstance(v.x, int):
-                raise ShapeError(f"{d.name} values are integers, got {v!r}")
-            if d.name == "N0" and v.x < 0:
-                raise ShapeError(f"negative value {v!r} in N0")
-        else:
-            if not isinstance(v.x, XReal):
-                raise ShapeError(f"{d.name} values are extended rationals, got {v!r}")
-            if d.name == "Ro" and v.x.is_inf:
-                raise ShapeError("inf does not belong to [0,inf)")
-            if d.name == "Nbar0" and not (v.x.is_inf or v.x.is_integral):
-                raise ShapeError(f"{v!r} is not a natural number or inf")
-        return v
-    if isinstance(d, (SInsert, BarSInsert)):
-        if v is TOP:
-            if isinstance(d, BarSInsert):
-                return v
-            raise ShapeError("top only exists in bar structures")
-        if not isinstance(v, Pair):
-            raise ShapeError(f"expected a pair, got {v!r}")
-        check_value(d.a, v.level)
-        check_value(d.b, v.residue)
-        return v
-    if isinstance(d, (Insert, BarInsert)):
-        if v is ZERO:
-            return v
-        if v is TOP:
-            if isinstance(d, BarInsert):
-                return v
-            raise ShapeError("top only exists in bar structures")
-        if not isinstance(v, Pair):
-            raise ShapeError(f"expected a pair or 0, got {v!r}")
-        check_value(d.a, v.level)
-        check_value(d.b, v.residue)
-        if is_zero(d.b, v.residue):
-            raise ShapeError(f"residue of {v!r} is the zero of {d.b!r}; insertion removes it")
-        return v
-    if isinstance(d, MixedInsert):
-        if v is ZERO:
-            return v
-        if not isinstance(v, Pair):
-            raise ShapeError(f"expected a pair or 0, got {v!r}")
-        if not (isinstance(v.level, Scalar) and isinstance(v.level.x, int)):
-            raise ShapeError(f"mixed insertion level must be an integer, got {v.level!r}")
-        sub = d.residue_desc(v.level.x)
-        if sub is None:
-            raise ShapeError(f"level {v.level.x} lies outside the mixed insertion range")
-        check_value(sub, v.residue)
-        if is_zero(sub, v.residue):
-            raise ShapeError("residue is the zero of its level structure")
-        return v
-    if isinstance(d, DoubleOf):
-        if v is ZERO:
-            return v
-        if not isinstance(v, Signed):
-            raise ShapeError(f"expected a signed value or 0, got {v!r}")
-        if v.sign not in (1, -1):
-            raise ShapeError(f"bad sign {v.sign!r}")
-        check_value(d.inner, v.mag)
-        if is_zero(d.inner, v.mag):
-            raise ShapeError("signed magnitude must be nonzero")
-        return v
-    raise ShapeError(f"unknown descriptor {d!r}")
+    return kernel_of(d).check(v)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from .descriptors import StructDesc
 from .errors import DomainError, ShapeError
+from .kernel import kernel_of
 from .ops import _add, _mul, try_inv
-from .values import Value, check_value, format_value, is_zero, one, zero
+from .values import Value, check_value, format_value, is_zero, level_vector, one, stack_levels, zero
 
 
 class BranchedGraph:
@@ -130,37 +131,25 @@ def cocycle_split(c: Cocycle):
     crossing; nested multipliers give a tuple of integers.  Recombining
     with ``cocycle_join`` reproduces the cocycle.
     """
-    from .prob import _level_vector, prob_depth_of_desc
-
-    n = prob_depth_of_desc(c.desc)
+    n = kernel_of(c.desc).prob_depth
     if n is None:
         raise ShapeError("cocycle multipliers must live in a probability semifield")
     level_map, stretch = {}, {}
     for key, v in c.crossings.items():
-        vec, s = _level_vector(v, n)
+        vec, s = level_vector(v, n)
         level_map[key] = vec[0] if n == 1 else vec
         stretch[key] = s
     return level_map, stretch
 
 
 def cocycle_join(desc: StructDesc, level_map: dict, stretch: dict) -> Cocycle:
-    from .prob import _unit_with_levels, prob_depth_of_desc
-    from .values import Pair, Scalar
-
-    n = prob_depth_of_desc(desc)
+    n = kernel_of(desc).prob_depth
     crossings = {}
     for key, lev in level_map.items():
         vec = (lev,) if isinstance(lev, int) else tuple(lev)
         if len(vec) != n:
             raise ShapeError(f"level vector {vec} does not match nesting depth {n}")
-        v = _unit_with_levels(desc, vec)
-        # replace the unit residue with the stretch
-        def put(dd, val):
-            if isinstance(val, Scalar):
-                return Scalar(stretch[key])
-            return Pair(val.level, put(dd.b, val.residue))
-
-        crossings[key] = put(desc, v)
+        crossings[key] = stack_levels(vec, stretch[key])
     return Cocycle(desc, crossings)
 
 

@@ -1,0 +1,167 @@
+"""The per-descriptor kernel: pinned random draws, shape-check messages,
+one compile per descriptor object, and the double() witness."""
+
+import gc
+import hashlib
+import random
+import weakref
+
+import pytest
+
+from lexiring import ops
+from lexiring.descriptors import BarInsert, Base, Insert, parse_struct
+from lexiring.errors import ShapeError
+from lexiring.laws import LAW_STRUCTURES, nonzero_value, random_value
+from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, parse_value
+from lexiring.xreal import INF, XReal
+
+DRAW_STRUCTURES = LAW_STRUCTURES + (
+    "double(O)", "double(S)",
+    "mixed(Z; -2..2; 0:P, 1:Nbar0, default:Rc)", "mixed(N0; ..3; 1:O, default:Rc)", "mixed(Z; ..; default:Ro)",
+    r"N0 \/ (Rc \/ Ro)", r"(Nbar0 \/ N0) \/ Rc", r"N0 b\/ Rc", r"(N0 /\ Rc) \/ Ro", r"S /\ Rc",
+)
+
+# SHA-256 of the draws below, recorded with the generators that predate the kernel
+DRAW_DIGEST = "40e57bc9b1682e5d4f17ed8c170b4fc3d5c57e9d5bfe32861c7fc73968568939"
+
+
+def test_seeded_draws_are_pinned():
+    h = hashlib.sha256()
+    for i, text in enumerate(DRAW_STRUCTURES):
+        d = parse_struct(text)
+        rng = random.Random(1000 + i)
+        for j in range(300):
+            v = nonzero_value(rng, d) if j % 3 == 2 else random_value(rng, d)
+            h.update(f"{text}|{v!r}\n".encode())
+    assert h.hexdigest() == DRAW_DIGEST
+
+
+def test_gappy_mixed_range_draws_only_levels_with_a_structure():
+    d = parse_struct("mixed(N0; 0..2; 0:Rc)")
+    rng = random.Random(1)
+    draws = [random_value(rng, d) for _ in range(200)]
+    assert {v.level.x for v in draws if v is not ZERO} == {0}
+    for v in draws:
+        check_value(d, v)
+    gappy = parse_struct("mixed(Z; -2..2; -2:Rc, 2:Ro)")
+    assert {nonzero_value(rng, gappy).level.x for _ in range(100)} == {-2, 2}
+    naturals = parse_struct("mixed(N0; -2..2; default:Rc)")
+    assert {nonzero_value(rng, naturals).level.x for _ in range(100)} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("text", ["mixed(Z; -1000000000..1000000000; default:Rc)",
+                                  "mixed(Z; -1000000000..1000000000; 7:Rc, -7:Ro)"])
+def test_wide_mixed_range_compiles_without_walking_it(text):
+    d = parse_struct(text)
+    x, y = parse_value(d, "(7, 2)"), parse_value(d, "(-7, 3)")
+    assert ops.cmp(d, x, y) > 0 and ops.add(d, x, y) == x
+    rng = random.Random(5)
+    for _ in range(50):
+        check_value(d, nonzero_value(rng, d))
+
+
+N0, NBAR0, RO = Base("N0"), Base("Nbar0"), Base("Ro")
+O, S = parse_struct("O"), parse_struct(r"N0 \/ Rc")
+MIXED = parse_struct("mixed(N0; 0..2; 0:Rc, default:O)")
+DOUBLE = parse_struct("double(O)")
+OK_MAG = Pair(Scalar(1), Scalar(XReal(1)))
+
+SHAPE_FAULTS = [
+    (N0, Scalar(-1), "negative value -1 in N0"),
+    (N0, Pair(Scalar(0), Scalar(1)), "expected a N0 scalar, got (0,1)"),
+    (Base("Z"), Scalar(XReal(1, 2)), "Z values are integers, got 1/2"),
+    (RO, Scalar(INF), "inf does not belong to [0,inf)"),
+    (Base("Rc"), Scalar(1), "Rc values are extended rationals, got 1"),
+    (NBAR0, Scalar(XReal(3, 2)), "3/2 is not a natural number or inf"),
+    (O, TOP, "top only exists in bar structures"),
+    (S, TOP, "top only exists in bar structures"),
+    (S, ZERO, "expected a pair, got 0"),
+    (O, Scalar(1), "expected a pair or 0, got 1"),
+    (O, Pair(Scalar(1), Scalar(XReal(0))), "residue of (1,0) is the zero of Rc; insertion removes it"),
+    (MIXED, Pair(Scalar(XReal(1)), Scalar(XReal(1))), "mixed insertion level must be an integer, got 1"),
+    (MIXED, Pair(Scalar(5), Scalar(XReal(1))), "level 5 lies outside the mixed insertion range"),
+    (MIXED, Pair(Scalar(0), Scalar(XReal(0))), "residue is the zero of its level structure"),
+    (MIXED, Pair(Scalar(1), Scalar(XReal(1))), "expected a pair or 0, got 1"),
+    (DOUBLE, OK_MAG, "expected a signed value or 0, got (1,1)"),
+    (DOUBLE, Signed(2, OK_MAG), "bad sign 2"),
+    (DOUBLE, Signed(-1, ZERO), "signed magnitude must be nonzero"),
+]
+
+
+@pytest.mark.parametrize("d, v, message", SHAPE_FAULTS)
+def test_check_value_fault_messages(d, v, message):
+    with pytest.raises(ShapeError) as exc:
+        check_value(d, v)
+    assert str(exc.value) == message
+
+
+def test_well_shaped_values_pass_through_check():
+    for d, v in [(N0, Scalar(0)), (NBAR0, Scalar(INF)), (parse_struct("Obar"), TOP), (S, Pair(Scalar(0), Scalar(XReal(0)))),
+                 (MIXED, Pair(Scalar(2), OK_MAG)), (DOUBLE, Signed(-1, OK_MAG))]:
+        assert check_value(d, v) is v
+
+
+def test_kernel_is_compiled_once_per_descriptor_object(monkeypatch):
+    from lexiring import kernel
+
+    compiled = []
+    real_compile = kernel._compile
+    monkeypatch.setattr(kernel, "_compile", lambda d: compiled.append(d) or real_compile(d))
+    d = Insert(Base("Z"), Base("Ro"))
+    x, y = parse_value(d, "(1,2)"), parse_value(d, "(0,1/3)")
+    for _ in range(5):
+        ops.add(d, x, y)
+        ops.mul(d, x, y)
+        ops.cmp(d, x, y)
+        random_value(random.Random(0), d)
+    assert len(compiled) == 3  # d and its two bases
+    k = kernel.kernel_of(d)
+    assert kernel.kernel_of(d) is k
+    assert kernel.kernel_of(Insert(d.a, d.b)) is not k  # an equal descriptor object compiles its own
+    assert (k.semiring, k.semifield, k.int_levels, k.prob_depth) == (True, True, True, 1)
+
+
+@pytest.mark.parametrize("text", ["P", "Pn(2)", "double(O)", "mixed(Z; -2..2; 0:P, default:Rc)"])
+def test_dropped_descriptor_is_freed_with_its_kernel(text):
+    d = parse_struct(text)
+    nonzero_value(random.Random(0), d)
+    ops.cmp(d, ZERO, ZERO)
+    ref = weakref.ref(d)
+    # no reference cycle through the kernel: the descriptor goes at once, without a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del d
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_capability_flags():
+    from lexiring.kernel import kernel_of
+
+    assert kernel_of(parse_struct("Pn(3)")).prob_depth == 3
+    assert kernel_of(parse_struct(r"Z /\ (N0 /\ Ro)")).prob_depth is None
+    assert kernel_of(parse_struct("Obar")).prob_depth is None
+    assert kernel_of(BarInsert(N0, RO)).int_levels
+    assert not kernel_of(parse_struct(r"Nbar0 /\ Rc")).int_levels
+    assert not kernel_of(parse_struct("mixed(Z; 0..1; default:Rc)")).int_levels
+    assert not kernel_of(parse_struct(r"N0 \/ Rc")).semiring
+    assert kernel_of(parse_struct("O")).semiring and not kernel_of(parse_struct("O")).semifield
+
+
+def test_shift_checks_the_new_level():
+    d = parse_struct("S")
+    assert ops.shift(d, parse_value(d, "(1,2)"), 2) == parse_value(d, "(3,2)")
+    with pytest.raises(ShapeError, match="negative value -1 in N0"):
+        ops.shift(d, parse_value(d, "(1,2)"), -2)
+    with pytest.raises(ShapeError, match="top level is not an integer"):
+        ops.shift(parse_struct(r"Nbar0 /\ Rc"), parse_value(parse_struct(r"Nbar0 /\ Rc"), "(1,2)"), 1)
+
+
+def test_double_addition_is_not_associative():
+    d = DOUBLE
+    a, b, c = parse_value(d, "(0,1)"), parse_value(d, "-(0,1)"), parse_value(d, "(-1,1)")
+    assert ops.double_add(d, ops.double_add(d, a, b), c) == c
+    assert ops.double_add(d, a, ops.double_add(d, b, c)) == ZERO
