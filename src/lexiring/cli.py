@@ -21,9 +21,10 @@ from .laws import run_selfcheck
 from .measure import align_levels, shift_levels, slice_at, total_height
 from .prob import bayes, cond_prob, standardize, validate_probability
 from .scenes import BUILTIN_SCENES, load_scene, load_track, load_tree, scene_to_dict
-from .seq import LevelRamp, Repeat, ResidueRamp, SeqGen, sum_sequence, sup_finite, sup_sequence
+from .seq import (LevelRamp, Repeat, ResidueRamp, SeqGen, require_int_levels, sum_sequence, sup_finite,
+                  sup_sequence)
 from .tree import distance, verify_metric
-from .values import _ValueParser, check_value, format_value, parse_value
+from .values import _ValueParser, format_value, parse_value
 from .weights import apply_deck, check_branch_equations
 
 
@@ -31,78 +32,42 @@ from .weights import apply_deck, check_branch_equations
 # expression evaluation
 # ---------------------------------------------------------------------------
 
-_FUNCS = ("inv", "cmp", "sum", "sup")
 _GENS = ("repeat", "levelramp", "resramp")
 
 
-def _lex_expr(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "(),+-/*":
-            toks.append((c, i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", text, i)
-    return toks
+class _ExprEval(_ValueParser):
+    """Expressions over literals, parsed on one token stream.
 
+    Where an atom may be a literal or a parenthesised expression, the
+    literal is tried first.  When every route fails, the error raised is
+    the one of the route that read furthest.
+    """
 
-class _ExprEval:
     def __init__(self, desc, text: str):
+        super().__init__(text)
         self.d = desc
-        self.text = text
-        self.toks = _lex_expr(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self):
-        if self.pos >= len(self.toks):
-            raise ParseError("unexpected end of expression", self.text, len(self.text))
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, sym):
-        tok, at = self.next()
-        if tok != sym:
-            raise ParseError(f"expected {sym!r}, found {tok!r}", self.text, at)
+        self.furthest = (-1, None)  # (token index, error) of the literal that read furthest
 
     def run(self):
         """Returns ('cmp', -1|0|1) or ('value', Value)."""
-        if self.peek() == "cmp":
-            self.next()
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            self._end()
-            return "cmp", ops.cmp(self.d, a, b)
-        v = self.expr()
-        self._end()
+        try:
+            if self.peek() == "cmp":
+                self.next()
+                self.expect("(")
+                a = self.expr()
+                self.expect(",")
+                b = self.expr()
+                self.expect(")")
+                self.done()
+                return "cmp", ops.cmp(self.d, a, b)
+            v = self.expr()
+            self.done()
+        except ParseError:
+            at, exc = self.furthest
+            if at >= self.pos:
+                raise exc from None
+            raise
         return "value", v
-
-    def _end(self):
-        if self.pos < len(self.toks):
-            tok, at = self.toks[self.pos]
-            raise ParseError(f"trailing input {tok!r}", self.text, at)
 
     def expr(self):
         t = self.product()
@@ -127,10 +92,10 @@ class _ExprEval:
             self.expect(")")
             return ops.inv(self.d, v)
         if tok in ("sum", "sup"):
-            return self.series(self.next()[0])
+            return self.series(self.next())
         if tok == "cmp":
-            _, at = self.next()
-            raise ParseError("cmp(...) only makes sense at the top level", self.text, at)
+            self.next()
+            raise self.error("cmp(...) only makes sense at the top level")
         v = self.try_literal(self.d)
         if v is not None:
             return v
@@ -139,36 +104,18 @@ class _ExprEval:
             v = self.expr()
             self.expect(")")
             return v
-        tok, at = self.next()
-        raise ParseError(f"unexpected token {tok!r}", self.text, at)
+        tok = self.next()
+        raise self.error(f"unexpected token {tok!r}")
 
     def try_literal(self, d):
-        vp = _ValueParser.from_tokens(self.text, self.toks, self.pos)
         save = self.pos
         try:
-            v = vp.value(d)
-        except (ParseError, ShapeError):
+            return self.literal(d)
+        except (ParseError, ShapeError) as exc:
+            if self.pos > self.furthest[0]:
+                self.furthest = (self.pos, exc)
             self.pos = save
             return None
-        self.pos = vp.pos
-        return check_value(d, v)
-
-    def literal(self, d):
-        v = self.try_literal(d)
-        if v is None:
-            tok, at = self.toks[self.pos] if self.pos < len(self.toks) else ("", len(self.text))
-            raise ParseError(f"expected a literal, found {tok!r}", self.text, at)
-        return v
-
-    def int_arg(self) -> int:
-        neg = False
-        if self.peek() == "-":
-            self.next()
-            neg = True
-        tok, at = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected an integer, found {tok!r}", self.text, at)
-        return -int(tok) if neg else int(tok)
 
     def series(self, which: str):
         self.expect("(")
@@ -177,20 +124,21 @@ class _ExprEval:
             tok = self.peek()
             if tok in _GENS:
                 if tail is not None:
-                    _, at = self.toks[self.pos]
-                    raise ParseError("only one generator per series", self.text, at)
+                    raise self.error("only one generator per series", self.pos)
                 self.next()
                 self.expect("(")
                 if tok == "repeat":
                     tail = Repeat(self.literal(self.d))
                 elif tok == "levelramp":
-                    start = self.int_arg()
+                    require_int_levels(self.d)
+                    start = self.int()
                     self.expect(",")
-                    step = self.int_arg()
+                    step = self.int()
                     self.expect(",")
                     tail = LevelRamp(start, step, self.literal(self.d.b))
                 else:
-                    lev = self.int_arg()
+                    require_int_levels(self.d)
+                    lev = self.int()
                     self.expect(",")
                     tail = ResidueRamp(lev, self.literal(self.d.b))
                 self.expect(")")

@@ -24,6 +24,8 @@ which lexicographic products inherit those properties from their parts.
 
 from __future__ import annotations
 
+import re
+
 from .errors import CapabilityError, ParseError
 
 BASE_NAMES = ("N0", "Z", "Rc", "Ro", "Nbar0")
@@ -292,6 +294,8 @@ def validate_desc(d: StructDesc) -> StructDesc:
             raise CapabilityError("mixed insertion levels must come from N0 or Z")
         if (d.lo is None or d.hi is None) and d.base.name == "Z" and d.default is None:
             raise CapabilityError("half-bounded mixed insertion requires a default residue structure")
+        if d.base.name == "N0" and d.hi is not None and d.hi < 0:
+            raise CapabilityError(f"the level range ends at {d.hi}, below every level of N0")
         for lev, sub in d.table:
             validate_desc(sub)
             if not is_semigroup(sub):
@@ -357,89 +361,91 @@ def p_nested(n: int) -> StructDesc:
 # grammar
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("b\\/", "b/\\", "\\/", "/\\", "..", "(", ")", ";", ":", ",")
+# One lexer for the structure, literal and expression grammars: operators,
+# punctuation, ASCII identifiers and ASCII digit runs; any other non-space
+# character is a token of its own that no grammar accepts.
+_TOKEN = re.compile(r"b\\/|b/\\|\\/|/\\|\.\.|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((sym, i))
-                i += len(sym)
-                break
-        else:
-            if c.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append((text[i:j], i))
-                i = j
-            elif c.isdigit() or c == "-":
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i + 1 and c == "-":
-                    raise ParseError("stray '-'", text, i)
-                tokens.append((text[i:j], i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", text, i)
-    return tokens
+def is_digits(tok) -> bool:
+    """Whether a token is an ASCII digit run."""
+    return "0" <= tok[0] <= "9"
 
 
-class _StructParser:
+class TokenStream:
+    """A cursor over the tokens of one text, shared by the three grammars."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
         self.pos = 0
 
+    def error(self, message: str, index=None) -> ParseError:
+        """A ParseError at the character position of token ``index`` (default: the last one read)."""
+        if index is None:
+            index = self.pos - 1
+        at = len(self.text)
+        for i, m in enumerate(_TOKEN.finditer(self.text)):
+            if i == index:
+                at = m.start()
+                break
+        return ParseError(message, self.text, at)
+
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.text, len(self.text))
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def next(self) -> str:
+        pos = self.pos
+        if pos >= len(self.toks):
+            raise self.error("unexpected end of input", pos)
+        self.pos = pos + 1
+        return self.toks[pos]
 
-    def expect(self, sym):
-        tok, at = self.next()
+    def expect(self, sym: str):
+        tok = self.next()
         if tok != sym:
-            raise ParseError(f"expected {sym!r}, found {tok!r}", self.text, at)
-        return tok
+            raise self.error(f"expected {sym!r}, found {tok!r}")
 
+    def done(self):
+        if self.pos < len(self.toks):
+            raise self.error(f"trailing input {self.toks[self.pos]!r}", self.pos)
+
+    def int(self) -> int:
+        """An optional '-' and then a digit run."""
+        tok = self.next()
+        neg = tok == "-"
+        if neg:
+            tok = self.next()
+        if not is_digits(tok):
+            raise self.error(f"expected an integer, found {tok!r}")
+        return -int(tok) if neg else int(tok)
+
+
+_INSERTIONS = {"\\/": SInsert, "/\\": Insert, "b\\/": BarSInsert, "b/\\": BarInsert}
+_ALIASES = {"S": (Insert, N0, RC), "O": (Insert, Z, RC), "P": (Insert, Z, RO),
+            "Sbar": (BarInsert, N0, RC), "Obar": (BarInsert, Z, RC)}
+_NESTED = {"Sn": s_nested, "On": o_nested, "Pn": p_nested}
+
+
+class _StructParser(TokenStream):
     def parse(self) -> StructDesc:
         d = self.struct()
-        if self.peek() is not None:
-            tok, at = self.tokens[self.pos]
-            raise ParseError(f"trailing input {tok!r}", self.text, at)
+        self.done()
         return d
 
     def struct(self) -> StructDesc:
         left = self.prim()
-        op = self.peek()
-        if op in ("\\/", "/\\", "b\\/", "b/\\"):
-            self.next()
-            right = self.prim()
-            nxt = self.peek()
-            if nxt in ("\\/", "/\\", "b\\/", "b/\\"):
-                _, at = self.tokens[self.pos]
-                raise ParseError(
-                    "insertion operators do not associate; parentheses required", self.text, at
-                )
-            cls = {"\\/": SInsert, "/\\": Insert, "b\\/": BarSInsert, "b/\\": BarInsert}[op]
-            return cls(left, right)
-        return left
+        cls = _INSERTIONS.get(self.peek())
+        if cls is None:
+            return left
+        self.next()
+        right = self.prim()
+        if self.peek() in _INSERTIONS:
+            raise self.error("insertion operators do not associate; parentheses required", self.pos)
+        return cls(left, right)
 
     def prim(self) -> StructDesc:
-        tok, at = self.next()
+        tok = self.next()
         if tok == "(":
             inner = self.struct()
             self.expect(")")
@@ -453,65 +459,46 @@ class _StructParser:
             return self.mixed()
         if tok in BASE_NAMES or tok == "NBar0":
             return Base("Nbar0" if tok == "NBar0" else tok)
-        if tok == "S":
-            return Insert(N0, RC)
-        if tok == "O":
-            return Insert(Z, RC)
-        if tok == "P":
-            return Insert(Z, RO)
-        if tok == "Sbar":
-            return BarInsert(N0, RC)
-        if tok == "Obar":
-            return BarInsert(Z, RC)
-        if tok in ("Sn", "On", "Pn"):
+        if tok in _ALIASES:  # a fresh object: each descriptor keeps its own kernel
+            cls, a, b = _ALIASES[tok]
+            return cls(a, b)
+        if tok in _NESTED:
             self.expect("(")
-            num, nat = self.next()
-            try:
-                n = int(num)
-            except ValueError:
-                raise ParseError("expected an integer argument", self.text, nat) from None
+            n = self.int()
             if n < 1:
-                raise ParseError("nesting depth must be >= 1", self.text, nat)
+                raise self.error("nesting depth must be >= 1")
             self.expect(")")
-            return {"Sn": s_nested, "On": o_nested, "Pn": p_nested}[tok](n)
-        raise ParseError(f"unexpected token {tok!r}", self.text, at)
+            return _NESTED[tok](n)
+        raise self.error(f"unexpected token {tok!r}")
 
     def mixed(self) -> StructDesc:
         self.expect("(")
-        name, at = self.next()
+        name = self.next()
         if name not in ("N0", "Z"):
-            raise ParseError("mixed base must be N0 or Z", self.text, at)
+            raise self.error("mixed base must be N0 or Z")
         base = Base(name)
         self.expect(";")
         lo = hi = None
         if self.peek() != "..":
-            lo = int(self.next()[0])
+            lo = self.int()
         self.expect("..")
         if self.peek() != ";":
-            hi = int(self.next()[0])
+            hi = self.int()
         self.expect(";")
         table = []
         default = None
         while True:
-            tok, at = self.next()
-            if tok == "default":
+            if self.peek() == "default":
+                self.next()
                 self.expect(":")
                 default = self.struct()
             else:
-                try:
-                    lev = int(tok)
-                except ValueError:
-                    raise ParseError(f"expected level integer, found {tok!r}", self.text, at) from None
+                lev = self.int()
                 self.expect(":")
                 table.append((lev, self.struct()))
-            nxt = self.peek()
-            if nxt == ",":
-                self.next()
-                continue
-            if nxt == ";":
-                self.next()
-                continue
-            break
+            if self.peek() not in (",", ";"):
+                break
+            self.next()
         self.expect(")")
         if lo is not None and hi is not None and lo > hi:
             raise ParseError("empty level range", self.text, 0)

@@ -34,6 +34,8 @@ class AtomSpace:
             self.events[name] = self.check_event(members)
 
     def check_event(self, members) -> frozenset:
+        if isinstance(members, str):
+            raise DomainError(f"an event is a list of atom ids, not the string {members!r}")
         ev = frozenset(members)
         unknown = ev - self._atom_set
         if unknown:

@@ -22,7 +22,7 @@ import json
 import pathlib
 
 from .descriptors import parse_struct, struct_text
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .integrate import SimpleFunction
 from .measure import AtomSpace, LMeasure
 from .tree import LTree
@@ -91,11 +91,18 @@ def scene_to_dict(m: LMeasure) -> dict:
     }
 
 
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ParseError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_scene(path_or_builtin: str) -> LMeasure:
     if path_or_builtin in BUILTIN_SCENES:
         return scene_from_dict(BUILTIN_SCENES[path_or_builtin])
-    with open(path_or_builtin, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(_read_json(path_or_builtin))
 
 
 def builtin_scene(name: str) -> LMeasure:
@@ -122,8 +129,7 @@ def function_from_dict(doc: dict, measure: LMeasure) -> SimpleFunction:
 
 
 def load_function(path: str, measure: LMeasure) -> SimpleFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return function_from_dict(json.load(fh), measure)
+    return function_from_dict(_read_json(path), measure)
 
 
 def tree_from_dict(doc: dict) -> LTree:
@@ -133,8 +139,7 @@ def tree_from_dict(doc: dict) -> LTree:
 
 
 def load_tree(path: str) -> LTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
+    return tree_from_dict(_read_json(path))
 
 
 TRACK_DIR = pathlib.Path(__file__).parent / "data"
@@ -163,6 +168,4 @@ def track_from_dict(doc: dict):
 
 
 def load_track(path_or_builtin: str):
-    path = BUILTIN_TRACKS.get(path_or_builtin, path_or_builtin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return track_from_dict(json.load(fh))
+    return track_from_dict(_read_json(BUILTIN_TRACKS.get(path_or_builtin, path_or_builtin)))

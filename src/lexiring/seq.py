@@ -72,7 +72,7 @@ class SeqGen:
         self.tail = tail
 
 
-def _require_int_levels(d: StructDesc):
+def require_int_levels(d: StructDesc):
     if not kernel_of(d).int_levels:
         raise CapabilityError("infinite tails need an integer-leveled insertion structure")
 
@@ -150,7 +150,7 @@ def sum_sequence(d: StructDesc, s: SeqGen) -> Value:
     tail = s.tail
     if tail is None:
         return add_all(d, s.head)
-    _require_int_levels(d)
+    require_int_levels(d)
     if isinstance(tail, LevelRamp):
         check_value(d, Pair(Scalar(tail.start), tail.residue))
         if has_top(d):
@@ -205,7 +205,7 @@ def sup_sequence(d: StructDesc, s) -> Value:
         check_value(d, v)
     tail = s.tail
     if tail is not None:
-        _require_int_levels(d)
+        require_int_levels(d)
     if isinstance(tail, LevelRamp):
         check_value(d, Pair(Scalar(tail.start), tail.residue))
         if has_top(d):

@@ -21,8 +21,10 @@ from .descriptors import (
     MixedInsert,
     SInsert,
     StructDesc,
+    TokenStream,
+    is_digits,
 )
-from .errors import ParseError, ShapeError
+from .errors import ShapeError
 from .kernel import TOP, ZERO, Pair, Scalar, Signed, Value, kernel_of
 from .xreal import INF, XReal
 
@@ -83,69 +85,11 @@ def check_value(d: StructDesc, v: Value) -> Value:
 # literal grammar
 # ---------------------------------------------------------------------------
 
-def _lex_tokens(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "(),+-/":
-            toks.append((c, i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", text, i)
-    return toks
+class _ValueParser(TokenStream):
+    """Literal grammar; values are built unchecked and checked once, whole."""
 
-
-class _ValueParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _lex_tokens(text)
-        self.pos = 0
-
-    @classmethod
-    def from_tokens(cls, text, toks, pos):
-        """Parse from a shared token stream (used by the expression evaluator)."""
-        p = cls.__new__(cls)
-        p.text = text
-        p.toks = toks
-        p.pos = pos
-        return p
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self):
-        if self.pos >= len(self.toks):
-            raise ParseError("unexpected end of literal", self.text, len(self.text))
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, sym):
-        tok, at = self.next()
-        if tok != sym:
-            raise ParseError(f"expected {sym!r}, found {tok!r}", self.text, at)
-
-    def done(self):
-        if self.pos < len(self.toks):
-            tok, at = self.toks[self.pos]
-            raise ParseError(f"trailing input {tok!r}", self.text, at)
-
-    # ------------------------------------------------------------------
+    def literal(self, d: StructDesc) -> Value:
+        return check_value(d, self.value(d))
 
     def value(self, d: StructDesc) -> Value:
         tok = self.peek()
@@ -157,102 +101,64 @@ class _ValueParser:
             if self.peek() == "0" and sign == 1:
                 self.next()
                 return ZERO
-            mag = self.value(d.inner)
-            if is_zero(d.inner, mag):
-                raise ShapeError("signed magnitude must be nonzero")
-            return Signed(sign, mag)
+            return Signed(sign, self.value(d.inner))
         if tok == "top":
             if not isinstance(d, (BarInsert, BarSInsert)):
                 raise ShapeError(f"'top' is not an element of {d!r}")
             self.next()
             return TOP
-        if tok == "0" and not isinstance(d, Base):
-            # bare 0 denotes the additive identity of any structure
-            save = self.pos
+        if tok == "0" and not isinstance(d, Base) and self.toks[self.pos + 1:self.pos + 2] != ["/"]:
             self.next()
-            if self.peek() != "/":
-                return zero(d)
-            self.pos = save
+            return zero(d)  # bare 0 denotes the additive identity of any structure
         if isinstance(d, Base):
             return self.scalar(d)
         if isinstance(d, (SInsert, BarSInsert, Insert, BarInsert, MixedInsert)):
             self.expect("(")
             v = self.pair_body(d)
             self.expect(")")
-            return check_value(d, v)
+            return v
         raise ShapeError(f"cannot parse a value of {d!r}")
 
     def pair_body(self, d) -> Value:
         if isinstance(d, MixedInsert):
-            lv = self.scalar_int()
+            lv = self.int()
             sub = d.residue_desc(lv)
             if sub is None:
                 raise ShapeError(f"level {lv} lies outside the mixed insertion range")
             self.expect(",")
-            rv = self.component(sub)
-            return Pair(Scalar(lv), rv)
+            return Pair(Scalar(lv), self.component(sub))
         lv = self.value(d.a)
         self.expect(",")
-        rv = self.component(d.b)
-        return Pair(lv, rv)
+        return Pair(lv, self.component(d.b))
 
     def component(self, d) -> Value:
         # flat-tuple sugar: "(a,b,c)" for right-nested pairs
         if isinstance(d, (SInsert, BarSInsert, Insert, BarInsert, MixedInsert)) and self.peek() not in ("(", "top"):
-            save = self.pos
-            tok = self.peek()
-            if tok == "0":
-                self.next()
-                if self.peek() != ",":
-                    self.pos = save
-                    return self.value(d)
-                self.pos = save
+            if self.peek() == "0" and self.toks[self.pos + 1:self.pos + 2] != [","]:
+                return self.value(d)  # a bare 0, not the first level of a flat tuple
             return self.pair_body(d)
         return self.value(d)
 
     def scalar(self, d: Base) -> Value:
-        tok, at = self.next()
         if d.name in ("N0", "Z"):
-            neg = False
-            if tok == "-":
-                if d.name == "N0":
-                    raise ShapeError("negative value in N0")
-                neg = True
-                tok, at = self.next()
-            if not tok.isdigit():
-                raise ParseError(f"expected an integer, found {tok!r}", self.text, at)
-            n = int(tok)
-            return Scalar(-n if neg else n)
+            return Scalar(self.int())
+        tok = self.next()
         if tok == "inf":
-            x = INF
-        elif tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.next()
-                dtok, dat = self.next()
-                if not dtok.isdigit() or int(dtok) == 0:
-                    raise ParseError(f"bad denominator {dtok!r}", self.text, dat)
-                x = XReal(num, int(dtok))
-            else:
-                x = XReal(num)
-        else:
-            raise ParseError(f"expected a rational or 'inf', found {tok!r}", self.text, at)
-        return check_value(d, Scalar(x))
-
-    def scalar_int(self) -> int:
-        tok, at = self.next()
-        neg = False
-        if tok == "-":
-            neg = True
-            tok, at = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected an integer, found {tok!r}", self.text, at)
-        return -int(tok) if neg else int(tok)
+            return Scalar(INF)
+        if not is_digits(tok):
+            raise self.error(f"expected a rational or 'inf', found {tok!r}")
+        if self.peek() != "/":
+            return Scalar(XReal(int(tok)))
+        self.next()
+        den = self.next()
+        if not is_digits(den) or int(den) == 0:
+            raise self.error(f"bad denominator {den!r}")
+        return Scalar(XReal(int(tok), int(den)))
 
 
 def parse_value(d: StructDesc, text: str) -> Value:
     p = _ValueParser(text)
-    v = p.value(d)
+    v = p.literal(d)
     p.done()
     return v
 

@@ -3,11 +3,13 @@
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
 from lexiring.cli import eval_expression, main
 from lexiring.descriptors import parse_struct
+from lexiring.errors import LexiringError
 from lexiring.laws import random_value
 from lexiring.values import format_value, parse_value
 
@@ -107,20 +109,101 @@ def test_tree_cli(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+ROUNDTRIP_STRUCTS = [
+    "S", "O", "P", "Obar", "Sbar", "Sn(2)", "On(2)", "Pn(2)", "Pn(3)",
+    r"N0 \/ N0", r"(N0 \/ N0) /\ Rc", r"N0 /\ (N0 /\ N0)", "double(O)", "double(S)",
+    "mixed(N0; 0..2; 0:Rc, 1:Rc, 2:Nbar0)",
+]
+
+
 def test_parse_format_roundtrip_fuzz():
     rng = random.Random(31)
-    structs = [
-        "S", "O", "P", "Obar", "Sbar", "Sn(2)", "On(2)", "Pn(2)", "Pn(3)",
-        r"N0 \/ N0", r"(N0 \/ N0) /\ Rc", r"N0 /\ (N0 /\ N0)", "double(O)", "double(S)",
-        "mixed(N0; 0..2; 0:Rc, 1:Rc, 2:Nbar0)",
-    ]
-    descs = [parse_struct(s) for s in structs]
+    descs = [parse_struct(s) for s in ROUNDTRIP_STRUCTS]
     for _ in range(2000):
         d = rng.choice(descs)
         v = random_value(rng, d)
         text = format_value(d, v)
         assert parse_value(d, text) == v
         assert format_value(d, parse_value(d, text)) == text
+
+
+# tokens a mutation may insert: the literal alphabet, a non-ASCII digit, and
+# operators and names of the other grammars
+MUTATION_TOKENS = ["(", ")", ",", "/", "-", "+", "*", "0", "1", "12", "inf", "top", "²", "..", ";", "x", " "]
+
+
+def test_mutated_literals_fail_cleanly():
+    rng = random.Random(47)
+    pairs = [(s, parse_struct(s)) for s in ROUNDTRIP_STRUCTS]
+    for _ in range(3000):
+        text, d = rng.choice(pairs)
+        toks = re.findall(r"[0-9]+|[A-Za-z]+|\S", format_value(d, random_value(rng, d)))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(toks) + 1)
+            edit = rng.choice(("insert", "delete", "replace"))
+            if edit == "insert" or i == len(toks):
+                toks.insert(i, rng.choice(MUTATION_TOKENS))
+            elif edit == "delete":
+                del toks[i]
+            else:
+                toks[i] = rng.choice(MUTATION_TOKENS)
+        mutated = "".join(toks)
+        for parse in (lambda: parse_value(d, mutated), lambda: eval_expression(text, mutated)):
+            try:
+                parse()
+            except LexiringError:
+                pass
+
+
+def _run(capsys, argv):
+    """Exit code and stderr of one CLI call; the stderr must be a single line."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == (1 if code else 0), err
+    return code, err
+
+
+def test_eval_reports_the_error_of_the_route_that_read_furthest(capsys):
+    code, err = _run(capsys, ["eval", "Rc", "1/0"])
+    assert code == 2 and "bad denominator '0'" in err
+    code, err = _run(capsys, ["eval", "mixed(N0; 0..2; 0:Rc)", "(1,1)"])
+    assert code == 1 and "level 1 lies outside the mixed insertion range" in err
+    code, err = _run(capsys, ["eval", "P", "(0,inf)"])
+    assert code == 1 and "inf does not belong to [0,inf)" in err
+
+
+def test_number_reading_errors_are_parse_errors(capsys):
+    code, err = _run(capsys, ["eval", "mixed(N0; x..2; 0:Rc)", "0"])
+    assert code == 2 and "expected an integer, found 'x'" in err
+    code, err = _run(capsys, ["eval", "Rc", "\u00b2"])
+    assert code == 2 and "found '\u00b2'" in err
+
+
+def test_ramps_need_integer_levels(capsys):
+    code, err = _run(capsys, ["eval", "Rc", "sum(levelramp(1,1,1))"])
+    assert code == 1 and "integer-leveled" in err
+
+
+def test_unreadable_files_are_parse_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"structure": "P", "atoms": [')
+    for argv in (["measure", "validate", str(missing)], ["tree", "dist", str(truncated), "a", "b"],
+                 ["weights", "check", str(missing)], ["prob", "validate", str(truncated)]):
+        code, err = _run(capsys, argv)
+        assert code == 2 and f"cannot read {argv[2]!r}" in err
+
+
+def test_string_event_is_rejected(tmp_path, capsys):
+    scene = {
+        "structure": "P",
+        "atoms": [{"id": "a", "value": "(0,1/2)"}, {"id": "b", "value": "(0,1/2)"}],
+        "events": {"E": "ab"},
+    }
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    code, err = _run(capsys, ["measure", "eval", str(f), "--event", "E"])
+    assert code == 1 and "not the string 'ab'" in err
 
 
 def test_selfcheck_deterministic(capsys):

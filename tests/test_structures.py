@@ -1,11 +1,14 @@
 """Descriptor grammar, literals, and the arithmetic case tables."""
 
+import random
+
 import pytest
 
 from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.descriptors import parse_struct
 from lexiring.errors import CapabilityError, DomainError, ParseError, ShapeError
+from lexiring.laws import nonzero_value
 from lexiring.values import TOP, ZERO, Pair, Scalar, format_value, is_zero, one, parse_value, zero
 from lexiring.xreal import XReal
 
@@ -78,6 +81,10 @@ def test_mixed_parse():
     assert d.residue_desc(3) is None
     d2 = parse_struct("mixed(Z; ..0; default:Rc)")
     assert d2.residue_desc(-100) == D.RC and d2.residue_desc(1) is None
+    with pytest.raises(CapabilityError, match="below every level of N0"):
+        parse_struct("mixed(N0; -3..-1; default:Rc)")  # every listed level is negative
+    d3 = parse_struct("mixed(N0; -3..0; default:Rc)")
+    assert nonzero_value(random.Random(5), d3).level == Scalar(0)
 
 
 def test_mixed_arithmetic():

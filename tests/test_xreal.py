@@ -63,6 +63,9 @@ def test_parse_and_format_roundtrip():
         parse_xreal("-2")
     with pytest.raises(ParseError):
         parse_xreal("a/b")
+    for text in ("\u00b2", "1/\u00b2"):  # superscript two: str.isdigit is true, int() fails
+        with pytest.raises(ParseError):
+            parse_xreal(text)
 
 
 def _random_xreal(rng):
