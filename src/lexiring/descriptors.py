@@ -366,6 +366,12 @@ def p_nested(n: int) -> StructDesc:
 # character is a token of its own that no grammar accepts.
 _TOKEN = re.compile(r"b\\/|b/\\|\\/|/\\|\.\.|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
 
+# The deepest nesting any grammar reads: parentheses within one text, and n
+# in Sn(n)/On(n)/Pn(n).  The parsers, and the kernels and printers of what
+# they build, recurse once per level, so this keeps them far from Python's
+# recursion limit.
+MAX_DEPTH = 64
+
 
 def is_digits(tok) -> bool:
     """Whether a token is an ASCII digit run."""
@@ -379,6 +385,15 @@ class TokenStream:
         self.text = text
         self.toks = _TOKEN.findall(text)
         self.pos = 0
+        if text.count("(") > MAX_DEPTH:
+            depth = 0
+            for i, tok in enumerate(self.toks):
+                if tok == "(":
+                    depth += 1
+                    if depth > MAX_DEPTH:
+                        raise self.error(f"parentheses nest deeper than {MAX_DEPTH} levels", i)
+                elif tok == ")":
+                    depth -= 1
 
     def error(self, message: str, index=None) -> ParseError:
         """A ParseError at the character position of token ``index`` (default: the last one read)."""
@@ -465,8 +480,8 @@ class _StructParser(TokenStream):
         if tok in _NESTED:
             self.expect("(")
             n = self.int()
-            if n < 1:
-                raise self.error("nesting depth must be >= 1")
+            if not 1 <= n <= MAX_DEPTH:
+                raise self.error(f"nesting depth must be between 1 and {MAX_DEPTH}")
             self.expect(")")
             return _NESTED[tok](n)
         raise self.error(f"unexpected token {tok!r}")

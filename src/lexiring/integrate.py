@@ -116,11 +116,10 @@ def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
             if v is TOP:
                 raise DomainError("a top-valued integrand has no level partition")
             parts.setdefault(v.level.x, []).append(a)
-        total = zero(m.desc)
-        for k, part_atoms in parts.items():
-            inner = go(desc.b, {a: values[a].residue for a in part_atoms}, part_atoms)
-            total = _add(m.desc, total, shift(m.desc, inner, k))
-        return total
+        return kernel_of(m.desc).sum([
+            shift(m.desc, go(desc.b, {a: values[a].residue for a in part_atoms}, part_atoms), k)
+            for k, part_atoms in parts.items()
+        ])
 
     return go(g.desc, {a: g.at(a) for a in ev}, sorted(ev))
 

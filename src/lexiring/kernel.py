@@ -12,16 +12,27 @@ it by every operation.  Variants:
   * ``Signed(s, m)``-- sign (+1/-1) and nonzero magnitude, under double().
 
 ``kernel_of(d)`` compiles d, the first time it is used, into a ``Kernel``
-of closures (shape check, zero test, comparison, addition,
+of closures (shape check, zero test, comparison, addition, n-ary sum,
 multiplication, seeded random draws) and capability flags, and keeps it
 in d's ``_kernel`` slot: it lives and dies with the descriptor object.  A
 composite kernel captures its parts' closures, so no call walks the
 descriptor again (Feeley & Lapalme, "Using closures for code generation",
 Computer Languages 12(1), 1987).  All but ``check`` assume well-shaped
 operands.
+
+``sum(values)`` folds event measures, Bayes, finite series, integrals
+and branch equations.  It equals the ordered left fold of ``add`` from
+``zero``, and it relies on that addition being associative and
+commutative, which it is everywhere but under ``double()``: there
+``sum`` is that ordered fold.  Elsewhere it finds the dominant level
+first and sums only the residues there, once, in the residue
+structure's own ``sum``; a rational residue sum adds the numerators over
+a running common denominator and reduces once.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc,
                           is_semifield, is_semiring)
@@ -109,17 +120,20 @@ ZERO_P = 0.12  # chance of drawing an adjoined zero, where the caller does not s
 class Kernel:
     """One descriptor's compiled operations and capability flags.
 
-    ``zero`` is the additive identity itself; ``mul`` is None where d has
-    no multiplication; ``prob_depth`` counts the integer levels stacked
-    over the finite rationals (None unless d is such a probability structure).
+    ``zero`` is the additive identity itself, and the empty ``sum``;
+    ``sum`` defaults to the ordered left fold of ``add``; ``mul`` is None
+    where d has no multiplication; ``prob_depth`` counts the integer levels
+    stacked over the finite rationals (None unless d is such a probability
+    structure).
     """
 
-    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "mul", "gen", "nonzero",
+    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "gen", "nonzero",
                  "semiring", "semifield", "int_levels", "prob_depth")
 
-    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None):
+    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
+        self.sum = sum or _ordered_fold(zero, add)
         self.semiring, self.semifield = is_semiring(d), is_semifield(d)
         self.int_levels = isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
         text = repr(d)  # not d: a closure over d would tie d and its kernel in a reference cycle
@@ -157,6 +171,37 @@ def _compile(d: StructDesc) -> Kernel:
 
 def _is_adjoined_zero(v) -> bool:
     return v is ZERO
+
+
+def _ordered_fold(zero, add):
+    """The left fold of add from zero, in the order given."""
+    def sum_(values):
+        acc = zero
+        for v in values:
+            acc = add(acc, v)
+        return acc
+    return sum_
+
+
+def _dominant_sum(zero, cmp_level, residue_sum):
+    """The sum of pairs: residue_sum(level, residues) at the dominant level; 0 is skipped, top absorbs."""
+    def sum_(values):
+        top, group = None, None  # the dominant level so far and the residues there
+        for v in values:
+            if v is ZERO:
+                continue
+            if v is TOP:
+                return TOP
+            if top is not None:
+                c = cmp_level(v.level, top)
+                if c < 0:
+                    continue
+                if c == 0:
+                    group.append(v.residue)
+                    continue
+            top, group = v.level, [v.residue]
+        return zero if top is None else Pair(top, residue_sum(top, group))
+    return sum_
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +248,35 @@ def _scalar_mul(x, y):
     return Scalar(x.x * y.x)  # XReal has 0 * inf == 0, so zeros need no special case
 
 
+def _xreal_sum(zero):
+    def sum_(values):
+        num, den = 0, 1  # the running sum is num/den, den the lcm of the denominators so far
+        for v in values:
+            x = v.x
+            d = x.den
+            if d == den:
+                num += x.num
+            elif d == 0:
+                return Scalar(INF)
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + x.num * (den // g)
+                den = den // g * d
+        return Scalar(XReal(num, den)) if num else zero
+    return sum_
+
+
+def _int_sum(zero):
+    def sum_(values):
+        total = sum(v.x for v in values)
+        return Scalar(total) if total else zero
+    return sum_
+
+
 def _compile_base(d: Base) -> Kernel:
     name = d.name
     integers = name in ("N0", "Z")
+    zero = Scalar(0 if integers else XR_ZERO)
 
     def check(v):
         if not isinstance(v, Scalar):
@@ -224,8 +295,8 @@ def _compile_base(d: Base) -> Kernel:
             raise ShapeError(f"{v!r} is not a natural number or inf")
         return v
 
-    return Kernel(d, check, _scalar_is_zero, Scalar(0 if integers else XR_ZERO),
-                  _int_cmp if integers else _xreal_cmp, _scalar_add, _scalar_mul, _BASE_GENS[name])
+    return Kernel(d, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
+                  _scalar_mul, _BASE_GENS[name], sum=(_int_sum if integers else _xreal_sum)(zero))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +306,7 @@ def _compile_base(d: Base) -> Kernel:
 def _compile_pairing(d) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
     check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
-    cmp_a, cmp_b, add_a, add_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.mul
+    cmp_a, cmp_b, add_a, add_b, sum_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.sum, kb.mul
     gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
     bar = isinstance(d, (BarSInsert, BarInsert))
     full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
@@ -305,7 +376,8 @@ def _compile_pairing(d) -> Kernel:
             return TOP
         return Pair(gen_a(rng, ZERO_P), gen_b(rng, ZERO_P) if full else nonzero_b(rng))
 
-    return Kernel(d, check, is_zero, zero, cmp, add, mul, gen, prob_depth)
+    return Kernel(d, check, is_zero, zero, cmp, add, mul, gen, prob_depth,
+                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +449,8 @@ def _compile_mixed(d: MixedInsert) -> Kernel:
         lev = level(rng)
         return Pair(Scalar(lev), sub(lev).nonzero(rng))
 
-    return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen)
+    return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
+                  sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)))
 
 
 # ---------------------------------------------------------------------------

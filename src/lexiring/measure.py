@@ -2,7 +2,16 @@
 
 An atom space is a finite list of named atoms whose powerset is the
 sigma-algebra, so countable additivity is finite additivity and every
-event evaluates by folding the atom values with level-dominant addition.
+event evaluates by folding the atom values with level-dominant addition:
+``LMeasure.value`` is one scan of the atoms in atom order and one
+``Kernel.sum`` over the members, which compares levels and adds only the
+residues at the dominant level.
+
+``LMeasure(...)`` checks every value it is given.  ``shift_levels`` and
+``align_levels`` build from a measure that was checked already, so they
+check only what can newly fall outside the structure: ``shift_levels``
+checks each distinct new level once (an ``N0`` level may not go below 0),
+and ``align_levels`` moves levels only between attained ones.
 
 Level bookkeeping lives here too: slices (the ordinary extended-real
 measure read off at one level), recovery of a measure from its slices,
@@ -14,8 +23,8 @@ from __future__ import annotations
 from .descriptors import Base, StructDesc
 from .errors import DomainError, InconsistentSlicesError, ShapeError
 from .kernel import kernel_of
-from .ops import _add, shift
-from .values import TOP, ZERO, Pair, Scalar, Value, check_value, zero
+from .ops import require_shiftable
+from .values import TOP, ZERO, Pair, Scalar, Value, check_value
 from .xreal import INF, XReal
 from .xreal import ZERO as XR_ZERO
 
@@ -36,7 +45,10 @@ class AtomSpace:
     def check_event(self, members) -> frozenset:
         if isinstance(members, str):
             raise DomainError(f"an event is a list of atom ids, not the string {members!r}")
-        ev = frozenset(members)
+        try:
+            ev = frozenset(members)
+        except TypeError:  # not iterable, or an unhashable member
+            raise DomainError(f"an event is a list of atom ids, not {members!r}") from None
         unknown = ev - self._atom_set
         if unknown:
             raise DomainError(f"unknown atoms {sorted(unknown)}")
@@ -74,14 +86,18 @@ class LMeasure:
         self.space = space
         self.atom_values = dict(atom_values)
 
+    @classmethod
+    def _built(cls, desc: StructDesc, space: AtomSpace, atom_values: dict) -> "LMeasure":
+        """A measure over a new dict of values already well-shaped for desc: nothing is re-checked."""
+        m = cls.__new__(cls)
+        m.desc, m.space, m.atom_values = desc, space, atom_values
+        return m
+
     def value(self, E) -> Value:
         """The measure of an event (any iterable of atom ids)."""
         ev = self.space.check_event(E)
-        acc = zero(self.desc)
-        for a in self.space.atoms:
-            if a in ev:
-                acc = _add(self.desc, acc, self.atom_values[a])
-        return acc
+        vals = self.atom_values
+        return kernel_of(self.desc).sum([vals[a] for a in self.space.atoms if a in ev])
 
     def total(self) -> Value:
         return self.value(self.space.atoms)
@@ -159,14 +175,15 @@ def align_levels(m: LMeasure) -> LMeasure:
     if not levels:
         return m
     top = levels[-1]
-    remap = {lev: top - rank for rank, lev in enumerate(reversed(levels))}
+    # each level moves up to at most the top: it stays inside N0 or Z, so nothing needs a check
+    remap = {lev: Scalar(top - rank) for rank, lev in enumerate(reversed(levels))}
     atom_values = {}
     for a, v in m.atom_values.items():
         if isinstance(v, Pair):
-            atom_values[a] = Pair(Scalar(remap[v.level.x]), v.residue)
+            atom_values[a] = Pair(remap[v.level.x], v.residue)
         else:
             atom_values[a] = v
-    return LMeasure(m.desc, m.space, atom_values)
+    return LMeasure._built(m.desc, m.space, atom_values)
 
 
 def is_proximal(m: LMeasure) -> bool:
@@ -175,6 +192,15 @@ def is_proximal(m: LMeasure) -> bool:
 
 
 def shift_levels(m: LMeasure, k: int) -> LMeasure:
-    """Multiply every atom value by (k, 1)."""
-    atom_values = {a: shift(m.desc, v, k) for a, v in m.atom_values.items()}
-    return LMeasure(m.desc, m.space, atom_values)
+    """Multiply every atom value by (k, 1); each distinct new level is checked once."""
+    d, moved, atom_values = m.desc, {}, {}  # moved: old level -> the checked new level
+    for a, v in m.atom_values.items():
+        if v is not ZERO and v is not TOP:
+            if not moved:
+                require_shiftable(d)
+            lev = v.level.x
+            if lev not in moved:
+                moved[lev] = kernel_of(d.a).check(Scalar(lev + k))
+            v = Pair(moved[lev], v.residue)
+        atom_values[a] = v
+    return LMeasure._built(d, m.space, atom_values)

@@ -51,11 +51,8 @@ def add(d: StructDesc, x: Value, y: Value) -> Value:
 
 
 def add_all(d: StructDesc, vals) -> Value:
-    k = kernel_of(d)
-    acc, add_ = k.zero, k.add
-    for v in vals:
-        acc = add_(acc, v)
-    return acc
+    """The sum of well-shaped values (``Kernel.sum``)."""
+    return kernel_of(d).sum(vals)
 
 
 def _mul(d: StructDesc, x: Value, y: Value) -> Value:
@@ -151,15 +148,20 @@ def residue(d: StructDesc, x: Value) -> Value:
     raise DomainError(f"{d!r} elements have no residue part")
 
 
+def require_shiftable(d: StructDesc):
+    """Raise unless d's elements have an integer top level to shift."""
+    if not isinstance(d, (Insert, BarInsert)):
+        raise CapabilityError(f"{d!r} has no integer level to shift")
+    if not kernel_of(d).int_levels:
+        raise ShapeError("top level is not an integer")
+
+
 def shift(d: StructDesc, x: Value, k: int) -> Value:
     """Multiply by (k, 1): shift the top-level integer level by k."""
     if x is ZERO or x is TOP:
         return x
     check_value(d, x)
-    if not isinstance(d, (Insert, BarInsert)):
-        raise CapabilityError(f"{d!r} has no integer level to shift")
-    if not kernel_of(d).int_levels:
-        raise ShapeError("top level is not an integer")
+    require_shiftable(d)
     # the residue was checked with x; only the new level can fall outside (N0 below 0)
     return Pair(kernel_of(d.a).check(Scalar(x.level.x + k)), x.residue)
 
@@ -205,6 +207,13 @@ class OVector:
         self.desc = desc
         self.entries = entries
 
+    @classmethod
+    def _built(cls, desc: StructDesc, entries: tuple) -> "OVector":
+        """A vector of entries already well-shaped for desc: nothing is re-checked."""
+        w = cls.__new__(cls)
+        w.desc, w.entries = desc, entries
+        return w
+
     def __eq__(self, other):
         return isinstance(other, OVector) and self.desc == other.desc and self.entries == other.entries
 
@@ -213,11 +222,12 @@ class OVector:
 
 
 def scalar_mul_vec(lam: Value, w: OVector) -> OVector:
-    d = w.desc
-    if not kernel_of(d).semiring:
+    d, k = w.desc, kernel_of(w.desc)
+    if not k.semiring:
         raise CapabilityError(f"{d!r} is not a semiring")
-    check_value(d, lam)
-    return OVector(d, (_mul(d, lam, e) for e in w.entries))
+    k.check(lam)
+    # products of well-shaped operands are well-shaped: only lam comes from outside
+    return OVector._built(d, tuple(k.mul(lam, e) for e in w.entries))
 
 
 def is_lattice_point(w: OVector) -> bool:

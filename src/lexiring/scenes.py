@@ -72,12 +72,36 @@ BUILTIN_SCENES = {
 }
 
 
+_JSON_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(obj, key: str, kind, path: str = ""):
+    """obj[key], checked to be of the JSON kind given; a one-line ParseError names its JSON path."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path or 'the document'} must be an object")
+    if key not in obj:
+        raise ParseError(f"missing field {where}")
+    if not isinstance(obj[key], kind):
+        raise ParseError(f"field {where} must be {_JSON_KINDS[kind]}")
+    return obj[key]
+
+
 def scene_from_dict(doc: dict) -> LMeasure:
-    desc = parse_struct(doc["structure"])
-    atoms = [a["id"] for a in doc["atoms"]]
-    space = AtomSpace(atoms, doc.get("events", {}))
-    atom_values = {a["id"]: parse_value(desc, a["value"]) for a in doc["atoms"]}
-    return LMeasure(desc, space, atom_values)
+    desc = parse_struct(_field(doc, "structure", str))
+    atom_docs = _field(doc, "atoms", list)
+    events = _field(doc, "events", dict) if "events" in doc else {}
+    try:
+        ids = [a["id"] for a in atom_docs]
+        texts = [a["value"] for a in atom_docs]
+    except (KeyError, TypeError):
+        ids = texts = None
+    if ids is None or (set(map(type, ids)) | set(map(type, texts))) - {str}:
+        for i, a in enumerate(atom_docs):  # name the first fault
+            _field(a, "id", str, f"atoms[{i}]")
+            _field(a, "value", str, f"atoms[{i}]")
+    space = AtomSpace(ids, events)
+    return LMeasure(desc, space, {a: parse_value(desc, t) for a, t in zip(ids, texts)})
 
 
 def scene_to_dict(m: LMeasure) -> dict:
@@ -95,7 +119,7 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8; arrays nested too deep
         raise ParseError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 

@@ -31,7 +31,7 @@ from .descriptors import (
 )
 from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError, ShapeError
 from .kernel import kernel_of
-from .ops import _add, _cmp, add_all
+from .ops import _cmp, add_all
 from .values import TOP, Pair, Scalar, Value, check_value, is_zero, zero
 from .xreal import INF, XReal
 
@@ -174,13 +174,8 @@ def sum_sequence(d: StructDesc, s: SeqGen) -> Value:
     if not contributions:
         return zero(d)
     m = max(c[0] for c in contributions)
-    total = None
-    for lev, res, infinite in contributions:
-        if lev != m:
-            continue
-        part = repeat_sum(d.b, res) if infinite else res
-        total = part if total is None else _add(d.b, total, part)
-    return Pair(Scalar(m), total)
+    parts = [repeat_sum(d.b, res) if infinite else res for lev, res, infinite in contributions if lev == m]
+    return Pair(Scalar(m), kernel_of(d.b).sum(parts))
 
 
 def sup_finite(d: StructDesc, values) -> Value:

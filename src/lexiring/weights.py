@@ -15,7 +15,7 @@ from __future__ import annotations
 from .descriptors import StructDesc
 from .errors import DomainError, ShapeError
 from .kernel import kernel_of
-from .ops import _add, _mul, try_inv
+from .ops import _mul, try_inv
 from .values import Value, check_value, format_value, is_zero, level_vector, one, stack_levels, zero
 
 
@@ -80,14 +80,12 @@ class Cocycle:
 
 
 def _side_sum(g: BranchedGraph, w: WeightSystem, c: Cocycle, side) -> Value:
-    total = zero(w.desc)
+    terms = []
     for sec, end in side:
         term = w.weight(sec)
         m = c.multiplier(sec, end) if c is not None else None
-        if m is not None:
-            term = _mul(w.desc, m, term)
-        total = _add(w.desc, total, term)
-    return total
+        terms.append(term if m is None else _mul(w.desc, m, term))
+    return kernel_of(w.desc).sum(terms)
 
 
 def check_branch_equations(g: BranchedGraph, w: WeightSystem, c: Cocycle = None) -> dict:

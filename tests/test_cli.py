@@ -188,8 +188,11 @@ def test_unreadable_files_are_parse_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"structure": "P", "atoms": [')
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"structure": "P", "atoms": ' + "[" * 100000 + "]" * 100000 + "}")
     for argv in (["measure", "validate", str(missing)], ["tree", "dist", str(truncated), "a", "b"],
-                 ["weights", "check", str(missing)], ["prob", "validate", str(truncated)]):
+                 ["weights", "check", str(missing)], ["prob", "validate", str(truncated)],
+                 ["measure", "validate", str(deep)]):
         code, err = _run(capsys, argv)
         assert code == 2 and f"cannot read {argv[2]!r}" in err
 
@@ -204,6 +207,49 @@ def test_string_event_is_rejected(tmp_path, capsys):
     f.write_text(json.dumps(scene))
     code, err = _run(capsys, ["measure", "eval", str(f), "--event", "E"])
     assert code == 1 and "not the string 'ab'" in err
+    for members in (1, [["a"]]):
+        scene["events"]["E"] = members
+        f.write_text(json.dumps(scene))
+        code, err = _run(capsys, ["measure", "eval", str(f), "--event", "E"])
+        assert code == 1 and f"an event is a list of atom ids, not {members!r}" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"structure": "P", "atoms": [{"id": "a"}]}, "missing field atoms[0].value"),
+    ({"structure": "P", "atoms": [{"id": "a", "value": "0"}, {"value": "0"}]}, "missing field atoms[1].id"),
+    ({"atoms": [{"id": "a", "value": "0"}]}, "missing field structure"),
+    ({"structure": "P"}, "missing field atoms"),
+    ({"structure": "P", "atoms": {"a": "0"}}, "field atoms must be a list"),
+    ({"structure": "P", "atoms": ["a"]}, "atoms[0] must be an object"),
+    ({"structure": "P", "atoms": [{"id": "a", "value": 0}]}, "field atoms[0].value must be a string"),
+    ({"structure": "P", "atoms": [{"id": "a", "value": "0"}], "events": ["a"]}, "field events must be an object"),
+    (["P"], "the document must be an object"),
+])
+def test_scene_documents_are_schema_checked(tmp_path, capsys, doc, message):
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(doc))
+    for argv in (["measure", "validate", str(f)], ["prob", "validate", str(f)]):
+        code, err = _run(capsys, argv)
+        assert (code, err) == (2, f"parse error: {message}\n")
+
+
+def test_nesting_depth_is_limited(capsys):
+    from lexiring.descriptors import MAX_DEPTH
+
+    code, err = _run(capsys, ["eval", "Sn(99999)", "0"])
+    assert code == 2 and f"nesting depth must be between 1 and {MAX_DEPTH}" in err
+    code, err = _run(capsys, ["eval", "P", "(" * 3000 + "(0,1)" + ")" * 3000])
+    assert code == 2 and f"parentheses nest deeper than {MAX_DEPTH} levels" in err
+    code, err = _run(capsys, ["eval", "(" * (MAX_DEPTH + 1) + "P" + ")" * (MAX_DEPTH + 1), "0"])
+    assert code == 2 and f"parentheses nest deeper than {MAX_DEPTH} levels" in err
+    # at the limit everything still reads, on the deepest structure the grammar admits
+    deepest = f"Sn({MAX_DEPTH})"
+    for _ in range(MAX_DEPTH - 1):
+        deepest = f"({deepest} b/\\ Rc)"
+    assert main(["eval", deepest, "top+0"]) == 0
+    assert main(["eval", "P", "(" * (MAX_DEPTH - 1) + "(0,1)" + ")" * (MAX_DEPTH - 1)]) == 0
+    assert main(["eval", f"Sn({MAX_DEPTH})", "(0," * MAX_DEPTH + "1" + ")" * MAX_DEPTH]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["top", "(0,1)"]
 
 
 def test_selfcheck_deterministic(capsys):

@@ -165,3 +165,61 @@ def test_double_addition_is_not_associative():
     a, b, c = parse_value(d, "(0,1)"), parse_value(d, "-(0,1)"), parse_value(d, "(-1,1)")
     assert ops.double_add(d, ops.double_add(d, a, b), c) == c
     assert ops.double_add(d, a, ops.double_add(d, b, c)) == ZERO
+
+
+SUM_STRUCTURES = LAW_STRUCTURES + (
+    "N0", "Z", "Rc", "Ro", "Nbar0", "Sbar", "Pn(3)",
+    r"N0 \/ (Rc \/ Ro)", r"(Nbar0 \/ N0) \/ Rc", r"N0 b\/ Rc", r"(N0 /\ Rc) \/ Ro", r"S /\ Rc", r"Obar b/\ Rc",
+    "mixed(Z; -2..2; 0:P, 1:Nbar0, default:Rc)", "mixed(N0; ..3; 1:O, default:Rc)", "double(O)", "double(S)",
+)
+
+
+def _ordered_fold(d, values):
+    acc = ops.zero(d)
+    for v in values:
+        acc = ops._add(d, acc, v)
+    return acc
+
+
+@pytest.mark.parametrize("text", SUM_STRUCTURES)
+def test_sum_equals_the_ordered_fold_of_add(text):
+    from lexiring.kernel import kernel_of
+
+    d = parse_struct(text)
+    k = kernel_of(d)
+    assert k.sum([]) is k.zero
+    rng = random.Random(f"sum/{text}")
+    for _ in range(80):
+        values = [random_value(rng, d) for _ in range(rng.randrange(41))]
+        assert k.sum(values) == _ordered_fold(d, values), values
+
+
+@pytest.mark.parametrize("text, literals, expected", [
+    ("Obar", ["(0,1)", "top", "(5,inf)", "0"], "top"),  # top absorbs, wherever it stands
+    ("Obar", ["0", "0"], "0"),
+    ("O", ["(1,2)", "(1,inf)", "(2,1/3)", "(2,1/6)", "(0,inf)"], "(2,1/2)"),
+    ("O", ["(1,2)", "(1,inf)", "(0,inf)"], "(1,inf)"),  # an inf residue at the dominant level
+    ("Rc", ["1/2", "inf", "1/3"], "inf"),
+    ("Nbar0", ["2", "0", "3"], "5"),
+    (r"N0 \/ (Rc \/ Ro)", ["(0,(0,0))", "(0,(0,0))"], "(0,(0,0))"),  # a full s-insertion keeps its zero pair
+    (r"N0 \/ (Rc \/ Ro)", ["(0,(0,1))", "(2,(inf,1/2))", "(2,(inf,1/3))", "(1,(3,3))"], "(2,(inf,5/6))"),
+    ("mixed(Z; -2..2; 0:P, 1:Nbar0, default:Rc)", ["(0,(3,1/2))", "(1,2)", "(1,inf)", "(-2,1)"], "(1,inf)"),
+    ("mixed(Z; -2..2; 0:P, 1:Nbar0, default:Rc)", ["(0,(3,1/2))", "(0,(4,1/5))", "(0,(4,1/5))"], "(0,(4,2/5))"),
+    ("Pn(2)", ["(0,(0,1/4))", "(0,(-1,1/2))", "(0,(0,1/4))", "(-1,(5,1))"], "(0,(0,1/2))"),
+])
+def test_sum_at_tops_zeros_and_infinite_residues(text, literals, expected):
+    from lexiring.kernel import kernel_of
+
+    d = parse_struct(text)
+    values = [parse_value(d, t) for t in literals]
+    assert kernel_of(d).sum(values) == parse_value(d, expected) == _ordered_fold(d, values)
+
+
+def test_double_sum_keeps_the_order_of_its_terms():
+    from lexiring.kernel import kernel_of
+
+    d = DOUBLE
+    a, b, c = parse_value(d, "(0,1)"), parse_value(d, "-(0,1)"), parse_value(d, "(-1,1)")
+    # ((a + b) + c) == c, while a + (b + c) == 0: the sum is the ordered left fold
+    assert kernel_of(d).sum([a, b, c]) == c
+    assert kernel_of(d).sum([b, c, a]) == ops.double_add(d, ops.double_add(d, b, c), a) == ZERO

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError, InconsistentSlicesError
+from lexiring.errors import DomainError, InconsistentSlicesError, ShapeError
 from lexiring.graded import GradedIntervalSet, IntervalPiece, graded_measure, verify_open_graded
 from lexiring.measure import (
     AtomSpace,
@@ -198,3 +198,42 @@ def test_graded_overlap_rejected():
 def test_open_graded_window():
     for k in range(-2, 3):
         assert verify_open_graded(k, window=2, grid=3)
+
+
+@pytest.mark.parametrize("struct", ["S", "O", "P", "Obar", "Sbar"])
+def test_shift_and_align_build_what_the_checking_constructor_accepts(struct):
+    from lexiring.laws import random_value
+
+    d = parse_struct(struct)
+    rng = random.Random(f"rebuild/{struct}")
+    atoms = [f"a{i}" for i in range(40)]
+    m = LMeasure(d, AtomSpace(atoms), {a: random_value(rng, d) for a in atoms})
+    lowest = m.attained_levels()[0]
+    for k in (0, 1, 3, -lowest, -lowest - 2):
+        if struct.startswith("S") and k < -lowest:
+            continue  # an N0 level below 0: refused, see the next test
+        for out in (shift_levels(m, k), align_levels(shift_levels(m, k))):
+            rebuilt = LMeasure(d, m.space, out.atom_values)
+            assert out.atom_values == rebuilt.atom_values and out.space is m.space
+
+
+def test_shift_levels_checks_each_new_level():
+    d = parse_struct("S")
+    space = AtomSpace(["a", "b", "c", "z"])
+    m = LMeasure(d, space, {"a": pv("S", "(1,2)"), "b": pv("S", "(3,1)"), "c": pv("S", "(1,1/2)"), "z": ZERO})
+    assert shift_levels(m, -1).atom_values == {"a": pv("S", "(0,2)"), "b": pv("S", "(2,1)"),
+                                               "c": pv("S", "(0,1/2)"), "z": ZERO}
+    with pytest.raises(ShapeError, match="negative value -1 in N0"):
+        shift_levels(m, -2)
+    with pytest.raises(ShapeError, match="top level is not an integer"):
+        shift_levels(LMeasure(parse_struct(r"Nbar0 /\ Rc"), AtomSpace(["a"]), {"a": pv(r"Nbar0 /\ Rc", "(1,2)")}), 1)
+    zeros = LMeasure(parse_struct(r"Nbar0 /\ Rc"), AtomSpace(["z"]), {"z": ZERO})
+    assert shift_levels(zeros, 1).atom_values == {"z": ZERO}  # nothing to move, nothing to refuse
+
+
+def test_the_checking_constructor_still_rejects_ill_shaped_values():
+    d = parse_struct("P")
+    with pytest.raises(ShapeError, match="inf does not belong"):
+        LMeasure(d, AtomSpace(["a"]), {"a": Pair(Scalar(0), Scalar(INF))})
+    with pytest.raises(ShapeError, match="insertion removes it"):
+        LMeasure(d, AtomSpace(["a"]), {"a": Pair(Scalar(0), Scalar(XR_ZERO))})

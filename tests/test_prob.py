@@ -314,3 +314,117 @@ def test_density_with_level_shift():
     assert validate_probability(pm.base)["ok"]
     assert pm.base.atom_values["a"] == pv("P", "(0,1)")
     assert pm.base.atom_values["b"] == pv("P", "(-1,1)")
+
+
+# ---------------------------------------------------------------------------
+# one-pass Bayes against the per-cell route
+# ---------------------------------------------------------------------------
+
+def _fold(m, atoms):
+    """The measure of a set of atoms by an explicit ops.add fold in atom order."""
+    from lexiring.ops import add, zero
+
+    acc = zero(m.desc)
+    for a in m.space.atoms:
+        if a in atoms:
+            acc = add(m.desc, acc, m.atom_values[a])
+    return acc
+
+
+def _bayes_per_cell(m, cells, b_atoms):
+    """Bayes the way it was computed before the one-pass version: per cell, value() and cond_prob()."""
+    from lexiring.ops import add, divide, is_zero, mul, zero
+
+    d = m.desc
+    conditionals, priors, terms, direct = {}, {}, {}, {}
+    total = zero(d)
+    for name, cell in cells.items():
+        prior = m.value(cell)
+        assert prior == _fold(m, cell)
+        joint = _fold(m, cell & b_atoms)
+        conditionals[name] = zero(d) if is_zero(d, joint) else divide(d, joint, prior)
+        priors[name] = prior
+        terms[name] = mul(d, conditionals[name], prior)
+        total = add(d, total, terms[name])
+        direct[name] = cond_prob(m, cell, b_atoms)
+    posteriors = {n: zero(d) if is_zero(d, t) else divide(d, t, total) for n, t in terms.items()}
+    assert posteriors == direct
+    return {"conditionals": conditionals, "priors": priors, "total": total, "posteriors": posteriors}
+
+
+def _random_p_scene(rng, n_atoms):
+    from lexiring.values import format_value, stack_levels
+    from lexiring.xreal import XReal
+
+    d = parse_struct("P")
+    atoms = [f"a{i}" for i in range(n_atoms)]
+    weights = {a: (rng.choice((0, 0, -1, -3)), rng.randrange(1, 50)) for a in atoms}
+    totals = {}
+    for lev, w in weights.values():
+        totals[lev] = totals.get(lev, 0) + w
+    values = {a: stack_levels((lev,), XReal(w, totals[lev])) for a, (lev, w) in weights.items()}
+    m = LMeasure(d, AtomSpace(atoms), values)
+    assert validate_probability(m)["ok"], format_value(d, m.total())
+    return m
+
+
+def _random_partition(rng, atoms, k):
+    cells = {f"C{j}": set() for j in range(k)}
+    for i, a in enumerate(atoms):
+        cells[f"C{i if i < k else rng.randrange(k)}"].add(a)
+    return {name: frozenset(c) for name, c in cells.items()}
+
+
+def test_bayes_matches_the_per_cell_route_on_builtin_scenes():
+    for scene, partitions in (("dartboard", (["Q1", "Q2", "Q3", "Q4"], ["Q4", "Q3", "Q2", "Q1"])),
+                              ("dartboard-depth2", (["Q1", "Q2", "Q3", "Q4"],))):
+        m = builtin_scene(scene)
+        for names in partitions:
+            cells = {n: m.space.event(n) for n in names}
+            for b in sorted(m.space.events) + ["X", "q1"]:
+                b_atoms = m.space.event(b)
+                if m.value(b_atoms) is ZERO:
+                    continue
+                assert bayes(m, names, b) == _bayes_per_cell(m, cells, b_atoms), (scene, names, b)
+
+
+def test_bayes_matches_the_per_cell_route_on_a_random_scene():
+    import random
+
+    rng = random.Random(20)
+    m = _random_p_scene(rng, 200)
+    atoms = m.space.atoms
+    for k in (1, 2, 7, 30):
+        cells = _random_partition(rng, atoms, k)
+        for _ in range(4):
+            b_atoms = frozenset(a for a in atoms if rng.random() < rng.choice((0.02, 0.3, 0.8)))
+            if m.value(b_atoms) is ZERO:
+                continue
+            out = bayes(m, [cells[n] for n in cells], b_atoms)
+            want = _bayes_per_cell(m, cells, b_atoms)
+            # unnamed cells are called cell1, cell2, ... in partition order
+            renamed = {key: dict(zip(cells, table.values())) for key, table in out.items() if key != "total"}
+            assert renamed == {key: want[key] for key in renamed}
+            assert out["total"] == want["total"] == m.value(b_atoms)
+
+
+def test_bayes_partition_errors_keep_their_messages():
+    d = parse_struct("P")
+    space = AtomSpace(["a", "b", "c", "z"], {"A": ["a"], "B": ["b"], "AB": ["a", "b"], "C": ["c"],
+                                             "Z": ["z"], "CZ": ["c", "z"], "ABZ": ["a", "b", "z"]})
+    m = LMeasure(d, space, {"a": pv("P", "(0,1/2)"), "b": pv("P", "(0,1/2)"), "c": pv("P", "(-1,1)"), "z": ZERO})
+    with pytest.raises(DomainError, match=r"^partition cells overlap at \['a', 'b', 'z'\]$"):
+        bayes(m, ["AB", "CZ", "ABZ"], "X")
+    with pytest.raises(DomainError, match=r"^partition does not cover the atom space$"):
+        bayes(m, ["AB", "C"], "X")
+    with pytest.raises(DomainError, match=r"^partition cell 'Z' has zero measure$"):
+        bayes(m, ["AB", "C", "Z"], "X")
+    # the zero cell comes before the overlapping one, and is reported first, as cell by cell
+    with pytest.raises(DomainError, match=r"^partition cell 'Z' has zero measure$"):
+        bayes(m, ["A", "Z", "AB", "C"], "X")
+    with pytest.raises(DomainError, match=r"^partition cells overlap at \['a'\]$"):
+        bayes(m, ["A", "AB", "Z", "C"], "X")
+    with pytest.raises(DomainError, match=r"^conditioning on a zero-measure event$"):
+        bayes(m, ["AB", "CZ"], "Z")
+    with pytest.raises(DomainError, match=r"^partition cell names repeat$"):
+        bayes(m, ["AB", "AB", "CZ"], "X")

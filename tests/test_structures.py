@@ -312,6 +312,20 @@ def test_scalar_mul_identity():
     assert ops.scalar_mul_vec(one(d), w) == w
 
 
+def test_scalar_mul_builds_checked_entries_and_checks_the_scalar():
+    rng = random.Random(12)
+    for text in ("O", "S", "Obar", "Pn(2)"):
+        d = parse_struct(text)
+        for _ in range(20):
+            lam = nonzero_value(rng, d)
+            w = ops.OVector(d, [nonzero_value(rng, d) for _ in range(rng.randrange(1, 6))])
+            got = ops.scalar_mul_vec(lam, w)
+            assert got == ops.OVector(d, [ops.mul(d, lam, e) for e in w.entries])
+    d = parse_struct("O")
+    with pytest.raises(ShapeError):
+        ops.scalar_mul_vec(Pair(Scalar(1), Scalar(XReal(0))), ops.OVector(d, [pv("O", "(0,2)")]))
+
+
 def test_lattice_points():
     d = parse_struct("O")
     assert ops.is_lattice_point(ops.OVector(d, [pv("O", "(2,inf)"), pv("O", "(0,inf)")]))
