@@ -3,9 +3,11 @@
 The underlying space is the disjoint union of copies of (0, inf], one per
 integer level, ordered lexicographically (plus a bottom point and a top
 point).  A Borel set is described desk-scale as finitely many rational
-intervals per level; its measure is the pair (j, length at level j) for
-the largest level j carrying positive length.  A set flagged ``cofinal``
-has positive length at every level and measures ``top``.
+intervals per level; its measure is the sum in ``Obar`` (``Kernel.sum``)
+of the pairs (level, length) of its pieces of positive length, which is
+(j, length at level j) for the largest level j carrying positive length.
+A set flagged ``cofinal`` has positive length at every level and
+measures ``top``.
 
 ``verify_open_graded`` checks, over a sampled window, that the points
 witnessed by open family intervals of measure below (k, inf) are exactly
@@ -19,9 +21,9 @@ import functools
 
 from .descriptors import OBAR
 from .errors import DomainError
+from .kernel import kernel_of
 from .values import TOP, ZERO, Pair, Scalar, Value
 from .xreal import XReal
-from .xreal import ZERO as XR_ZERO
 
 GRADED_DESC = OBAR  # values of the canonical graded measure live here
 
@@ -66,26 +68,14 @@ class GradedIntervalSet:
             for prev, cur in zip(ps, ps[1:]):
                 if cur.lo < prev.hi:
                     raise DomainError(f"overlapping intervals at level {level}")
-        self._by_level = by_level
-
-    def length_at(self, level: int) -> XReal:
-        total = XR_ZERO
-        for p in self._by_level.get(level, ()):
-            total = total + p.length
-        return total
 
 
 def graded_measure(E: GradedIntervalSet) -> Value:
-    """Measure of a leveled interval set, valued in the barred structure."""
+    """Measure of a leveled interval set, valued in the barred structure: the sum of its pieces."""
     if E.cofinal:
         return TOP
-    best = None
-    for level in E._by_level:
-        if not E.length_at(level).is_zero and (best is None or level > best):
-            best = level
-    if best is None:
-        return ZERO
-    return Pair(Scalar(best), Scalar(E.length_at(best)))
+    return kernel_of(GRADED_DESC).sum(
+        [Pair(Scalar(p.level), Scalar(p.length)) for p in E.pieces if not p.length.is_zero])
 
 
 def verify_open_graded(k: int, window: int = 3, grid: int = 4) -> bool:

@@ -1,17 +1,22 @@
 """Integration of atomwise-constant functions against level-valued measures.
 
 On a finite atom space every function is simple, so the three integrals
-reduce to finite sums:
+reduce to finite sums, each one ``Kernel.sum`` of the measure's
+structure (the level-dominant sum: only the residues at the highest
+level add):
 
-  * real-valued f: the result lives at the highest level where the
-    weighted residue sum is nonzero; slices below it are dominated.
+  * real-valued f: one term (level, f(a) * residue) per atom a; a ``top``
+    atom stays ``top``, and zero weights and zero atoms add nothing.
   * structure-valued g: atoms are partitioned by the level of g, the
     residues are integrated one nesting level down, and each part is
     level-shifted back by the partition level.
   * signed f: integrate the positive and negative parts separately and
     combine with the sign-aware case rule.
 
-Infinite residues propagate through the arithmetic; no special casing.
+Every integral walks its event in atom order, as ``LMeasure.value``
+does, so a function missing at several atoms names the first of them,
+whatever the hash seed.  Infinite residues propagate through the
+arithmetic; no special casing.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from .errors import CapabilityError, DomainError, ShapeError
 from .kernel import kernel_of
 from .measure import LMeasure, is_sliceable
 from .ops import _add, shift
-from .values import TOP, ZERO, Pair, Scalar, Signed, Value, check_value, is_zero, zero
+from .values import TOP, ZERO, Pair, Scalar, Signed, Value, check_value, is_zero
 from .xreal import XReal
-from .xreal import ZERO as XR_ZERO
 
 
 class SimpleFunction:
@@ -63,6 +67,11 @@ class SimpleFunction:
         return self.values[atom]
 
 
+def _in_atom_order(m: LMeasure, A) -> list:
+    """The atoms of the event A, in atom order."""
+    return sorted(m.space.check_event(A), key=m.space.position.__getitem__)
+
+
 def _require_sliceable(d: StructDesc):
     if not is_sliceable(d):
         raise CapabilityError("integration needs an (integer level, rational residue) measure")
@@ -73,24 +82,12 @@ def integrate_real(m: LMeasure, f: SimpleFunction, A) -> Value:
     if f.kind != "real":
         raise ShapeError("expected a real-valued function")
     _require_sliceable(m.desc)
-    ev = m.space.check_event(A)
-    weighted = {}
-    for a in ev:
-        fa = f.at(a)
-        v = m.atom_values[a]
-        if v is ZERO or fa.is_zero:
-            continue
-        if v is TOP:
-            return TOP
-        k = v.level.x
-        weighted[k] = weighted.get(k, XR_ZERO) + fa * v.residue.x
-    best = None
-    for k, w in weighted.items():
-        if not w.is_zero and (best is None or k > best):
-            best = k
-    if best is None:
-        return zero(m.desc)
-    return Pair(Scalar(best), Scalar(weighted[best]))
+    terms = []
+    for a in _in_atom_order(m, A):
+        fa, v = f.at(a), m.atom_values[a]
+        if v is not ZERO and not fa.is_zero:
+            terms.append(v if v is TOP else Pair(v.level, Scalar(fa * v.residue.x)))
+    return kernel_of(m.desc).sum(terms)
 
 
 def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
@@ -98,7 +95,7 @@ def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
     if g.kind != "lvalued":
         raise ShapeError("expected a structure-valued function")
     _require_sliceable(m.desc)
-    ev = m.space.check_event(B)
+    atoms = _in_atom_order(m, B)
 
     def go(desc, values, atoms) -> Value:
         if isinstance(desc, Base):
@@ -121,7 +118,7 @@ def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
             for k, part_atoms in parts.items()
         ])
 
-    return go(g.desc, {a: g.at(a) for a in ev}, sorted(ev))
+    return go(g.desc, {a: g.at(a) for a in atoms}, atoms)
 
 
 def integrate_signed(m: LMeasure, f: SimpleFunction, A) -> Value:
@@ -129,9 +126,9 @@ def integrate_signed(m: LMeasure, f: SimpleFunction, A) -> Value:
     if f.kind != "signed":
         raise ShapeError("expected a signed function")
     dd: DoubleOf = f.desc
-    ev = m.space.check_event(A)
+    atoms = _in_atom_order(m, A)
     plus, minus = {}, {}
-    for a in ev:
+    for a in atoms:
         v = f.at(a)
         if v is ZERO:
             plus[a] = minus[a] = ZERO
@@ -139,8 +136,8 @@ def integrate_signed(m: LMeasure, f: SimpleFunction, A) -> Value:
             plus[a], minus[a] = v.mag, ZERO
         else:
             plus[a], minus[a] = ZERO, v.mag
-    p = integrate_lvalued(m, SimpleFunction.lvalued(dd.inner, plus), ev)
-    n = integrate_lvalued(m, SimpleFunction.lvalued(dd.inner, minus), ev)
+    p = integrate_lvalued(m, SimpleFunction.lvalued(dd.inner, plus), atoms)
+    n = integrate_lvalued(m, SimpleFunction.lvalued(dd.inner, minus), atoms)
     if p is TOP or n is TOP:
         raise DomainError("signed integral with an unbounded part is undefined")
     p_signed = ZERO if is_zero(dd.inner, p) else Signed(1, p)

@@ -4,6 +4,12 @@ Everything here is deterministic given (seed, cases); the CLI selfcheck
 and the acceptance tests both run these suites.  Laws call the public
 operations through the ``ops`` module object on purpose, so a broken
 operation (or a test monkeypatch) is caught by name.
+
+Every law of every suite runs through one case loop, ``_law``: a case
+draws its operands from the suite's rng, then checks them, and returns
+a failure detail or None.  A case that raises a ``LexiringError`` or an
+``AssertionError`` is a failing case too, reported with its case number
+under its own law, so the laws around it still run and report.
 """
 
 from __future__ import annotations
@@ -61,140 +67,114 @@ class LawResult:
         }
 
 
+def _law(suite, law, cases, case) -> LawResult:
+    """Run case() for cases 1..cases; the first that returns a detail or raises fails the law."""
+    for i in range(1, cases + 1):
+        try:
+            detail = case()
+        except (LexiringError, AssertionError) as exc:
+            detail = f"raised {type(exc).__name__}: {exc}"
+        if detail:
+            return LawResult(suite, law, i, False, detail)
+    return LawResult(suite, law, cases, True)
+
+
+def _triple_laws(suite, cases, triple, checks):
+    """One law per (law, check) in turn; each case draws triple(), then checks it."""
+    # _law runs each lambda to completion before the loop rebinds check
+    return [_law(suite, law, cases, lambda: check(*triple())) for law, check in checks]
+
+
 # ---------------------------------------------------------------------------
 # scalar laws
 # ---------------------------------------------------------------------------
 
 def xreal_laws(seed: int, cases: int):
     rng = random.Random(seed)
-    results = []
 
-    def run(law, check):
-        for i in range(cases):
-            a, b, c = (random_xreal(rng) for _ in range(3))
-            err = check(a, b, c)
-            if err:
-                results.append(LawResult("xreal", law, i + 1, False, err))
-                return
-        results.append(LawResult("xreal", law, cases, True))
+    def triple():
+        return random_xreal(rng), random_xreal(rng), random_xreal(rng)
 
-    run("add_commutative", lambda a, b, c: None if a + b == b + a else f"{a}+{b}")
-    run("add_associative", lambda a, b, c: None if (a + b) + c == a + (b + c) else f"{a},{b},{c}")
-    run("mul_commutative", lambda a, b, c: None if a * b == b * a else f"{a}*{b}")
-    run("mul_associative", lambda a, b, c: None if (a * b) * c == a * (b * c) else f"{a},{b},{c}")
-    run("distributive", lambda a, b, c: None if a * (b + c) == a * b + a * c else f"{a},{b},{c}")
-    run(
-        "order_compatible",
-        lambda a, b, c: None
-        if (not a <= b) or (a + c <= b + c and a * c <= b * c)
-        else f"{a},{b},{c}",
-    )
-    return results
+    checks = [
+        ("add_commutative", lambda a, b, c: None if a + b == b + a else f"{a}+{b}"),
+        ("add_associative", lambda a, b, c: None if (a + b) + c == a + (b + c) else f"{a},{b},{c}"),
+        ("mul_commutative", lambda a, b, c: None if a * b == b * a else f"{a}*{b}"),
+        ("mul_associative", lambda a, b, c: None if (a * b) * c == a * (b * c) else f"{a},{b},{c}"),
+        ("distributive", lambda a, b, c: None if a * (b + c) == a * b + a * c else f"{a},{b},{c}"),
+        ("order_compatible", lambda a, b, c: None
+         if (not a <= b) or (a + c <= b + c and a * c <= b * c) else f"{a},{b},{c}"),
+    ]
+    return _triple_laws("xreal", cases, triple, checks)
 
 
 # ---------------------------------------------------------------------------
 # structure laws
 # ---------------------------------------------------------------------------
 
-def _level_of(d, v):
-    return ops.level(d, v)
-
-
 def structure_laws(struct_text: str, seed: int, cases: int):
     """The semiring law suite for one descriptor."""
     d = parse_struct(struct_text) if isinstance(struct_text, str) else struct_text
     name = struct_text if isinstance(struct_text, str) else repr(d)
     rng = random.Random(seed)
-    results = []
     zd = zero(d)
     od = one(d)
 
     def triple():
         return random_value(rng, d), random_value(rng, d), random_value(rng, d)
 
-    def run(law, check):
-        for i in range(cases):
-            args = triple()
-            try:
-                err = check(*args)
-            except (LexiringError, AssertionError) as exc:
-                err = f"raised {type(exc).__name__}: {exc}"
-            if err:
-                results.append(LawResult(name, law, i + 1, False, err))
-                return
-        results.append(LawResult(name, law, cases, True))
-
     def eq(x, y):
         return ops.cmp(d, x, y) == 0 and x == y
-
-    run("add_commutative", lambda x, y, z: None if eq(ops.add(d, x, y), ops.add(d, y, x)) else f"{x!r},{y!r}")
-    run(
-        "add_associative",
-        lambda x, y, z: None
-        if eq(ops.add(d, ops.add(d, x, y), z), ops.add(d, x, ops.add(d, y, z)))
-        else f"{x!r},{y!r},{z!r}",
-    )
-    run("add_identity", lambda x, y, z: None if eq(ops.add(d, x, zd), x) and eq(ops.add(d, zd, x), x) else f"{x!r}")
-    run(
-        "add_monotone",
-        lambda x, y, z: None if ops.cmp(d, ops.add(d, x, y), y) >= 0 else f"{x!r},{y!r}",
-    )
-    run(
-        "mul_commutative",
-        lambda x, y, z: None if eq(ops.mul(d, x, y), ops.mul(d, y, x)) else f"{x!r},{y!r}",
-    )
-    run(
-        "mul_associative",
-        lambda x, y, z: None
-        if eq(ops.mul(d, ops.mul(d, x, y), z), ops.mul(d, x, ops.mul(d, y, z)))
-        else f"{x!r},{y!r},{z!r}",
-    )
-    run(
-        "distributive",
-        lambda x, y, z: None
-        if eq(ops.mul(d, x, ops.add(d, y, z)), ops.add(d, ops.mul(d, x, y), ops.mul(d, x, z)))
-        else f"{x!r},{y!r},{z!r}",
-    )
-    run("mul_identity", lambda x, y, z: None if eq(ops.mul(d, x, od), x) else f"{x!r}")
-    run("zero_absorbs", lambda x, y, z: None if eq(ops.mul(d, x, zd), zd) else f"{x!r}")
 
     def level_mul(x, y, z):
         if is_zero(d, x) or is_zero(d, y) or x is TOP or y is TOP:
             return None
-        got = _level_of(d, ops.mul(d, x, y))
-        want = ops.add(d.a, _level_of(d, x), _level_of(d, y))
+        got = ops.level(d, ops.mul(d, x, y))
+        want = ops.add(d.a, ops.level(d, x), ops.level(d, y))
         return None if got == want else f"{x!r},{y!r}"
 
     def level_add(x, y, z):
         if is_zero(d, x) or is_zero(d, y) or x is TOP or y is TOP:
             return None
         s = ops.add(d, x, y)
-        lx, ly = _level_of(d, x), _level_of(d, y)
+        lx, ly = ops.level(d, x), ops.level(d, y)
         want = lx if ops.cmp(d.a, lx, ly) >= 0 else ly
-        return None if _level_of(d, s) == want else f"{x!r},{y!r}"
+        return None if ops.level(d, s) == want else f"{x!r},{y!r}"
 
-    run("level_of_product", level_mul)
-    run("level_of_sum", level_add)
+    def inverse(x, y, z):
+        if is_zero(d, x):
+            return None
+        return None if eq(ops.mul(d, x, ops.inv(d, x)), od) else f"{x!r}"
 
+    def bar_products(x, y, z):
+        if not eq(ops.mul(d, zd, TOP), zd):
+            return "0*top"
+        if is_zero(d, x):
+            return None
+        return None if eq(ops.mul(d, TOP, x), TOP) else f"top*{x!r}"
+
+    checks = [
+        ("add_commutative", lambda x, y, z: None if eq(ops.add(d, x, y), ops.add(d, y, x)) else f"{x!r},{y!r}"),
+        ("add_associative", lambda x, y, z: None
+         if eq(ops.add(d, ops.add(d, x, y), z), ops.add(d, x, ops.add(d, y, z))) else f"{x!r},{y!r},{z!r}"),
+        ("add_identity", lambda x, y, z: None
+         if eq(ops.add(d, x, zd), x) and eq(ops.add(d, zd, x), x) else f"{x!r}"),
+        ("add_monotone", lambda x, y, z: None if ops.cmp(d, ops.add(d, x, y), y) >= 0 else f"{x!r},{y!r}"),
+        ("mul_commutative", lambda x, y, z: None if eq(ops.mul(d, x, y), ops.mul(d, y, x)) else f"{x!r},{y!r}"),
+        ("mul_associative", lambda x, y, z: None
+         if eq(ops.mul(d, ops.mul(d, x, y), z), ops.mul(d, x, ops.mul(d, y, z))) else f"{x!r},{y!r},{z!r}"),
+        ("distributive", lambda x, y, z: None
+         if eq(ops.mul(d, x, ops.add(d, y, z)), ops.add(d, ops.mul(d, x, y), ops.mul(d, x, z)))
+         else f"{x!r},{y!r},{z!r}"),
+        ("mul_identity", lambda x, y, z: None if eq(ops.mul(d, x, od), x) else f"{x!r}"),
+        ("zero_absorbs", lambda x, y, z: None if eq(ops.mul(d, x, zd), zd) else f"{x!r}"),
+        ("level_of_product", level_mul),
+        ("level_of_sum", level_add),
+    ]
     if is_semifield(d):
-        def inverse(x, y, z):
-            if is_zero(d, x):
-                return None
-            return None if eq(ops.mul(d, x, ops.inv(d, x)), od) else f"{x!r}"
-
-        run("multiplicative_inverse", inverse)
-
+        checks.append(("multiplicative_inverse", inverse))
     if isinstance(d, (BarInsert, BarSInsert)):
-        def bar_products(x, y, z):
-            if not eq(ops.mul(d, zd, TOP), zd):
-                return "0*top"
-            if is_zero(d, x):
-                return None
-            return None if eq(ops.mul(d, TOP, x), TOP) else f"top*{x!r}"
-
-        run("top_products", bar_products)
-
-    return results
+        checks.append(("top_products", bar_products))
+    return _triple_laws(name, cases, triple, checks)
 
 
 LAW_STRUCTURES = ("S", "O", "P", "Obar", "Sn(2)", "On(2)", "Pn(2)")
@@ -283,50 +263,40 @@ def measure_laws(seed: int, cases: int):
     from .measure import align_levels, is_proximal, recover_from_slices, shift_levels, slice_at
 
     rng = random.Random(seed)
-    results = []
-
     n = max(1, cases)
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+
+    def roundtrip():
         m = random_measure(rng)
         slices = {
             k: {a: slice_at(m, k, (a,)) for a in m.space.atoms}
             for k in range(-4, 5)
         }
         got = recover_from_slices(m.desc, m.space, slices)
-        if got.atom_values != m.atom_values:
-            ok, detail = False, f"roundtrip failed on {m.atom_values!r}"
-            break
-    results.append(LawResult("measure", "slice_recover_roundtrip", i, ok, detail))
+        return None if got.atom_values == m.atom_values else f"roundtrip failed on {m.atom_values!r}"
 
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+    def additivity():
         m = random_measure(rng)
         atoms = m.space.atoms
         marks = [rng.randrange(3) for _ in atoms]
         e = [a for a, mk in zip(atoms, marks) if mk == 0]
         f = [a for a, mk in zip(atoms, marks) if mk == 1]
-        if m.value(e + f) != ops.add(m.desc, m.value(e), m.value(f)):
-            ok, detail = False, "additivity failed"
-            break
-    results.append(LawResult("measure", "finite_additivity", i, ok, detail))
+        return None if m.value(e + f) == ops.add(m.desc, m.value(e), m.value(f)) else "additivity failed"
 
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+    def align_and_shift():
         m = random_measure(rng)
         aligned = align_levels(m)
         if not is_proximal(aligned):
-            ok, detail = False, "align output not proximal"
-            break
+            return "align output not proximal"
         if align_levels(aligned).atom_values != aligned.atom_values:
-            ok, detail = False, "align not idempotent"
-            break
+            return "align not idempotent"
         k = rng.randrange(-3, 4)
         if shift_levels(shift_levels(m, k), -k).atom_values != m.atom_values:
-            ok, detail = False, "shift roundtrip failed"
-            break
-    results.append(LawResult("measure", "align_and_shift", i, ok, detail))
-    return results
+            return "shift roundtrip failed"
+        return None
+
+    return [_law("measure", "slice_recover_roundtrip", n, roundtrip),
+            _law("measure", "finite_additivity", n, additivity),
+            _law("measure", "align_and_shift", n, align_and_shift)]
 
 
 def integrate_laws(seed: int, cases: int):
@@ -335,13 +305,11 @@ def integrate_laws(seed: int, cases: int):
     from .xreal import ZERO as XR_ZERO
 
     rng = random.Random(seed)
-    results = []
     d = parse_struct("O")
     dd = parse_struct("double(O)")
     n = max(1, cases)
 
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+    def single_level_oracle():
         atoms = [f"a{j}" for j in range(rng.randrange(1, 6))]
         space = AtomSpace(atoms)
         k0 = rng.randrange(-3, 4)
@@ -353,13 +321,9 @@ def integrate_laws(seed: int, cases: int):
         for a in atoms:
             expected = expected + fvals[a] * residues[a]
         want = ZERO if expected.is_zero else Pair(Scalar(k0), Scalar(expected))
-        if got != want:
-            ok, detail = False, f"oracle mismatch at level {k0}"
-            break
-    results.append(LawResult("integrate", "single_level_oracle", i, ok, detail))
+        return None if got == want else f"oracle mismatch at level {k0}"
 
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+    def additivity():
         m = random_measure(rng)
         atoms = m.space.atoms
         g = SimpleFunction.lvalued(
@@ -371,13 +335,9 @@ def integrate_laws(seed: int, cases: int):
         f = [a for a, mk in zip(atoms, marks) if mk == 1]
         lhs = integrate_lvalued(m, g, e + f)
         rhs = ops.add(m.desc, integrate_lvalued(m, g, e), integrate_lvalued(m, g, f))
-        if lhs != rhs:
-            ok, detail = False, "integral not additive over disjoint events"
-            break
-    results.append(LawResult("integrate", "additivity", i, ok, detail))
+        return None if lhs == rhs else "integral not additive over disjoint events"
 
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+    def signed_negation():
         m = random_measure(rng)
         vals = {}
         for a in m.space.atoms:
@@ -392,10 +352,12 @@ def integrate_laws(seed: int, cases: int):
         f = SimpleFunction.signed(dd, vals)
         fneg = SimpleFunction.signed(dd, {a: ops.neg(dd, v) for a, v in vals.items()})
         if integrate_signed(m, fneg, m.space.atoms) != ops.neg(dd, integrate_signed(m, f, m.space.atoms)):
-            ok, detail = False, "negation symmetry failed"
-            break
-    results.append(LawResult("integrate", "signed_negation", i, ok, detail))
-    return results
+            return "negation symmetry failed"
+        return None
+
+    return [_law("integrate", "single_level_oracle", n, single_level_oracle),
+            _law("integrate", "additivity", n, additivity),
+            _law("integrate", "signed_negation", n, signed_negation)]
 
 
 def prob_laws(seed: int, cases: int):
@@ -403,18 +365,14 @@ def prob_laws(seed: int, cases: int):
     from .measure import shift_levels
 
     rng = random.Random(seed)
-    results = []
-    n = max(1, cases)
 
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+    def total_probability_and_shift():
         m = random_prob_scene(rng)
         if not validate_probability(m)["ok"]:
-            ok, detail = False, "generator produced an invalid scene"
-            break
+            return "generator produced an invalid scene"
         atoms = [a for a in m.space.atoms if not is_zero(m.desc, m.atom_values[a])]
         if len(atoms) < 2:
-            continue
+            return None
         rng.shuffle(atoms)
         cut = rng.randrange(1, len(atoms))
         cells = [atoms[:cut], atoms[cut:]]
@@ -425,30 +383,26 @@ def prob_laws(seed: int, cases: int):
             b_ev = b_ev + [atoms[0]]
         out = bayes(m, cells, b_ev)
         if out["total"] != m.value(b_ev):
-            ok, detail = False, "total probability law failed"
-            break
+            return "total probability law failed"
         k = rng.randrange(-2, 3)
         if cond_prob(shift_levels(m, k), atoms[:1], b_ev) != cond_prob(m, atoms[:1], b_ev):
-            ok, detail = False, "conditional probability not shift invariant"
-            break
-    results.append(LawResult("prob", "total_probability_and_shift", i, ok, detail))
-    return results
+            return "conditional probability not shift invariant"
+        return None
+
+    return [_law("prob", "total_probability_and_shift", max(1, cases), total_probability_and_shift)]
 
 
 def tree_laws(seed: int, cases: int):
     from .tree import LTree, bfs_paths, distance, meet, segment, verify_metric
 
     rng = random.Random(seed)
-    results = []
-    n = max(1, cases)
-    ok, detail, i = True, "", 0
     d = parse_struct("O")
-    for i in range(1, n + 1):
+
+    def metric_and_meet():
         nodes, edges = random_tree_edges(rng, rng.randrange(2, 13))
         t = LTree(d, nodes, edges)
         if not verify_metric(t)["ok"]:
-            ok, detail = False, "metric axioms failed"
-            break
+            return "metric axioms failed"
         # the oracle walks the generated edge list, not the tree's rooting
         adj = {u: {} for u in nodes}
         for a, b, v in edges:
@@ -460,63 +414,48 @@ def tree_laws(seed: int, cases: int):
             for a, b in zip(path, path[1:]):
                 acc = ops.add(d, acc, adj[a][b])
             if segment(t, x, y) != path:
-                ok, detail = False, "segment disagrees with the BFS path"
-            elif distance(t, x, y) != acc:
-                ok, detail = False, "distance disagrees with the fold along the BFS path"
-            elif [u for u in path if u in on_xz] != paths[meet(t, x, y, z)]:
-                ok, detail = False, "meet disagrees with path intersection"
-            if not ok:
-                break
-        else:
-            continue
-        break
-    results.append(LawResult("tree", "metric_and_meet", i, ok, detail))
-    return results
+                return "segment disagrees with the BFS path"
+            if distance(t, x, y) != acc:
+                return "distance disagrees with the fold along the BFS path"
+            if [u for u in path if u in on_xz] != paths[meet(t, x, y, z)]:
+                return "meet disagrees with path intersection"
+        return None
+
+    return [_law("tree", "metric_and_meet", max(1, cases), metric_and_meet)]
 
 
 def weights_laws(seed: int, cases: int):
     from .weights import apply_deck, check_branch_equations, gauge_move
 
     rng = random.Random(seed)
-    results = []
-    n = max(1, cases)
-    ok, detail, i = True, "", 0
-    for i in range(1, n + 1):
+
+    def deck_and_gauge_invariance():
         g, w, c = random_weight_system(rng)
         before = check_branch_equations(g, w, c)
         lam = nonzero_value(rng, w.desc)
         if check_branch_equations(g, apply_deck(w, lam), c)["ok"] != before["ok"]:
-            ok, detail = False, "deck scaling changed the report"
-            break
+            return "deck scaling changed the report"
         sector = rng.choice(g.sectors)
         w2, c2 = gauge_move(g, w, c, sector, nonzero_value(rng, w.desc))
         if check_branch_equations(g, w2, c2) != before:
-            ok, detail = False, "gauge move changed the report"
-            break
-    results.append(LawResult("weights", "deck_and_gauge_invariance", i, ok, detail))
-    return results
+            return "gauge move changed the report"
+        return None
+
+    return [_law("weights", "deck_and_gauge_invariance", max(1, cases), deck_and_gauge_invariance)]
 
 
 def run_selfcheck(seed: int, cases: int):
     """Every property suite, deterministically; returns (all_ok, results)."""
-    results = []
-
-    def guarded(suite_name, fn, *args):
-        try:
-            results.extend(fn(*args))
-        except (LexiringError, AssertionError) as exc:
-            results.append(LawResult(suite_name, "suite_crashed", 0, False, f"{type(exc).__name__}: {exc}"))
-
-    guarded("xreal", xreal_laws, seed, cases)
+    results = xreal_laws(seed, cases)
     for idx, s in enumerate(LAW_STRUCTURES):
-        guarded(s, structure_laws, s, seed + idx, cases)
-    guarded("assoc_iso", assoc_iso_laws, seed + 100, cases)
+        results += structure_laws(s, seed + idx, cases)
+    results += assoc_iso_laws(seed + 100, cases)
     light = max(1, cases // 10)
-    guarded("measure", measure_laws, seed + 200, light)
-    guarded("integrate", integrate_laws, seed + 300, light)
-    guarded("prob", prob_laws, seed + 400, light)
-    guarded("tree", tree_laws, seed + 500, max(1, cases // 50))
-    guarded("weights", weights_laws, seed + 600, light)
+    results += measure_laws(seed + 200, light)
+    results += integrate_laws(seed + 300, light)
+    results += prob_laws(seed + 400, light)
+    results += tree_laws(seed + 500, max(1, cases // 50))
+    results += weights_laws(seed + 600, light)
     return all(r.ok for r in results), results
 
 
@@ -525,26 +464,23 @@ def assoc_iso_laws(seed: int, cases: int, trios: int = 3):
     rng = random.Random(seed)
     results = []
     bases = ["N0", "Rc", "Ro", "Nbar0"]
-    for t in range(trios):
+    for _ in range(trios):
         a, b, c = (rng.choice(bases) for _ in range(3))
         text = f"{a} \\/ ({b} \\/ {c})"
         d = parse_struct(text)
         tgt = ops.regroup_desc(d)
-        ok = True
-        detail = ""
-        n = 0
-        for n in range(1, cases + 1):
+
+        def isomorphism():
             x = random_value(rng, d)
             y = random_value(rng, d)
             fx, fy = ops.assoc_iso(d, x), ops.assoc_iso(d, y)
             if ops.assoc_iso(d, ops.add(d, x, y)) != ops.add(tgt, fx, fy):
-                ok, detail = False, f"addition not preserved at {x!r},{y!r}"
-                break
+                return f"addition not preserved at {x!r},{y!r}"
             if ops.cmp(d, x, y) != ops.cmp(tgt, fx, fy):
-                ok, detail = False, f"order not preserved at {x!r},{y!r}"
-                break
+                return f"order not preserved at {x!r},{y!r}"
             if ops.assoc_iso_inv(tgt, fx) != x:
-                ok, detail = False, f"not injective at {x!r}"
-                break
-        results.append(LawResult(f"assoc_iso[{text}]", "isomorphism", n, ok, detail))
+                return f"not injective at {x!r}"
+            return None
+
+        results.append(_law(f"assoc_iso[{text}]", "isomorphism", cases, isomorphism))
     return results

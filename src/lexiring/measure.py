@@ -20,6 +20,8 @@ total height, interior-gap alignment and level shifts.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .descriptors import Base, StructDesc
 from .errors import DomainError, InconsistentSlicesError, ShapeError
 from .kernel import kernel_of
@@ -41,6 +43,11 @@ class AtomSpace:
         self.events = {}
         for name, members in (events or {}).items():
             self.events[name] = self.check_event(members)
+
+    @cached_property
+    def position(self) -> dict:
+        """Each atom's index in atom order, built on first use."""
+        return {a: i for i, a in enumerate(self.atoms)}
 
     def check_event(self, members) -> frozenset:
         if isinstance(members, str):
@@ -132,28 +139,26 @@ def slice_at(m: LMeasure, k: int, E) -> XReal:
 def recover_from_slices(desc: StructDesc, space: AtomSpace, slices: dict) -> LMeasure:
     """Rebuild a measure from per-level atom slices.
 
-    ``slices`` maps level -> {atom -> XReal}.  For each atom the value is
-    (j, s_j) for the largest level j with positive slice; an infinite
-    slice at that top level is ambiguous (it also encodes "level above")
-    and is rejected.
+    ``slices`` maps level -> {atom -> XReal}.  Each atom's value is the
+    ``Kernel.sum`` of its positive slices as pairs (level, slice): (j, s_j)
+    for the largest level j with positive slice.  An infinite slice at
+    that top level is ambiguous (it also encodes "level above") and is
+    rejected.
     """
-    atom_values = {}
+    if not is_sliceable(desc):
+        raise ShapeError("slices need an (integer level, rational residue) structure")
+    k, atom_values = kernel_of(desc), {}
     for a in space.atoms:
-        best = None
-        for lev in sorted(slices, reverse=True):
-            s = slices[lev].get(a, XR_ZERO)
+        pieces = []
+        for lev, per_atom in slices.items():
+            s = per_atom.get(a, XR_ZERO)
             if not s.is_zero:
-                best = (lev, s)
-                break
-        if best is None:
-            atom_values[a] = ZERO
-            continue
-        lev, s = best
-        if s.is_inf:
+                pieces.append(Pair(Scalar(lev), Scalar(s)))
+        v = atom_values[a] = k.sum(pieces)
+        if v is not ZERO and v.residue.x.is_inf:
             raise InconsistentSlicesError(
-                f"atom {a!r} carries an infinite slice at its own top level {lev}"
+                f"atom {a!r} carries an infinite slice at its own top level {v.level.x}"
             )
-        atom_values[a] = Pair(Scalar(lev), Scalar(s))
     return LMeasure(desc, space, atom_values)
 
 

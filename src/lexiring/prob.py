@@ -245,10 +245,7 @@ def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> PMeasure:
         if v is not ZERO and v.residue.x.is_inf:
             raise InfiniteMassError("density integral has an infinite residue")
         atom_values[a] = v
-    totals = {}
-    for v in atom_values.values():
-        if v is not ZERO:
-            totals[v.level.x] = totals.get(v.level.x, XReal(0)) + v.residue.x
+    totals = level_masses(LMeasure._built(mu.desc, mu.space, atom_values))
     normalized = {}
     for a, v in atom_values.items():
         if v is ZERO:

@@ -11,6 +11,12 @@ Track file:    {"structure": "...", "sectors": [...],
                 "weights": {"sector": "<literal>"},
                 "crossings": [{"sector": "...", "end": "...", "multiplier": "..."}]}
 
+Every field shown is required except ``events`` and ``crossings``, and
+``structure`` of a real function.  A missing field, or one of the wrong
+JSON kind, is a one-line ``ParseError`` naming its JSON path.  The large
+lists (scene atoms, tree edges) are read in one fast pass and walked
+field by field only when that pass fails.
+
 The built-in dartboard: a unit-area board with a drawn cross.  Area is
 seen at level 0, the cross carries one-dimensional length at level -1,
 and the depth-2 variant concentrates a third level at the center point.
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+from itertools import chain
+from operator import itemgetter
 
 from .descriptors import parse_struct, struct_text
 from .errors import DomainError, ParseError
@@ -87,6 +95,19 @@ def _field(obj, key: str, kind, path: str = ""):
     return obj[key]
 
 
+def _all_str(*groups) -> bool:
+    """Whether every item of every group is a string."""
+    return set(map(type, chain(*groups))) <= {str}
+
+
+def _strings(items: list, where: str) -> list:
+    """items, each checked to be a string; a one-line ParseError names the first that is not."""
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise ParseError(f"field {where}[{i}] must be a string")
+    return items
+
+
 def scene_from_dict(doc: dict) -> LMeasure:
     desc = parse_struct(_field(doc, "structure", str))
     atom_docs = _field(doc, "atoms", list)
@@ -96,7 +117,7 @@ def scene_from_dict(doc: dict) -> LMeasure:
         texts = [a["value"] for a in atom_docs]
     except (KeyError, TypeError):
         ids = texts = None
-    if ids is None or (set(map(type, ids)) | set(map(type, texts))) - {str}:
+    if ids is None or not _all_str(ids, texts):
         for i, a in enumerate(atom_docs):  # name the first fault
             _field(a, "id", str, f"atoms[{i}]")
             _field(a, "value", str, f"atoms[{i}]")
@@ -136,17 +157,19 @@ def builtin_scene(name: str) -> LMeasure:
 
 
 def function_from_dict(doc: dict, measure: LMeasure) -> SimpleFunction:
-    kind = doc["kind"]
-    unknown = set(doc["values"]) - set(measure.space.atoms)
+    kind = _field(doc, "kind", str)
+    texts = _field(doc, "values", dict)
+    for a in texts:
+        _field(texts, a, str, "values")
+    unknown = set(texts) - set(measure.space.atoms)
     if unknown:
         raise DomainError(f"function file mentions unknown atoms {sorted(unknown)}")
     if kind == "real":
-        values = {a: parse_xreal(t) for a, t in doc["values"].items()}
-        return SimpleFunction.real(values)
+        return SimpleFunction.real({a: parse_xreal(t) for a, t in texts.items()})
     if kind not in ("lvalued", "signed"):
         raise DomainError(f"unknown function kind {kind!r}")
-    desc = parse_struct(doc["structure"])
-    values = {a: parse_value(desc, t) for a, t in doc["values"].items()}
+    desc = parse_struct(_field(doc, "structure", str))
+    values = {a: parse_value(desc, t) for a, t in texts.items()}
     if kind == "lvalued":
         return SimpleFunction.lvalued(desc, values)
     return SimpleFunction.signed(desc, values)
@@ -157,9 +180,18 @@ def load_function(path: str, measure: LMeasure) -> SimpleFunction:
 
 
 def tree_from_dict(doc: dict) -> LTree:
-    desc = parse_struct(doc["structure"])
-    edges = [(e["a"], e["b"], parse_value(desc, e["value"])) for e in doc["edges"]]
-    return LTree(desc, doc["nodes"], edges)
+    desc = parse_struct(_field(doc, "structure", str))
+    nodes, edge_docs = _field(doc, "nodes", list), _field(doc, "edges", list)
+    try:  # parse_value raises TypeError on a value that is not a string
+        edges = [(e["a"], e["b"], parse_value(desc, e["value"])) for e in edge_docs]
+    except (KeyError, TypeError):
+        edges = None
+    if edges is None or not _all_str(nodes, map(itemgetter(0), edges), map(itemgetter(1), edges)):
+        _strings(nodes, "nodes")
+        for i, e in enumerate(edge_docs):  # name the first fault
+            for key in ("a", "b", "value"):
+                _field(e, key, str, f"edges[{i}]")
+    return LTree(desc, nodes, edges)
 
 
 def load_tree(path: str) -> LTree:
@@ -175,20 +207,30 @@ BUILTIN_TRACKS = {
 }
 
 
+def _switch_side(switch, key: str, where: str) -> list:
+    """One side of a switch: a list of [sector, end] string pairs, as tuples."""
+    ends = _field(switch, key, list, where)
+    for j, e in enumerate(ends):
+        if not (isinstance(e, list) and len(e) == 2 and _all_str(e)):
+            raise ParseError(f"field {where}.{key}[{j}] must be a [sector, end] pair of strings")
+    return [tuple(e) for e in ends]
+
+
 def track_from_dict(doc: dict):
-    desc = parse_struct(doc["structure"])
+    desc = parse_struct(_field(doc, "structure", str))
+    sectors = _strings(_field(doc, "sectors", list), "sectors")
     switches = [
-        ([tuple(e) for e in sw["side1"]], [tuple(e) for e in sw["side2"]])
-        for sw in doc["switches"]
+        (_switch_side(sw, "side1", f"switches[{i}]"), _switch_side(sw, "side2", f"switches[{i}]"))
+        for i, sw in enumerate(_field(doc, "switches", list))
     ]
-    graph = BranchedGraph(doc["sectors"], switches)
-    weights = WeightSystem(desc, {s: parse_value(desc, t) for s, t in doc["weights"].items()})
-    crossings = {
-        (c["sector"], c["end"]): parse_value(desc, c["multiplier"])
-        for c in doc.get("crossings", [])
-    }
-    cocycle = Cocycle(desc, crossings)
-    return graph, weights, cocycle
+    graph = BranchedGraph(sectors, switches)
+    texts = _field(doc, "weights", dict)
+    weights = WeightSystem(desc, {s: parse_value(desc, _field(texts, s, str, "weights")) for s in texts})
+    crossings = {}
+    for i, c in enumerate(_field(doc, "crossings", list) if "crossings" in doc else ()):
+        sector, end, multiplier = (_field(c, key, str, f"crossings[{i}]") for key in ("sector", "end", "multiplier"))
+        crossings[(sector, end)] = parse_value(desc, multiplier)
+    return graph, weights, Cocycle(desc, crossings)
 
 
 def load_track(path_or_builtin: str):

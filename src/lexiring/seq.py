@@ -31,8 +31,8 @@ from .descriptors import (
 )
 from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError, ShapeError
 from .kernel import kernel_of
-from .ops import _cmp, add_all
-from .values import TOP, Pair, Scalar, Value, check_value, is_zero, zero
+from .ops import _add, _cmp
+from .values import TOP, ZERO, Pair, Scalar, Value, check_value, is_zero, zero
 from .xreal import INF, XReal
 
 
@@ -77,12 +77,6 @@ def require_int_levels(d: StructDesc):
         raise CapabilityError("infinite tails need an integer-leveled insertion structure")
 
 
-def _pair_level(v: Value) -> int:
-    if isinstance(v, Pair) and isinstance(v.level, Scalar) and isinstance(v.level.x, int):
-        return v.level.x
-    raise ShapeError(f"term {v!r} has no integer level")
-
-
 def least_positive(d: StructDesc) -> Value:
     """The least element greater than zero, where one exists."""
     if isinstance(d, Base):
@@ -96,7 +90,7 @@ def least_positive(d: StructDesc) -> Value:
     if isinstance(d, (Insert, BarInsert)):
         if not (isinstance(d.a, Base) and d.a.name in ("N0", "Nbar0")):
             raise NotRepresentableError(f"{d!r} has no least positive element")
-        return Pair(Scalar(0), least_positive(d.b))
+        return Pair(zero(d.a), least_positive(d.b))
     raise NotRepresentableError(f"{d!r} has no least positive element")
 
 
@@ -121,6 +115,8 @@ class _Unbounded(Exception):
 
 def _sup_multiples(d: StructDesc, step: Value) -> Value:
     """Least upper bound of {step, 2*step, 3*step, ...}, or _Unbounded."""
+    if step is TOP:
+        return TOP
     if is_zero(d, step):
         return zero(d)
     if isinstance(d, Base):
@@ -141,41 +137,30 @@ def _sup_multiples(d: StructDesc, step: Value) -> Value:
 
 
 def sum_sequence(d: StructDesc, s: SeqGen) -> Value:
-    """Evaluate a countable sum: dominant level, residues summed there."""
+    """Evaluate a countable sum: the head's sum, plus the tail's unless the head dominates it."""
     for v in s.head:
         check_value(d, v)
-    if any(v is TOP for v in s.head):
-        return TOP
-
+    head = kernel_of(d).sum(s.head)
     tail = s.tail
-    if tail is None:
-        return add_all(d, s.head)
+    if tail is None or head is TOP:
+        return head
     require_int_levels(d)
     if isinstance(tail, LevelRamp):
         check_value(d, Pair(Scalar(tail.start), tail.residue))
         if has_top(d):
             return TOP
         raise NotSummableError("levels are unbounded above and the structure has no top")
-
-    head_nz = [v for v in s.head if not is_zero(d, v)]
-    contributions = []  # (level, residue, infinite_multiplicity)
-    for v in head_nz:
-        contributions.append((_pair_level(v), v.residue, False))
     if isinstance(tail, Repeat):
         check_value(d, tail.value)
-        if tail.value is TOP:
-            return TOP
-        if not is_zero(d, tail.value):
-            contributions.append((_pair_level(tail.value), tail.value.residue, True))
-    elif isinstance(tail, ResidueRamp):
-        check_value(d, Pair(Scalar(tail.level), tail.step))
-        contributions.append((tail.level, tail.step, True))
-
-    if not contributions:
-        return zero(d)
-    m = max(c[0] for c in contributions)
-    parts = [repeat_sum(d.b, res) if infinite else res for lev, res, infinite in contributions if lev == m]
-    return Pair(Scalar(m), kernel_of(d.b).sum(parts))
+        if tail.value is TOP or is_zero(d, tail.value):
+            return _add(d, head, tail.value)  # top absorbs; zero adds nothing
+        level, residue = tail.value.level, tail.value.residue
+    else:
+        level, residue = Scalar(tail.level), tail.step
+        check_value(d, Pair(level, residue))
+    if head is not ZERO and head.level.x > level.x:  # the head dominates the tail
+        return head
+    return _add(d, head, Pair(level, repeat_sum(d.b, residue)))
 
 
 def sup_finite(d: StructDesc, values) -> Value:

@@ -233,6 +233,40 @@ def test_scene_documents_are_schema_checked(tmp_path, capsys, doc, message):
         assert (code, err) == (2, f"parse error: {message}\n")
 
 
+TWO_SECTOR_TRACK = {
+    "structure": "P",
+    "sectors": ["a", "b"],
+    "switches": [{"side1": [["a", "r"]], "side2": [["b", "l"]]}],
+    "weights": {"a": "(0,1)", "b": "(0,1)"},
+}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["tree", "dist", "FILE", "a", "b"], {"structure": "O", "nodes": ["a", "b"], "edges": [{"a": "a", "b": "b"}]},
+     "missing field edges[0].value"),
+    (["tree", "dist", "FILE", "a", "b"], ["O"], "the document must be an object"),
+    (["tree", "dist", "FILE", "a", "b"], {"structure": "O", "nodes": ["a", 2], "edges": []},
+     "field nodes[1] must be a string"),
+    (["weights", "check", "FILE"], {**TWO_SECTOR_TRACK, "switches": [{"side1": [["a", "r"]]}]},
+     "missing field switches[0].side2"),
+    (["weights", "check", "FILE"], {**TWO_SECTOR_TRACK, "switches": [{"side1": ["ar"], "side2": [["b", "l"]]}]},
+     "field switches[0].side1[0] must be a [sector, end] pair of strings"),
+    (["weights", "check", "FILE"], {**TWO_SECTOR_TRACK, "crossings": [{"sector": "a", "end": "r"}]},
+     "missing field crossings[0].multiplier"),
+])
+def test_tree_and_track_documents_are_schema_checked(tmp_path, capsys, argv, doc, message):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    code, err = _run(capsys, [str(f) if a == "FILE" else a for a in argv])
+    assert (code, err) == (2, f"parse error: {message}\n")
+
+
+def test_sup_of_a_top_residue_ramp(capsys):
+    assert main(["eval", r"N0 /\ Sbar", "sup(resramp(0,top))"]) == 0
+    assert main(["eval", r"N0 /\ Sbar", "sum(resramp(0,top))"]) == 0
+    assert capsys.readouterr().out == "(0,top)\n(0,top)\n"
+
+
 def test_nesting_depth_is_limited(capsys):
     from lexiring.descriptors import MAX_DEPTH
 
@@ -287,3 +321,21 @@ def test_selfcheck_catches_broken_addition(monkeypatch, capsys):
     assert any(
         law in out for law in ("add_identity", "add_commutative", "add_associative", "add_monotone")
     )
+
+
+def test_a_raising_case_fails_its_own_law(monkeypatch):
+    import lexiring.measure as measure_mod
+    from lexiring.errors import DomainError
+    from lexiring.laws import run_selfcheck
+
+    def planted(m, k):
+        raise DomainError("planted")
+
+    monkeypatch.setattr(measure_mod, "shift_levels", planted)
+    ok, results = run_selfcheck(0, 20)
+    assert not ok
+    assert [r.line() for r in results if r.suite == "measure"] == [
+        "PASS measure: slice_recover_roundtrip (cases=2)",
+        "PASS measure: finite_additivity (cases=2)",
+        "FAIL measure: align_and_shift (cases=1) -- raised DomainError: planted",
+    ]

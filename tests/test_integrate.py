@@ -1,6 +1,10 @@
 """Integrals of atomwise functions, including the point-mass example."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +174,35 @@ def test_missing_atom_value_is_error():
     f = SimpleFunction.real({"u": XReal(1)})
     with pytest.raises(DomainError):
         integrate_real(m, f, m.space.atoms)
+
+
+MISSING_ATOM_SCRIPT = """
+from lexiring.descriptors import parse_struct
+from lexiring.errors import LexiringError
+from lexiring.integrate import SimpleFunction, integrate_lvalued, integrate_real, integrate_signed
+from lexiring.measure import AtomSpace, LMeasure
+from lexiring.values import parse_value
+from lexiring.xreal import XReal
+
+atoms = ["a", "b", "c", "d"]
+d, o, dd = parse_struct("Obar"), parse_struct("O"), parse_struct("double(O)")
+m = LMeasure(d, AtomSpace(atoms), {a: parse_value(d, t) for a, t in zip(atoms, ("top", "(0,1)", "(1,1)", "(0,2)"))})
+for integrate, f in ((integrate_real, SimpleFunction.real({"a": XReal(1), "b": XReal(2)})),
+                     (integrate_lvalued, SimpleFunction.lvalued(o, {a: parse_value(o, "(0,1)") for a in "ab"})),
+                     (integrate_signed, SimpleFunction.signed(dd, {"a": parse_value(dd, "(0,1)"),
+                                                                   "b": parse_value(dd, "-(0,2)")}))):
+    try:
+        print(integrate(m, f, atoms))
+    except LexiringError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+def test_missing_atom_errors_do_not_depend_on_the_hash_seed():
+    # the functions miss atoms c and d, and atom a is top: each integral names c, under every seed
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", MISSING_ATOM_SCRIPT], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.splitlines() == ["DomainError: function has no value at atom 'c'"] * 3, seed

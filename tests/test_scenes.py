@@ -1,11 +1,12 @@
 """JSON interfaces: scene, function, tree, and track files."""
 
 import json
+import re
 
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError
+from lexiring.errors import DomainError, ParseError
 from lexiring.integrate import integrate_lvalued, integrate_real, integrate_signed
 from lexiring.scenes import (
     BUILTIN_TRACKS,
@@ -101,6 +102,17 @@ def test_function_file_unknown_atom():
     m = builtin_scene("dartboard")
     with pytest.raises(DomainError):
         function_from_dict({"kind": "real", "values": {"bullseye": "1"}}, m)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"values": {}}, "missing field kind"),
+    ({"kind": "real", "values": ["a"]}, "field values must be an object"),
+    ({"kind": "real", "values": {"q1": 1}}, "field values.q1 must be a string"),
+    ({"kind": "lvalued", "values": {"q1": "(0,1)"}}, "missing field structure"),
+])
+def test_function_documents_are_schema_checked(doc, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        function_from_dict(doc, builtin_scene("dartboard"))
 
 
 def test_tree_file(tmp_path):

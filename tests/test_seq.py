@@ -5,7 +5,7 @@ import pytest
 from lexiring.descriptors import parse_struct
 from lexiring.errors import NotRepresentableError, NotSummableError
 from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_sequence
-from lexiring.values import TOP, Scalar, parse_value, zero
+from lexiring.values import TOP, Scalar, check_value, parse_value, zero
 from lexiring.xreal import XReal
 
 
@@ -95,3 +95,19 @@ def test_sup_head_dominates_tail():
     d = parse_struct("S")
     s = SeqGen(head=[pv("S", "(9,1)")], tail=ResidueRamp(4, pv("Rc", "1")))
     assert sup_sequence(d, s) == pv("S", "(9,1)")
+
+
+def test_dominated_tail_need_not_be_summable():
+    # a countable repeat does not evaluate in P, but the head's level dominates it
+    d = parse_struct("P")
+    s = SeqGen(head=[pv("P", "(1,1/2)"), pv("P", "(1,1/4)")], tail=Repeat(pv("P", "(0,1)")))
+    assert sum_sequence(d, s) == pv("P", "(1,3/4)")
+    with pytest.raises(NotSummableError):
+        sum_sequence(d, SeqGen(head=[pv("P", "(0,1/2)")], tail=Repeat(pv("P", "(0,1)"))))
+
+
+def test_least_positive_levels_are_well_shaped():
+    d = parse_struct(r"Nbar0 /\ N0")
+    assert check_value(d, least_positive(d)) == parse_value(d, "(0,1)")
+    outer = parse_struct(r"N0 /\ (Nbar0 /\ N0)")
+    check_value(outer, sup_sequence(outer, SeqGen(tail=ResidueRamp(0, parse_value(d, "(1,1)")))))
