@@ -11,21 +11,18 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import ops
+from .dartboard import BUILTIN_SCENES
 from .descriptors import capabilities, parse_struct
 from .errors import LexiringError, ParseError, ShapeError
-from .laws import run_selfcheck
-from .measure import align_levels, shift_levels, slice_at, total_height
-from .prob import bayes, cond_prob, standardize, validate_probability
-from .scenes import BUILTIN_SCENES, load_scene, load_track, load_tree, scene_to_dict
+from .kernel import kernel_of
 from .seq import (LevelRamp, Repeat, ResidueRamp, SeqGen, require_int_levels, sum_sequence, sup_finite,
                   sup_sequence)
-from .tree import distance, verify_metric
 from .values import _ValueParser, format_value, parse_value
-from .weights import apply_deck, check_branch_equations
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +38,16 @@ class _ExprEval(_ValueParser):
     Where an atom may be a literal or a parenthesised expression, the
     literal is tried first.  When every route fails, the error raised is
     the one of the route that read furthest.
+
+    Every atom is well-shaped when read, and a chain of terms or factors
+    is folded by the kernel's n-ary ``sum`` or ``prod`` without checking
+    it again: a long ``*`` chain reduces its fraction once.
     """
 
     def __init__(self, desc, text: str):
         super().__init__(text)
         self.d = desc
+        self.k = kernel_of(desc)
         self.furthest = (-1, None)  # (token index, error) of the literal that read furthest
 
     def run(self):
@@ -59,7 +61,7 @@ class _ExprEval(_ValueParser):
                 b = self.expr()
                 self.expect(")")
                 self.done()
-                return "cmp", ops.cmp(self.d, a, b)
+                return "cmp", self.k.cmp(a, b)
             v = self.expr()
             self.done()
         except ParseError:
@@ -70,18 +72,20 @@ class _ExprEval(_ValueParser):
         return "value", v
 
     def expr(self):
-        t = self.product()
+        terms = [self.product()]
         while self.peek() == "+":
             self.next()
-            t = ops.add(self.d, t, self.product())
-        return t
+            terms.append(self.product())
+        return terms[0] if len(terms) == 1 else self.k.sum(terms)
 
     def product(self):
-        t = self.atom()
+        factors = [self.atom()]
         while self.peek() == "*":
             self.next()
-            t = ops.mul(self.d, t, self.atom())
-        return t
+            factors.append(self.atom())
+            if len(factors) == 2:
+                ops.require_semiring(self.d)  # as soon as a second factor is read, before a third
+        return factors[0] if len(factors) == 1 else self.k.prod(factors)
 
     def atom(self):
         tok = self.peek()
@@ -183,6 +187,8 @@ def _fmt_map(desc, mapping):
 
 
 def _scene_arg(args):
+    from .scenes import load_scene
+
     if args.builtin:
         return load_scene(args.builtin)
     if not args.scene:
@@ -201,6 +207,9 @@ def _cmd_eval(args, out: _Out) -> int:
 
 
 def _cmd_measure(args, out: _Out) -> int:
+    from .measure import align_levels, shift_levels, slice_at, total_height
+    from .scenes import scene_to_dict
+
     m = _scene_arg(args)
     if args.action == "validate":
         caps = capabilities(m.desc)
@@ -232,6 +241,8 @@ def _cmd_measure(args, out: _Out) -> int:
 
 
 def _cmd_prob(args, out: _Out) -> int:
+    from .prob import bayes, cond_prob, standardize, validate_probability
+
     m = _scene_arg(args)
     if args.action == "validate":
         report = validate_probability(m)
@@ -275,6 +286,9 @@ def _cmd_prob(args, out: _Out) -> int:
 
 
 def _cmd_tree(args, out: _Out) -> int:
+    from .scenes import load_tree
+    from .tree import distance, verify_metric
+
     t = load_tree(args.file)
     if args.action == "dist":
         if not args.x or not args.y:
@@ -290,6 +304,9 @@ def _cmd_tree(args, out: _Out) -> int:
 
 
 def _cmd_weights(args, out: _Out) -> int:
+    from .scenes import load_track
+    from .weights import apply_deck, check_branch_equations
+
     g, w, c = load_track(args.file)
     if args.action == "check":
         report = check_branch_equations(g, w, c)
@@ -311,6 +328,8 @@ def _cmd_weights(args, out: _Out) -> int:
 
 
 def _cmd_selfcheck(args, out: _Out) -> int:
+    from .laws import run_selfcheck
+
     ok, results = run_selfcheck(args.seed, args.cases)
     for r in results:
         out.emit(r.as_dict(), r.line())
@@ -325,7 +344,9 @@ def _cmd_selfcheck(args, out: _Out) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on first use."""
     p = argparse.ArgumentParser(prog="lexiring", description=__doc__)
     p.add_argument("--format", choices=("json", "text"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
@@ -379,6 +400,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns the exit code.
+
+    The argument parser is built once per process, on first use, and each
+    handler imports the modules it needs, so ``eval`` loads neither the
+    measure stack nor the law suites.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

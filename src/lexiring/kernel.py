@@ -13,12 +13,12 @@ it by every operation.  Variants:
 
 ``kernel_of(d)`` compiles d, the first time it is used, into a ``Kernel``
 of closures (shape check, zero test, comparison, addition, n-ary sum,
-multiplication, seeded random draws) and capability flags, and keeps it
-in d's ``_kernel`` slot: it lives and dies with the descriptor object.  A
-composite kernel captures its parts' closures, so no call walks the
-descriptor again (Feeley & Lapalme, "Using closures for code generation",
-Computer Languages 12(1), 1987).  All but ``check`` assume well-shaped
-operands.
+multiplication, n-ary product, seeded random draws) and capability
+flags, and keeps it in d's ``_kernel`` slot: it lives and dies with the
+descriptor object.  A composite kernel captures its parts' closures, so
+no call walks the descriptor again (Feeley & Lapalme, "Using closures
+for code generation", Computer Languages 12(1), 1987).  All but
+``check`` assume well-shaped operands.
 
 ``sum(values)`` folds event measures, Bayes, finite series, integrals
 and branch equations.  It equals the ordered left fold of ``add`` from
@@ -28,11 +28,24 @@ commutative, which it is everywhere but under ``double()``: there
 first and sums only the residues there, once, in the residue
 structure's own ``sum``; a rational residue sum adds the numerators over
 a running common denominator and reduces once.
+
+``prod(values)`` of one or more factors equals the ordered left fold of
+``mul`` from the first factor.  Integers take one ``math.prod``; a
+rational product multiplies all numerators and all denominators and
+reduces once (a zero factor gives 0, otherwise an ``inf`` gives ``inf``);
+an insertion's product is 0 if a factor is, otherwise ``top`` if a factor
+is, otherwise the level structure's ``sum`` of the levels paired with the
+residue structure's ``prod`` of the residues.  That needs the level
+structure's zero to be a left identity of its addition; it is in every
+structure ``validate_desc`` admits, because the operands of ``\\/`` are
+semigroups, whose zero is least.  Structures that are not semirings
+keep the ordered fold, and kinds without ``mul`` have no ``prod``.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from functools import reduce
+from math import gcd, prod as int_prod
 
 from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc,
                           is_semifield, is_semiring)
@@ -121,20 +134,27 @@ class Kernel:
     """One descriptor's compiled operations and capability flags.
 
     ``zero`` is the additive identity itself, and the empty ``sum``;
-    ``sum`` defaults to the ordered left fold of ``add``; ``mul`` is None
-    where d has no multiplication; ``prob_depth`` counts the integer levels
-    stacked over the finite rationals (None unless d is such a probability
-    structure).
+    ``sum`` defaults to the ordered left fold of ``add``; ``mul`` and
+    ``prod`` are None where d has no multiplication, and ``prod`` defaults
+    to the ordered left fold of ``mul``; ``prob_depth`` counts the integer
+    levels stacked over the finite rationals (None unless d is such a
+    probability structure).
     """
 
-    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "gen", "nonzero",
+    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
                  "semiring", "semifield", "int_levels", "prob_depth")
 
-    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None):
+    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None, prod=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
         self.sum = sum or _ordered_fold(zero, add)
         self.semiring, self.semifield = is_semiring(d), is_semifield(d)
+        if mul is None:
+            self.prod = None
+        elif prod is None or not self.semiring:
+            self.prod = _fold_from_first(mul)
+        else:
+            self.prod = prod
         self.int_levels = isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
         text = repr(d)  # not d: a closure over d would tie d and its kernel in a reference cycle
 
@@ -181,6 +201,11 @@ def _ordered_fold(zero, add):
             acc = add(acc, v)
         return acc
     return sum_
+
+
+def _fold_from_first(mul):
+    """The left fold of mul over one or more values, in the order given."""
+    return lambda values: reduce(mul, values)
 
 
 def _dominant_sum(zero, cmp_level, residue_sum):
@@ -273,6 +298,27 @@ def _int_sum(zero):
     return sum_
 
 
+def _int_prod(values):
+    return Scalar(int_prod(v.x for v in values))
+
+
+def _xreal_prod(zero):
+    def prod(values):
+        num = den = 1
+        inf = False
+        for v in values:
+            x = v.x
+            if not x.den:
+                inf = True
+            elif not x.num:
+                return zero  # XReal has 0 * inf == 0: a zero factor wins over any inf
+            else:
+                num *= x.num
+                den *= x.den
+        return Scalar(INF if inf else XReal(num, den))
+    return prod
+
+
 def _compile_base(d: Base) -> Kernel:
     name = d.name
     integers = name in ("N0", "Z")
@@ -296,7 +342,8 @@ def _compile_base(d: Base) -> Kernel:
         return v
 
     return Kernel(d, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
-                  _scalar_mul, _BASE_GENS[name], sum=(_int_sum if integers else _xreal_sum)(zero))
+                  _scalar_mul, _BASE_GENS[name], sum=(_int_sum if integers else _xreal_sum)(zero),
+                  prod=_int_prod if integers else _xreal_prod(zero))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +354,7 @@ def _compile_pairing(d) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
     check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
     cmp_a, cmp_b, add_a, add_b, sum_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.sum, kb.mul
+    sum_a, prod_b = ka.sum, kb.prod
     gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
     bar = isinstance(d, (BarSInsert, BarInsert))
     full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
@@ -376,8 +424,21 @@ def _compile_pairing(d) -> Kernel:
             return TOP
         return Pair(gen_a(rng, ZERO_P), gen_b(rng, ZERO_P) if full else nonzero_b(rng))
 
+    def prod(values):
+        # a semiring is an insertion, so 0 is the adjoined ZERO: no product of nonzero factors is 0
+        levels, residues, top = [], [], False
+        for v in values:
+            if v is ZERO:
+                return ZERO
+            if v is TOP:
+                top = True
+            else:
+                levels.append(v.level)
+                residues.append(v.residue)
+        return TOP if top else Pair(sum_a(levels), prod_b(residues))
+
     return Kernel(d, check, is_zero, zero, cmp, add, mul, gen, prob_depth,
-                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)))
+                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod)
 
 
 # ---------------------------------------------------------------------------

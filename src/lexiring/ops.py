@@ -59,11 +59,17 @@ def _mul(d: StructDesc, x: Value, y: Value) -> Value:
     return kernel_of(d).mul(x, y)
 
 
-def mul(d: StructDesc, x: Value, y: Value) -> Value:
-    """Levels add (by the level structure's addition), residues multiply."""
+def require_semiring(d: StructDesc):
+    """d's kernel; CapabilityError unless d is a semiring."""
     k = kernel_of(d)
     if not k.semiring:
         raise CapabilityError(f"{d!r} is not a semiring; multiplication undefined")
+    return k
+
+
+def mul(d: StructDesc, x: Value, y: Value) -> Value:
+    """Levels add (by the level structure's addition), residues multiply."""
+    k = require_semiring(d)
     k.check(x)
     k.check(y)
     return k.mul(x, y)

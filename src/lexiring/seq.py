@@ -113,6 +113,13 @@ class _Unbounded(Exception):
     pass
 
 
+def _next_level(x):
+    """The level just above an integer or Nbar0 level x; None for inf."""
+    if isinstance(x, XReal):
+        return None if x.is_inf else x + XReal(1)
+    return x + 1
+
+
 def _sup_multiples(d: StructDesc, step: Value) -> Value:
     """Least upper bound of {step, 2*step, 3*step, ...}, or _Unbounded."""
     if step is TOP:
@@ -127,11 +134,12 @@ def _sup_multiples(d: StructDesc, step: Value) -> Value:
         try:
             return Pair(step.level, _sup_multiples(d.b, step.residue))
         except _Unbounded:
-            # one level up with the least residue, when that makes sense
+            # one level up with the least residue, when that makes sense: an integer
+            # level, or a finite one of Nbar0 (whose levels are integral)
             lv = step.level
-            if (isinstance(lv, Scalar) and isinstance(lv.x, int)
-                    and _every_set_has_least(d.a) and _has_least_positive(d.b)):
-                return Pair(Scalar(lv.x + 1), least_positive(d.b))
+            up = _next_level(lv.x) if isinstance(lv, Scalar) else None
+            if up is not None and _every_set_has_least(d.a) and _has_least_positive(d.b):
+                return Pair(Scalar(up), least_positive(d.b))
             raise
     raise ShapeError(f"cannot form multiples of {step!r} in {d!r}")
 

@@ -1,19 +1,24 @@
 """Golden-file CLI tests, exit codes, and the selfcheck harness."""
 
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+from lexiring import ops
 from lexiring.cli import eval_expression, main
-from lexiring.descriptors import parse_struct
+from lexiring.descriptors import is_semifield, parse_struct
 from lexiring.errors import LexiringError
 from lexiring.laws import random_value
-from lexiring.values import format_value, parse_value
+from lexiring.values import format_value, is_zero, parse_value
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_CASES = {
     "eval_div.txt": ["--format", "json", "eval", "P", "(-1,3/4) * inv((0,1/2))"],
@@ -339,3 +344,83 @@ def test_a_raising_case_fails_its_own_law(monkeypatch):
         "PASS measure: finite_additivity (cases=2)",
         "FAIL measure: align_and_shift (cases=1) -- raised DomainError: planted",
     ]
+
+
+# ---------------------------------------------------------------------------
+# expressions fold through Kernel.sum and Kernel.prod
+# ---------------------------------------------------------------------------
+
+FOLD_STRUCTURES = ["P", "O", "S", "Obar", "Sbar", "Pn(2)", r"S /\ Rc", r"Obar b/\ Rc", "Ro", "Nbar0"]
+
+
+def _random_expr(rng, d, depth):
+    """(expression text, its value) with the value folded pairwise by ops.add and ops.mul, as the oracle."""
+    if depth == 0 or rng.random() < 0.3:
+        text = format_value(d, random_value(rng, d))
+        return text, parse_value(d, text)
+    kind = rng.choice(("+", "*", "inv") if is_semifield(d) else ("+", "*"))
+    if kind == "inv":
+        text, v = _random_expr(rng, d, depth - 1)
+        if is_zero(d, v):
+            return text, v
+        return f"inv({text})", ops.inv(d, v)
+    parts = [_random_expr(rng, d, depth - 1) for _ in range(rng.randint(2, 5))]
+    v = parts[0][1]
+    for _, w in parts[1:]:
+        v = ops.add(d, v, w) if kind == "+" else ops.mul(d, v, w)
+    if kind == "+":
+        return "(" + " + ".join(t for t, _ in parts) + ")", v
+    return "*".join(t for t, _ in parts), v
+
+
+@pytest.mark.parametrize("text", FOLD_STRUCTURES)
+def test_expressions_equal_the_pairwise_fold(text):
+    d = parse_struct(text)
+    rng = random.Random(f"fold/{text}")
+    for _ in range(150):
+        expr, v = _random_expr(rng, d, 3)
+        assert eval_expression(text, expr) == format_value(d, v), expr
+
+
+@pytest.mark.parametrize("struct, expr, code, err", [
+    ("mixed(Z; 0..1; 0:Rc)", "(0,1)*(0,2)", 1, "error: mixed(Z; 0..1; 0:Rc) is not a semiring; multiplication undefined"),
+    ("mixed(Z; 0..1; 0:Rc)", "(0,1)*(0,", 2, "parse error: unexpected end of input (at position 9 in '(0,1)*(0,')"),
+    ("mixed(Z; 0..1; 0:Rc)", "(0,1)*(0,2)*(0,", 1,
+     "error: mixed(Z; 0..1; 0:Rc) is not a semiring; multiplication undefined"),
+])
+def test_a_product_names_a_non_semiring_after_its_second_factor(capsys, struct, expr, code, err):
+    assert _run(capsys, ["eval", struct, expr]) == (code, err + "\n")
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of one CLI call in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "lexiring", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    calls = [
+        ["eval", "P"],  # usage error
+        ["eval", "P", "(0,1/2)*(1,3)"],
+        ["--format", "json", "eval", "O", "(0,1)+(0,2)"],
+        ["eval", "O", "(0,1)+(0,2)"],
+        ["--help"],
+        ["prob", "cond", "--builtin", "dartboard", "--event", "cross"],  # missing --given
+        ["prob", "validate", "--builtin", "nope"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == _fresh_process(argv), argv
+
+
+def test_importing_the_cli_loads_no_subcommand_modules():
+    lazy = ["laws", "measure", "prob", "integrate", "scenes", "tree", "weights"]
+    check = ("import sys, lexiring.cli; "
+             f"loaded = [m for m in {lazy!r} if 'lexiring.' + m in sys.modules]; "
+             "assert not loaded, loaded")
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

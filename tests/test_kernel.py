@@ -1,6 +1,7 @@
 """The per-descriptor kernel: pinned random draws, shape-check messages,
 one compile per descriptor object, and the double() witness."""
 
+import functools
 import gc
 import hashlib
 import random
@@ -9,7 +10,7 @@ import weakref
 import pytest
 
 from lexiring import ops
-from lexiring.descriptors import BarInsert, Base, Insert, parse_struct
+from lexiring.descriptors import BarInsert, Base, Insert, is_semiring, parse_struct
 from lexiring.errors import ShapeError
 from lexiring.laws import LAW_STRUCTURES, nonzero_value, random_value
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, parse_value
@@ -223,3 +224,52 @@ def test_double_sum_keeps_the_order_of_its_terms():
     # ((a + b) + c) == c, while a + (b + c) == 0: the sum is the ordered left fold
     assert kernel_of(d).sum([a, b, c]) == c
     assert kernel_of(d).sum([b, c, a]) == ops.double_add(d, ops.double_add(d, b, c), a) == ZERO
+
+
+PROD_STRUCTURES = [text for text in SUM_STRUCTURES if is_semiring(parse_struct(text))]
+
+
+def _ordered_product(d, values):
+    return functools.reduce(lambda x, y: ops._mul(d, x, y), values)
+
+
+@pytest.mark.parametrize("text", PROD_STRUCTURES)
+def test_prod_equals_the_ordered_fold_of_mul(text):
+    from lexiring.kernel import kernel_of
+
+    d = parse_struct(text)
+    k = kernel_of(d)
+    rng = random.Random(f"prod/{text}")
+    for _ in range(80):
+        values = [random_value(rng, d) for _ in range(rng.randrange(1, 41))]
+        assert k.prod(values) == _ordered_product(d, values), values
+
+
+@pytest.mark.parametrize("text, literals, expected", [
+    ("Obar", ["(0,1)", "top", "(5,inf)"], "top"),
+    ("Obar", ["(0,1)", "top", "0", "(5,inf)"], "0"),  # a zero factor wins over top, wherever it stands
+    ("Obar", ["top", "(-2,1/2)", "0"], "0"),
+    ("O", ["(1,2)", "(1,inf)", "(2,1/3)"], "(4,inf)"),
+    ("Rc", ["1/2", "inf", "0", "3"], "0"),  # 0 * inf == 0
+    ("Rc", ["1/2", "inf", "1/3"], "inf"),
+    ("Ro", ["6/35", "7/4", "10/3"], "1"),  # the fraction is reduced once, at the end
+    ("N0", ["3", "0", "5"], "0"),
+    ("Nbar0", ["2", "inf", "3"], "inf"),
+    ("Pn(2)", ["(0,(1,1/4))", "(-1,(-1,2))", "(3,(0,6))"], "(2,(0,3))"),
+    (r"Obar b/\ Rc", ["(top,1/2)", "((0,1),2)", "((1,1/2),inf)"], "(top,inf)"),
+    (r"Obar b/\ Rc", ["((0,1),2)", "top"], "top"),
+    ("P", ["(3,5/7)"], "(3,5/7)"),
+])
+def test_prod_at_zeros_tops_and_infinite_residues(text, literals, expected):
+    from lexiring.kernel import kernel_of
+
+    d = parse_struct(text)
+    values = [parse_value(d, t) for t in literals]
+    assert kernel_of(d).prod(values) == parse_value(d, expected) == _ordered_product(d, values)
+
+
+def test_structures_without_multiplication_have_no_prod():
+    from lexiring.kernel import kernel_of
+
+    for text in ("double(O)", "mixed(Z; -2..2; 0:P, default:Rc)"):
+        assert kernel_of(parse_struct(text)).prod is None

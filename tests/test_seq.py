@@ -111,3 +111,15 @@ def test_least_positive_levels_are_well_shaped():
     assert check_value(d, least_positive(d)) == parse_value(d, "(0,1)")
     outer = parse_struct(r"N0 /\ (Nbar0 /\ N0)")
     check_value(outer, sup_sequence(outer, SeqGen(tail=ResidueRamp(0, parse_value(d, "(1,1)")))))
+
+
+def test_sup_residue_ramp_steps_up_a_finite_nbar0_level():
+    # the multiples (0,(1,k)) are bounded by (0,(2,1)), which lies below (1,(0,1))
+    d = parse_struct(r"N0 /\ (Nbar0 /\ N0)")
+    step = pv(r"Nbar0 /\ N0", "(1,1)")
+    lub = sup_sequence(d, SeqGen(tail=ResidueRamp(0, step)))
+    assert lub == pv(r"N0 /\ (Nbar0 /\ N0)", "(0,(2,1))")
+    assert check_value(d, lub) is lub
+    # an infinite level has no level above it: the bound moves up the outer level
+    inf_step = pv(r"Nbar0 /\ N0", "(inf,1)")
+    assert sup_sequence(d, SeqGen(tail=ResidueRamp(0, inf_step))) == pv(r"N0 /\ (Nbar0 /\ N0)", "(1,(0,1))")
