@@ -17,14 +17,22 @@ Bases: ``N0`` (naturals), ``Z`` (integers, a group, only usable on the
 level side), ``Rc`` = [0, inf], ``Ro`` = [0, inf), ``Nbar0`` = naturals
 with infinity.
 
-Capability queries (``is_semiring`` etc.) are structural; the least
-upper bound and summability flags follow the sufficient conditions under
-which lexicographic products inherit those properties from their parts.
+``facts(d)`` says, in one walk, what d is: group, semigroup, semiring,
+semifield, top, least-upper-bound property, summability, and the order
+facts those rest on (a least positive element, least elements, greatest
+elements of bounded sets).  Each is a sufficient condition under which a
+lexicographic product inherits the property from its parts: a five-row
+table for the bases, one rule per fact for the four pairings, and a
+constant each for ``mixed(...)`` and ``double(...)``.  ``capabilities``,
+``validate_desc``, the kernel's flags, the law suites and ``seq`` read it;
+validation and the kernel compile apply the pairing rule
+(``pairing_facts``) to the parts' facts they already hold.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .errors import CapabilityError, ParseError
 
@@ -165,130 +173,109 @@ class DoubleOf(StructDesc):
 
 
 # ---------------------------------------------------------------------------
-# capability queries
+# structural facts
 # ---------------------------------------------------------------------------
 
-def is_group(d: StructDesc) -> bool:
-    """Ordered abelian group (usable as the level side of an insertion)."""
-    return isinstance(d, Base) and d.name == "Z"
+class Facts(NamedTuple):
+    """What a structure is, by the sufficient conditions on its parts.
+
+    ``group``: an ordered abelian group (usable as the level side of an
+    insertion); ``semigroup``: an ordered abelian semigroup, zero least
+    and a + b >= b; ``top``: a greatest element; ``lub``: the
+    least-upper-bound property; ``summable``: every countable sum of
+    positive elements evaluates; ``least_positive``: a least element
+    above zero; ``least``: every nonempty set has a least element;
+    ``greatest``: every nonempty set bounded above has a greatest one.
+    """
+
+    group: bool
+    semigroup: bool
+    semiring: bool
+    semifield: bool
+    top: bool
+    lub: bool
+    summable: bool
+    least_positive: bool
+    least: bool
+    greatest: bool
 
 
-def is_semigroup(d: StructDesc) -> bool:
-    """Ordered abelian semigroup: zero is least and a + b >= b."""
+_BASE_FACTS = {  # group, semigroup, semiring, semifield, top, lub, summable, least_positive, least, greatest
+    "N0": Facts(False, True, True, False, False, True, False, True, True, True),
+    "Z": Facts(True, False, False, False, False, True, False, True, False, True),
+    "Rc": Facts(False, True, True, False, True, True, True, False, False, False),
+    "Ro": Facts(False, True, True, True, False, True, False, False, False, False),
+    "Nbar0": Facts(False, True, True, False, True, True, True, True, True, False),
+}
+_MIXED_FACTS = Facts(False, True, False, False, False, False, False, False, False, False)
+_DOUBLE_FACTS = Facts(False, False, False, False, False, False, False, False, False, False)
+
+
+def facts(d: StructDesc) -> Facts:
+    """d's structural facts, built bottom-up from its parts' facts in one walk."""
+    if isinstance(d, _Pairing):
+        return pairing_facts(d, facts(d.a), facts(d.b))
     if isinstance(d, Base):
-        return d.name != "Z"
+        return _BASE_FACTS[d.name]
+    if isinstance(d, MixedInsert):
+        return _MIXED_FACTS
     if isinstance(d, DoubleOf):
-        return False
-    return True
+        return _DOUBLE_FACTS
+    raise CapabilityError(f"unknown descriptor {d!r}")
 
 
-def is_semiring(d: StructDesc) -> bool:
-    if isinstance(d, Base):
-        return d.name != "Z"
-    if isinstance(d, (Insert, BarInsert)):
-        return is_semiring(d.b)
-    return False
-
-
-def is_semifield(d: StructDesc) -> bool:
-    if isinstance(d, Base):
-        return d.name == "Ro"
-    if isinstance(d, Insert):
-        return is_group(d.a) and is_semifield(d.b)
-    return False
-
-
-def has_top(d: StructDesc) -> bool:
-    """Whether the structure has a greatest element."""
-    if isinstance(d, Base):
-        return d.name in ("Rc", "Nbar0")
-    if isinstance(d, (BarInsert, BarSInsert)):
-        return True
-    if isinstance(d, (Insert, SInsert)):
-        return has_top(d.a) and has_top(d.b)
-    return False
-
-
-def _bounded_sets_have_greatest(d: StructDesc) -> bool:
-    if isinstance(d, Base):
-        return d.name in ("N0", "Z")
-    if isinstance(d, (Insert, SInsert, BarInsert, BarSInsert)):
-        return _bounded_sets_have_greatest(d.a) and _bounded_sets_have_greatest(d.b)
-    return False
-
-
-def _has_least_positive(d: StructDesc) -> bool:
-    if isinstance(d, Base):
-        return d.name in ("N0", "Z", "Nbar0")
-    if isinstance(d, (SInsert, BarSInsert)):
-        return _has_least_positive(d.b)
-    if isinstance(d, (Insert, BarInsert)):
-        return is_semigroup(d.a) and _has_least_positive(d.b)
-    return False
-
-
-def _every_set_has_least(d: StructDesc) -> bool:
-    if isinstance(d, Base):
-        return d.name in ("N0", "Nbar0")
-    if isinstance(d, (SInsert, Insert, BarSInsert, BarInsert)):
-        return _every_set_has_least(d.a) and _every_set_has_least(d.b)
-    return False
-
-
-def has_lub(d: StructDesc) -> bool:
-    """Least-upper-bound property (sufficient structural conditions)."""
-    if isinstance(d, Base):
-        return True
-    if isinstance(d, (Insert, SInsert, BarInsert, BarSInsert)):
-        return (
-            _bounded_sets_have_greatest(d.a)
-            and has_lub(d.b)
-            and (has_top(d.b) or (_has_least_positive(d.b) and _every_set_has_least(d.a)))
-        )
-    return False
-
-
-def is_summable(d: StructDesc) -> bool:
-    """Every countable sum of positive elements evaluates in d."""
-    if isinstance(d, Base):
-        return d.name in ("Rc", "Nbar0")
-    if isinstance(d, (BarInsert, BarSInsert)):
-        return is_summable(d.b)
-    return False
+def pairing_facts(d: _Pairing, a: Facts, b: Facts) -> Facts:
+    """A pairing's facts from its level side's (a) and its residue side's (b)."""
+    bar = isinstance(d, (BarSInsert, BarInsert))
+    full = isinstance(d, (SInsert, BarSInsert))
+    return Facts(
+        False,                                                             # group
+        True,                                                              # semigroup
+        not full and b.semiring,                                           # semiring
+        type(d) is Insert and a.group and b.semifield,                     # semifield
+        bar or a.top and b.top,                                            # top
+        a.greatest and b.lub and (b.top or b.least_positive and a.least),  # lub
+        bar and b.summable,                                                # summable
+        (full or a.semigroup) and b.least_positive,                        # least_positive
+        a.least and b.least,                                               # least
+        a.greatest and b.greatest,                                         # greatest
+    )
 
 
 def capabilities(d: StructDesc) -> dict:
+    f = facts(d)
     return {
-        "isGroup": is_group(d),
-        "isSemigroup": is_semigroup(d),
-        "isSemiring": is_semiring(d),
-        "isSemifield": is_semifield(d),
-        "hasTop": has_top(d),
-        "hasLubProperty": has_lub(d),
-        "isSummable": is_summable(d),
+        "isGroup": f.group,
+        "isSemigroup": f.semigroup,
+        "isSemiring": f.semiring,
+        "isSemifield": f.semifield,
+        "hasTop": f.top,
+        "hasLubProperty": f.lub,
+        "isSummable": f.summable,
     }
 
 
 def validate_desc(d: StructDesc) -> StructDesc:
     """Check combinator operand requirements, recursively."""
-    if isinstance(d, Base):
-        return d
-    if isinstance(d, (SInsert, BarSInsert)):
-        validate_desc(d.a)
-        validate_desc(d.b)
-        if not is_semigroup(d.a):
-            raise CapabilityError(f"left operand of \\/ must be an ordered abelian semigroup: {d.a!r}")
-        if not is_semigroup(d.b):
-            raise CapabilityError(f"right operand of \\/ must be an ordered abelian semigroup: {d.b!r}")
-        return d
-    if isinstance(d, (Insert, BarInsert)):
-        validate_desc(d.a)
-        validate_desc(d.b)
-        if not (is_group(d.a) or is_semigroup(d.a)):
-            raise CapabilityError(f"level operand of /\\ must be a group or semigroup: {d.a!r}")
-        if not is_semigroup(d.b):
-            raise CapabilityError(f"residue operand of /\\ must be an ordered abelian semigroup: {d.b!r}")
-        return d
+    _validated_facts(d)
+    return d
+
+
+def _validated_facts(d: StructDesc) -> Facts:
+    """facts(d), in the same one walk that checks d's operands."""
+    if isinstance(d, _Pairing):
+        a, b = _validated_facts(d.a), _validated_facts(d.b)
+        if isinstance(d, (SInsert, BarSInsert)):
+            if not a.semigroup:
+                raise CapabilityError(f"left operand of \\/ must be an ordered abelian semigroup: {d.a!r}")
+            if not b.semigroup:
+                raise CapabilityError(f"right operand of \\/ must be an ordered abelian semigroup: {d.b!r}")
+        else:
+            if not (a.group or a.semigroup):
+                raise CapabilityError(f"level operand of /\\ must be a group or semigroup: {d.a!r}")
+            if not b.semigroup:
+                raise CapabilityError(f"residue operand of /\\ must be an ordered abelian semigroup: {d.b!r}")
+        return pairing_facts(d, a, b)
     if isinstance(d, MixedInsert):
         if d.base.name not in ("N0", "Z"):
             raise CapabilityError("mixed insertion levels must come from N0 or Z")
@@ -297,24 +284,17 @@ def validate_desc(d: StructDesc) -> StructDesc:
         if d.base.name == "N0" and d.hi is not None and d.hi < 0:
             raise CapabilityError(f"the level range ends at {d.hi}, below every level of N0")
         for lev, sub in d.table:
-            validate_desc(sub)
-            if not is_semigroup(sub):
+            if not _validated_facts(sub).semigroup:
                 raise CapabilityError(f"residue structure at level {lev} must be a semigroup: {sub!r}")
             if d.lo is not None and lev < d.lo or d.hi is not None and lev > d.hi:
                 raise CapabilityError(f"level {lev} lies outside the declared range")
             if d.base.name == "N0" and lev < 0:
                 raise CapabilityError("negative level with base N0")
-        if d.default is not None:
-            validate_desc(d.default)
-            if not is_semigroup(d.default):
-                raise CapabilityError("default residue structure must be a semigroup")
-        return d
-    if isinstance(d, DoubleOf):
-        validate_desc(d.inner)
-        if not is_semigroup(d.inner):
-            raise CapabilityError("double() requires an ordered abelian semigroup inside")
-        return d
-    raise CapabilityError(f"unknown descriptor {d!r}")
+        if d.default is not None and not _validated_facts(d.default).semigroup:
+            raise CapabilityError("default residue structure must be a semigroup")
+    elif isinstance(d, DoubleOf) and not _validated_facts(d.inner).semigroup:
+        raise CapabilityError("double() requires an ordered abelian semigroup inside")
+    return facts(d)  # no parts below: a base, mixed(...) or double(...) has constant facts
 
 
 # ---------------------------------------------------------------------------

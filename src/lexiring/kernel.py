@@ -47,8 +47,8 @@ from __future__ import annotations
 from functools import reduce
 from math import gcd, prod as int_prod
 
-from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc,
-                          is_semifield, is_semiring)
+from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, facts,
+                          pairing_facts)
 from .errors import CapabilityError, ShapeError
 from .xreal import INF, XReal
 from .xreal import ZERO as XR_ZERO
@@ -127,6 +127,7 @@ class Signed(Value):
 
 
 LT, EQ, GT = -1, 0, 1
+_PAIRINGS = (SInsert, BarSInsert, Insert, BarInsert)
 ZERO_P = 0.12  # chance of drawing an adjoined zero, where the caller does not say
 
 
@@ -138,17 +139,22 @@ class Kernel:
     ``prod`` are None where d has no multiplication, and ``prod`` defaults
     to the ordered left fold of ``mul``; ``prob_depth`` counts the integer
     levels stacked over the finite rationals (None unless d is such a
-    probability structure).
+    probability structure); ``facts`` equals ``facts(d)``, and
+    ``semiring``/``semifield`` are copied from it.
     """
 
     __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
-                 "semiring", "semifield", "int_levels", "prob_depth")
+                 "facts", "semiring", "semifield", "int_levels", "prob_depth")
 
     def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None, prod=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
         self.sum = sum or _ordered_fold(zero, add)
-        self.semiring, self.semifield = is_semiring(d), is_semifield(d)
+        if isinstance(d, _PAIRINGS):  # from the parts' kernels, so a nest's compile stays linear in its size
+            f = pairing_facts(d, kernel_of(d.a).facts, kernel_of(d.b).facts)
+        else:
+            f = facts(d)
+        self.facts, self.semiring, self.semifield = f, f.semiring, f.semifield
         if mul is None:
             self.prod = None
         elif prod is None or not self.semiring:
@@ -180,7 +186,7 @@ def kernel_of(d: StructDesc) -> Kernel:
 def _compile(d: StructDesc) -> Kernel:
     if isinstance(d, Base):
         return _compile_base(d)
-    if isinstance(d, (SInsert, BarSInsert, Insert, BarInsert)):
+    if isinstance(d, _PAIRINGS):
         return _compile_pairing(d)
     if isinstance(d, MixedInsert):
         return _compile_mixed(d)

@@ -18,7 +18,7 @@ import random
 
 from . import ops
 from .errors import LexiringError
-from .descriptors import BarInsert, BarSInsert, StructDesc, is_semifield, parse_struct
+from .descriptors import BarInsert, BarSInsert, StructDesc, facts, parse_struct
 from .kernel import ZERO_P, kernel_of, random_xreal
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, is_zero, one, zero
 from .xreal import INF, XReal
@@ -170,7 +170,7 @@ def structure_laws(struct_text: str, seed: int, cases: int):
         ("level_of_product", level_mul),
         ("level_of_sum", level_add),
     ]
-    if is_semifield(d):
+    if facts(d).semifield:
         checks.append(("multiplicative_inverse", inverse))
     if isinstance(d, (BarInsert, BarSInsert)):
         checks.append(("top_products", bar_products))

@@ -43,9 +43,8 @@ def _require_prob_desc(d: StructDesc) -> int:
 class PMeasure:
     """A validated probability scene."""
 
-    def __init__(self, base: LMeasure, is_standard: bool, total_depth):
+    def __init__(self, base: LMeasure, total_depth):
         self.base = base
-        self.is_standard = is_standard
         self.total_depth = total_depth
 
     @property
@@ -113,7 +112,7 @@ def standardize(m: LMeasure) -> PMeasure:
         shifted = shift_levels(m, -levels[-1])
         aligned = align_levels(shifted)
         d = -aligned.attained_levels()[0]
-        return PMeasure(aligned, True, d)
+        return PMeasure(aligned, d)
     # nested levels: shift so the componentwise maximum becomes the zero vector
     vecs = [
         level_vector(v, n)[0] for v in m.atom_values.values() if v is not ZERO
@@ -124,7 +123,7 @@ def standardize(m: LMeasure) -> PMeasure:
     unit = stack_levels(kappa, XR_ONE)
     atom_values = {a: _mul(m.desc, unit, v) for a, v in m.atom_values.items()}
     out = LMeasure._built(m.desc, m.space, atom_values)
-    return PMeasure(out, True, -min(level_vector(v, n)[0][0] for v in out.atom_values.values() if v is not ZERO))
+    return PMeasure(out, -min(level_vector(v, n)[0][0] for v in out.atom_values.values() if v is not ZERO))
 
 
 def depth(m, E) -> int:
@@ -132,8 +131,6 @@ def depth(m, E) -> int:
     pm = m if isinstance(m, PMeasure) else standardize(m)
     if kernel_of(pm.desc).prob_depth != 1:
         raise CapabilityError("depth is defined for single-stack probability measures")
-    if not pm.is_standard:
-        raise DomainError("depth needs a standard measure")
     v = pm.value(E)
     if v is ZERO:
         raise DomainError("zero-measure events have no depth")

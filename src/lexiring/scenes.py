@@ -27,14 +27,13 @@ from itertools import chain
 from operator import itemgetter
 
 from .dartboard import BUILTIN_SCENES
-from .descriptors import parse_struct, struct_text
+from .descriptors import RC, parse_struct, struct_text
 from .errors import DomainError, ParseError
 from .integrate import SimpleFunction
 from .measure import AtomSpace, LMeasure
 from .tree import LTree
 from .values import format_value, parse_value
 from .weights import BranchedGraph, Cocycle, WeightSystem
-from .xreal import parse_xreal
 
 
 _JSON_KINDS = {str: "a string", list: "a list", dict: "an object"}
@@ -122,7 +121,7 @@ def function_from_dict(doc: dict, measure: LMeasure) -> SimpleFunction:
     if unknown:
         raise DomainError(f"function file mentions unknown atoms {sorted(unknown)}")
     if kind == "real":
-        return SimpleFunction.real({a: parse_xreal(t) for a, t in texts.items()})
+        return SimpleFunction.real({a: parse_value(RC, t).x for a, t in texts.items()})
     if kind not in ("lvalued", "signed"):
         raise DomainError(f"unknown function kind {kind!r}")
     desc = parse_struct(_field(doc, "structure", str))

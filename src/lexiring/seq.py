@@ -14,21 +14,25 @@ A sum with unbounded levels evaluates to ``top`` in a bar structure and
 is otherwise an error.  With bounded levels the sum lives at the greatest
 attained level; countably many contributions there force an infinite
 residue, which only structures with infinities can absorb.
+
+The least upper bound of a residue ramp is taken innermost first: an
+``Rc`` or ``Nbar0`` residue reaches ``inf``.  Where the multiples are
+unbounded within a level, the bound steps one level up, to the least
+element there: after a finite ``N0``, ``Z`` or ``Nbar0`` level, with a
+zero residue in a full product (``\\/``) and the least positive residue
+(``facts(d).least_positive``) in an insertion.  Above an ``inf`` or
+``top`` level only a bar pairing's adjoined ``top`` lies, which is then
+the bound; elsewhere the next level out steps up instead.  After a
+finite ``Rc``/``Ro`` level, or where an insertion's residues have no
+least positive element, the multiples are bounded but have no least
+bound: ``NotRepresentableError``.  A composite level is not stepped up
+(``NotRepresentableError``), nor is a ``mixed(...)`` one
+(``CapabilityError``).
 """
 
 from __future__ import annotations
 
-from .descriptors import (
-    Base,
-    BarInsert,
-    BarSInsert,
-    Insert,
-    SInsert,
-    StructDesc,
-    _every_set_has_least,
-    _has_least_positive,
-    has_top,
-)
+from .descriptors import Base, BarInsert, BarSInsert, MixedInsert, SInsert, StructDesc, facts
 from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError, ShapeError
 from .kernel import kernel_of
 from .ops import _add, _cmp
@@ -78,20 +82,12 @@ def require_int_levels(d: StructDesc):
 
 
 def least_positive(d: StructDesc) -> Value:
-    """The least element greater than zero, where one exists."""
-    if isinstance(d, Base):
-        if d.name == "N0":
-            return Scalar(1)
-        if d.name == "Nbar0":
-            return Scalar(XReal(1))
+    """The least element greater than zero, which exists where ``facts(d).least_positive`` holds."""
+    if not facts(d).least_positive:
         raise NotRepresentableError(f"{d!r} has no least positive element")
-    if isinstance(d, (SInsert, BarSInsert)):
-        return Pair(zero(d.a), least_positive(d.b))
-    if isinstance(d, (Insert, BarInsert)):
-        if not (isinstance(d.a, Base) and d.a.name in ("N0", "Nbar0")):
-            raise NotRepresentableError(f"{d!r} has no least positive element")
-        return Pair(zero(d.a), least_positive(d.b))
-    raise NotRepresentableError(f"{d!r} has no least positive element")
+    if isinstance(d, Base):
+        return Scalar(XReal(1) if d.name == "Nbar0" else 1)
+    return Pair(zero(d.a), least_positive(d.b))
 
 
 def repeat_sum(d: StructDesc, v: Value) -> Value:
@@ -105,7 +101,8 @@ def repeat_sum(d: StructDesc, v: Value) -> Value:
             return Scalar(INF)
         raise NotSummableError(f"a countable repeat does not evaluate in {d!r}")
     if isinstance(v, Pair):
-        return Pair(v.level, repeat_sum(d.b, v.residue))
+        sub = d.residue_desc(v.level.x) if isinstance(d, MixedInsert) else d.b
+        return Pair(v.level, repeat_sum(sub, v.residue))
     raise ShapeError(f"cannot repeat {v!r} in {d!r}")
 
 
@@ -113,15 +110,8 @@ class _Unbounded(Exception):
     pass
 
 
-def _next_level(x):
-    """The level just above an integer or Nbar0 level x; None for inf."""
-    if isinstance(x, XReal):
-        return None if x.is_inf else x + XReal(1)
-    return x + 1
-
-
 def _sup_multiples(d: StructDesc, step: Value) -> Value:
-    """Least upper bound of {step, 2*step, 3*step, ...}, or _Unbounded."""
+    """Least upper bound of {step, 2*step, 3*step, ...}; _Unbounded if nothing in d bounds them."""
     if step is TOP:
         return TOP
     if is_zero(d, step):
@@ -130,18 +120,30 @@ def _sup_multiples(d: StructDesc, step: Value) -> Value:
         if d.name in ("Rc", "Nbar0"):
             return Scalar(INF)
         raise _Unbounded()
-    if isinstance(step, Pair):
-        try:
-            return Pair(step.level, _sup_multiples(d.b, step.residue))
-        except _Unbounded:
-            # one level up with the least residue, when that makes sense: an integer
-            # level, or a finite one of Nbar0 (whose levels are integral)
-            lv = step.level
-            up = _next_level(lv.x) if isinstance(lv, Scalar) else None
-            if up is not None and _every_set_has_least(d.a) and _has_least_positive(d.b):
-                return Pair(Scalar(up), least_positive(d.b))
-            raise
-    raise ShapeError(f"cannot form multiples of {step!r} in {d!r}")
+    if not isinstance(step, Pair):
+        raise ShapeError(f"cannot form multiples of {step!r} in {d!r}")
+    level, mixed = step.level, isinstance(d, MixedInsert)
+    try:
+        return Pair(level, _sup_multiples(d.residue_desc(level.x) if mixed else d.b, step.residue))
+    except _Unbounded:
+        if mixed:
+            raise CapabilityError(f"residue multiples in {d!r} do not step up a level") from None
+        # the bound is the least element one level up, after a finite N0, Z or Nbar0 level
+        x = level.x if isinstance(level, Scalar) else None
+        if level is TOP or isinstance(x, XReal) and x.is_inf:
+            if isinstance(d, (BarInsert, BarSInsert)):
+                return TOP  # only the adjoined top lies above this level
+            raise  # nothing lies above this level: the multiples are unbounded here too
+        if not isinstance(d.a, Base):
+            raise NotRepresentableError(f"residue multiples in {d!r} do not step up a composite level") from None
+        if d.a.name in ("N0", "Z", "Nbar0"):
+            up = Scalar(x + (XReal(1) if isinstance(x, XReal) else 1))
+            if isinstance(d, (SInsert, BarSInsert)):
+                return Pair(up, zero(d.b))  # a full product keeps zero residues
+            if facts(d.b).least_positive:
+                return Pair(up, least_positive(d.b))
+        raise NotRepresentableError(  # bounded, but with no least bound
+            "residues at the top level have no least upper bound in this structure") from None
 
 
 def sum_sequence(d: StructDesc, s: SeqGen) -> Value:
@@ -155,7 +157,7 @@ def sum_sequence(d: StructDesc, s: SeqGen) -> Value:
     require_int_levels(d)
     if isinstance(tail, LevelRamp):
         check_value(d, Pair(Scalar(tail.start), tail.residue))
-        if has_top(d):
+        if facts(d).top:
             return TOP
         raise NotSummableError("levels are unbounded above and the structure has no top")
     if isinstance(tail, Repeat):
@@ -196,25 +198,15 @@ def sup_sequence(d: StructDesc, s) -> Value:
         require_int_levels(d)
     if isinstance(tail, LevelRamp):
         check_value(d, Pair(Scalar(tail.start), tail.residue))
-        if has_top(d):
+        if facts(d).top:
             return TOP
         raise NotRepresentableError("the level set is unbounded and the structure has no top")
     if isinstance(tail, Repeat):
         check_value(d, tail.value)
         candidates.append(tail.value)
     elif isinstance(tail, ResidueRamp):
-        step = tail.step
-        check_value(d, Pair(Scalar(tail.level), step))
-        try:
-            u = _sup_multiples(d.b, step)
-            candidates.append(Pair(Scalar(tail.level), u))
-        except _Unbounded:
-            if _every_set_has_least(d.a) and _has_least_positive(d.b):
-                candidates.append(Pair(Scalar(tail.level + 1), least_positive(d.b)))
-            else:
-                raise NotRepresentableError(
-                    "residues at the top level have no least upper bound in this structure"
-                ) from None
+        # the level is an integer, so the multiples step up a level rather than escape unbounded
+        candidates.append(_sup_multiples(d, check_value(d, Pair(Scalar(tail.level), tail.step))))
     if not candidates:
         return zero(d)
     best = candidates[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 
 
 class XReal:
@@ -136,24 +136,3 @@ ZERO = XReal(0)
 ONE = XReal(1)
 INF = XReal(1, 0)
 
-
-def _is_digits(s: str) -> bool:
-    return s.isascii() and s.isdigit()  # str.isdigit alone accepts '²', which int() rejects
-
-
-def parse_xreal(text: str) -> XReal:
-    """Parse the literal grammar ``p``, ``p/q`` or ``inf``."""
-    s = text.strip()
-    if s == "inf":
-        return INF
-    if "/" in s:
-        a, _, b = s.partition("/")
-        if not (_is_digits(a.strip()) and _is_digits(b.strip())):
-            raise ParseError(f"bad rational literal {text!r}")
-        den = int(b)
-        if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return XReal(int(a), den)
-    if not _is_digits(s):
-        raise ParseError(f"bad rational literal {text!r}")
-    return XReal(int(s))

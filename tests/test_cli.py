@@ -12,7 +12,7 @@ import pytest
 
 from lexiring import ops
 from lexiring.cli import eval_expression, main
-from lexiring.descriptors import is_semifield, parse_struct
+from lexiring.descriptors import facts, parse_struct
 from lexiring.errors import LexiringError
 from lexiring.laws import random_value
 from lexiring.values import format_value, is_zero, parse_value
@@ -358,7 +358,7 @@ def _random_expr(rng, d, depth):
     if depth == 0 or rng.random() < 0.3:
         text = format_value(d, random_value(rng, d))
         return text, parse_value(d, text)
-    kind = rng.choice(("+", "*", "inv") if is_semifield(d) else ("+", "*"))
+    kind = rng.choice(("+", "*", "inv") if facts(d).semifield else ("+", "*"))
     if kind == "inv":
         text, v = _random_expr(rng, d, depth - 1)
         if is_zero(d, v):

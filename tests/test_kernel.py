@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from lexiring import ops
-from lexiring.descriptors import BarInsert, Base, Insert, is_semiring, parse_struct
+from lexiring.descriptors import BarInsert, Base, Insert, facts, parse_struct
 from lexiring.errors import ShapeError
 from lexiring.laws import LAW_STRUCTURES, nonzero_value, random_value
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, parse_value
@@ -226,7 +226,7 @@ def test_double_sum_keeps_the_order_of_its_terms():
     assert kernel_of(d).sum([b, c, a]) == ops.double_add(d, ops.double_add(d, b, c), a) == ZERO
 
 
-PROD_STRUCTURES = [text for text in SUM_STRUCTURES if is_semiring(parse_struct(text))]
+PROD_STRUCTURES = [text for text in SUM_STRUCTURES if facts(parse_struct(text)).semiring]
 
 
 def _ordered_product(d, values):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError, ParseError
+from lexiring.errors import DomainError, ParseError, ShapeError
 from lexiring.integrate import integrate_lvalued, integrate_real, integrate_signed
 from lexiring.scenes import (
     BUILTIN_TRACKS,
@@ -67,6 +67,17 @@ def test_function_file_real(tmp_path):
     f.write_text(json.dumps(doc))
     fn = load_function(str(f), m)
     assert integrate_real(m, fn, m.space.atoms) == pv("P", "(0,1)")
+
+
+def test_real_function_values_are_rc_literals():
+    m = builtin_scene("dartboard")
+    fn = function_from_dict({"kind": "real", "values": {"q1": "6/8", "q2": "inf"}}, m)
+    assert integrate_real(m, fn, ["q1"]) == pv("P", "(0,3/16)")
+    for text in ("1/0", "-2", "a/b", "1/2/3"):
+        with pytest.raises(ParseError):
+            function_from_dict({"kind": "real", "values": {"q1": text}}, m)
+    with pytest.raises(ShapeError, match="'top' is not an element of Rc"):
+        function_from_dict({"kind": "real", "values": {"q1": "top"}}, m)
 
 
 def test_function_file_lvalued():

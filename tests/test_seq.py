@@ -3,7 +3,7 @@
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import NotRepresentableError, NotSummableError
+from lexiring.errors import CapabilityError, NotRepresentableError, NotSummableError
 from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_sequence
 from lexiring.values import TOP, Scalar, check_value, parse_value, zero
 from lexiring.xreal import XReal
@@ -123,3 +123,44 @@ def test_sup_residue_ramp_steps_up_a_finite_nbar0_level():
     # an infinite level has no level above it: the bound moves up the outer level
     inf_step = pv(r"Nbar0 /\ N0", "(inf,1)")
     assert sup_sequence(d, SeqGen(tail=ResidueRamp(0, inf_step))) == pv(r"N0 /\ (Nbar0 /\ N0)", "(1,(0,1))")
+
+
+@pytest.mark.parametrize("struct, step, lub", [
+    # a full product keeps zero residues: one level up, the least element has residue 0
+    (r"N0 /\ (N0 \/ N0)", (r"N0 \/ N0", "(0,1)"), "(0,(1,0))"),
+    (r"N0 /\ (Nbar0 \/ N0)", (r"Nbar0 \/ N0", "(1,1)"), "(0,(2,0))"),
+    # Z has a level above every integer level, although not every set of Z has a least element
+    (r"Z /\ N0", ("N0", "1"), "(1,1)"),
+    # nothing lies above the level inf: the outer level steps up, to the inner least positive element
+    (r"N0 /\ (Rc /\ N0)", (r"Rc /\ N0", "(inf,1)"), "(1,(0,1))"),
+    # in a bar pairing the adjoined top lies above the level inf, and nothing else does
+    (r"N0 /\ (Rc b/\ N0)", (r"Rc b/\ N0", "(inf,1)"), "(0,top)"),
+    (r"N0 /\ (Nbar0 b/\ N0)", (r"Nbar0 b/\ N0", "(inf,1)"), "(0,top)"),
+    (r"N0 /\ mixed(N0; 0..2; default:Rc)", ("mixed(N0; 0..2; default:Rc)", "(0,1)"), "(0,(0,inf))"),
+])
+def test_sup_residue_ramp_rows(struct, step, lub):
+    d = parse_struct(struct)
+    got = sup_sequence(d, SeqGen(tail=ResidueRamp(0, pv(*step))))
+    assert got == pv(struct, lub)
+    assert check_value(d, got) is got
+
+
+@pytest.mark.parametrize("struct, step, message", [
+    # (0,(x,...)) is a bound for every x > 0 of Rc, so no bound is least
+    (r"N0 /\ (Rc \/ N0)", (r"Rc \/ N0", "(0,1)"), "residues at the top level have no least upper bound"),
+    (r"N0 /\ (Rc /\ N0)", (r"Rc /\ N0", "(0,1)"), "residues at the top level have no least upper bound"),
+    # a composite level is not stepped up
+    (r"N0 /\ ((N0 \/ N0) /\ N0)", (r"(N0 \/ N0) /\ N0", "((0,0),1)"), "do not step up a composite level"),
+])
+def test_sup_residue_ramp_refusals(struct, step, message):
+    with pytest.raises(NotRepresentableError, match=message):
+        sup_sequence(parse_struct(struct), SeqGen(tail=ResidueRamp(0, pv(*step))))
+
+
+def test_mixed_residues_repeat_and_refuse_to_step_up():
+    d = parse_struct(r"N0 /\ mixed(N0; 0..2; default:Rc)")
+    assert sum_sequence(d, SeqGen(tail=Repeat(pv(r"N0 /\ mixed(N0; 0..2; default:Rc)", "(0,(0,1))")))) == \
+        pv(r"N0 /\ mixed(N0; 0..2; default:Rc)", "(0,(0,inf))")
+    d = parse_struct(r"N0 /\ mixed(N0; 0..2; default:N0)")
+    with pytest.raises(CapabilityError, match="do not step up a level"):
+        sup_sequence(d, SeqGen(tail=ResidueRamp(0, pv("mixed(N0; 0..2; default:N0)", "(0,1)"))))

@@ -1,5 +1,6 @@
 """Descriptor grammar, literals, and the arithmetic case tables."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.descriptors import parse_struct
-from lexiring.errors import CapabilityError, DomainError, ParseError, ShapeError
+from lexiring.errors import CapabilityError, DomainError, NotRepresentableError, ParseError, ShapeError
+from lexiring.kernel import ZERO_P, kernel_of
 from lexiring.laws import nonzero_value
+from lexiring.seq import least_positive
 from lexiring.values import TOP, ZERO, Pair, Scalar, format_value, is_zero, one, parse_value, zero
 from lexiring.xreal import XReal
 
@@ -61,6 +64,10 @@ def test_capability_validation():
         parse_struct(r"N0 /\ Z")  # residues must come from a semigroup
     with pytest.raises(CapabilityError):
         parse_struct("double(Z)")
+    with pytest.raises(CapabilityError, match="residue structure at level 1 must be a semigroup"):
+        parse_struct("mixed(N0; 0..2; 1:double(S), default:Rc)")
+    with pytest.raises(CapabilityError, match="default residue structure must be a semigroup"):
+        parse_struct("mixed(N0; 0..2; default:Z)")
 
 
 def test_capability_flags():
@@ -72,6 +79,67 @@ def test_capability_flags():
     caps_obar = D.capabilities(parse_struct("Obar"))
     assert caps_obar["hasTop"] and caps_obar["isSummable"] and caps_obar["hasLubProperty"]
     assert not D.capabilities(parse_struct(r"N0 \/ N0"))["isSemiring"]
+
+
+# The descriptor pool: the five bases, the four pairings over them, double(...) of every third
+# of those (30), and two mixed insertions, the second one invalid.
+PAIRINGS = (D.SInsert, D.Insert, D.BarSInsert, D.BarInsert)
+_BASES = [D.Base(name) for name in D.BASE_NAMES]
+_LEVEL1 = _BASES + [cls(a, b) for cls in PAIRINGS for a in _BASES for b in _BASES]
+DESCRIPTOR_POOL = (_LEVEL1 + [D.DoubleOf(d) for d in _LEVEL1[::3][:30]]
+                   + [D.MixedInsert(D.N0, 0, 2, [(0, D.RC), (2, D.NBAR0)]), D.MixedInsert(D.Z, None, 3, [(1, D.N0)])])
+PAIRS_OF_POOL = [cls(a, b) for cls in PAIRINGS for a in DESCRIPTOR_POOL for b in DESCRIPTOR_POOL]
+
+# SHA-256 of one line per descriptor of the pool and of PAIRS_OF_POOL (75,213 descriptors), as
+# recorded with the ten per-property predicates that facts() replaced
+FACTS_DIGEST = "5771c87d823e2167ca84c41225696d08d65c5c01afb7dcce2f4bd2be6d7e0cb8"
+
+
+def test_facts_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for d in DESCRIPTOR_POOL + PAIRS_OF_POOL:
+        try:
+            D.validate_desc(d)
+            outcome = "ok"
+        except CapabilityError as exc:
+            outcome = f"CapabilityError: {exc}"
+        f = D.facts(d)
+        line = f"{d!r}|{sorted(D.capabilities(d).items())}|{outcome}|{f.greatest}|{f.least_positive}|{f.least}\n"
+        h.update(line.encode())
+    assert h.hexdigest() == FACTS_DIGEST
+
+
+def test_least_positive_exists_exactly_where_the_facts_say():
+    rng = random.Random(8)
+    built = 0
+    for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::41]:
+        try:
+            D.validate_desc(d)
+        except CapabilityError:
+            continue
+        if not D.facts(d).least_positive:
+            with pytest.raises(NotRepresentableError):
+                least_positive(d)
+            continue
+        k = kernel_of(d)
+        lp = k.check(least_positive(d))
+        assert k.cmp(lp, k.zero) > 0, d
+        for _ in range(100):
+            v = k.gen(rng, ZERO_P)
+            assert k.cmp(v, k.zero) <= 0 or k.cmp(lp, v) <= 0, (d, v)
+        built += 1
+    assert built > 100
+
+
+def test_kernel_facts_are_the_descriptor_facts():
+    for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::41] + [parse_struct("Sn(64)"), parse_struct("Pn(3)")]:
+        try:
+            D.validate_desc(d)
+        except CapabilityError:
+            continue
+        k = kernel_of(d)
+        assert k.facts == D.facts(d), d
+        assert (k.semiring, k.semifield) == (k.facts.semiring, k.facts.semifield)
 
 
 def test_mixed_parse():

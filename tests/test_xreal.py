@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from lexiring.descriptors import RC
 from lexiring.errors import DomainError, ParseError
-from lexiring.xreal import INF, ONE, ZERO, XReal, parse_xreal
+from lexiring.values import parse_value
+from lexiring.xreal import INF, ONE, ZERO, XReal
 
 
 def test_addition_examples():
@@ -54,18 +56,13 @@ def test_negative_rejected():
 
 
 def test_parse_and_format_roundtrip():
+    # function documents read real values as Rc literals
     for text in ("0", "3", "3/4", "17/5", "inf"):
-        assert str(parse_xreal(text)) == text
-    assert parse_xreal("6/8") == XReal(3, 4)
-    with pytest.raises(ParseError):
-        parse_xreal("1/0")
-    with pytest.raises(ParseError):
-        parse_xreal("-2")
-    with pytest.raises(ParseError):
-        parse_xreal("a/b")
-    for text in ("\u00b2", "1/\u00b2"):  # superscript two: str.isdigit is true, int() fails
+        assert str(parse_value(RC, text).x) == text
+    assert parse_value(RC, "6/8").x == XReal(3, 4)
+    for text in ("1/0", "-2", "a/b", "\u00b2", "1/\u00b2"):  # superscript two: str.isdigit is true, int() fails
         with pytest.raises(ParseError):
-            parse_xreal(text)
+            parse_value(RC, text)
 
 
 def _random_xreal(rng):
