@@ -58,7 +58,7 @@ class AtomSpace:
             raise DomainError(f"an event is a list of atom ids, not {members!r}") from None
         unknown = ev - self._atom_set
         if unknown:
-            raise DomainError(f"unknown atoms {sorted(unknown)}")
+            raise DomainError(f"unknown atoms {sorted(unknown, key=repr)}")  # members may mix kinds
         return ev
 
     def event(self, name: str) -> frozenset:
@@ -68,7 +68,7 @@ class AtomSpace:
         if name in self._atom_set:
             return frozenset((name,))
         if name == "X":
-            return frozenset(self.atoms)
+            return self._atom_set
         raise DomainError(f"unknown event {name!r}")
 
 

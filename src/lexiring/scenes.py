@@ -17,6 +17,16 @@ JSON kind, is a one-line ``ParseError`` naming its JSON path.  The large
 lists (scene atoms, tree edges) are read in one fast pass and walked
 field by field only when that pass fails.  The built-in scenes are the
 documents of ``dartboard``.
+
+Each loader reads a document's literals through one ``_Literals`` dict,
+made for that document and dropped with it: a distinct literal text is
+parsed and checked once, and every atom, edge, weight or function value
+spelled that way is the same immutable value object.  Documents repeat
+their literals (a generated 5,000-node tree has about a hundred distinct
+edge texts), so loading costs one dict lookup per repeat and the loaded
+object holds one value per distinct text.  Equal values spelled
+differently, ``(0,2/4)`` and ``(0,1/2)``, are parsed separately.  A scene
+builds its measure from these checked values without checking them again.
 """
 
 from __future__ import annotations
@@ -64,6 +74,17 @@ def _strings(items: list, where: str) -> list:
     return items
 
 
+class _Literals(dict):
+    """One document's literals under one structure: text -> its value, parsed and checked on first use."""
+
+    def __init__(self, desc):
+        self.desc = desc
+
+    def __missing__(self, text):
+        v = self[text] = parse_value(self.desc, text)
+        return v
+
+
 def scene_from_dict(doc: dict) -> LMeasure:
     desc = parse_struct(_field(doc, "structure", str))
     atom_docs = _field(doc, "atoms", list)
@@ -77,8 +98,8 @@ def scene_from_dict(doc: dict) -> LMeasure:
         for i, a in enumerate(atom_docs):  # name the first fault
             _field(a, "id", str, f"atoms[{i}]")
             _field(a, "value", str, f"atoms[{i}]")
-    space = AtomSpace(ids, events)
-    return LMeasure(desc, space, {a: parse_value(desc, t) for a, t in zip(ids, texts)})
+    space, read = AtomSpace(ids, events), _Literals(desc)
+    return LMeasure._built(desc, space, {a: read[t] for a, t in zip(ids, texts)})
 
 
 def scene_to_dict(m: LMeasure) -> dict:
@@ -121,11 +142,13 @@ def function_from_dict(doc: dict, measure: LMeasure) -> SimpleFunction:
     if unknown:
         raise DomainError(f"function file mentions unknown atoms {sorted(unknown)}")
     if kind == "real":
-        return SimpleFunction.real({a: parse_value(RC, t).x for a, t in texts.items()})
+        read = _Literals(RC)
+        return SimpleFunction.real({a: read[t].x for a, t in texts.items()})
     if kind not in ("lvalued", "signed"):
         raise DomainError(f"unknown function kind {kind!r}")
     desc = parse_struct(_field(doc, "structure", str))
-    values = {a: parse_value(desc, t) for a, t in texts.items()}
+    read = _Literals(desc)
+    values = {a: read[t] for a, t in texts.items()}
     if kind == "lvalued":
         return SimpleFunction.lvalued(desc, values)
     return SimpleFunction.signed(desc, values)
@@ -137,9 +160,9 @@ def load_function(path: str, measure: LMeasure) -> SimpleFunction:
 
 def tree_from_dict(doc: dict) -> LTree:
     desc = parse_struct(_field(doc, "structure", str))
-    nodes, edge_docs = _field(doc, "nodes", list), _field(doc, "edges", list)
-    try:  # parse_value raises TypeError on a value that is not a string
-        edges = [(e["a"], e["b"], parse_value(desc, e["value"])) for e in edge_docs]
+    nodes, edge_docs, read = _field(doc, "nodes", list), _field(doc, "edges", list), _Literals(desc)
+    try:  # a value that is not a string raises TypeError, in the lookup or in parse_value
+        edges = [(e["a"], e["b"], read[e["value"]]) for e in edge_docs]
     except (KeyError, TypeError):
         edges = None
     if edges is None or not _all_str(nodes, map(itemgetter(0), edges), map(itemgetter(1), edges)):
@@ -180,12 +203,12 @@ def track_from_dict(doc: dict):
         for i, sw in enumerate(_field(doc, "switches", list))
     ]
     graph = BranchedGraph(sectors, switches)
-    texts = _field(doc, "weights", dict)
-    weights = WeightSystem(desc, {s: parse_value(desc, _field(texts, s, str, "weights")) for s in texts})
+    texts, read = _field(doc, "weights", dict), _Literals(desc)
+    weights = WeightSystem(desc, {s: read[_field(texts, s, str, "weights")] for s in texts})
     crossings = {}
     for i, c in enumerate(_field(doc, "crossings", list) if "crossings" in doc else ()):
         sector, end, multiplier = (_field(c, key, str, f"crossings[{i}]") for key in ("sector", "end", "multiplier"))
-        crossings[(sector, end)] = parse_value(desc, multiplier)
+        crossings[(sector, end)] = read[multiplier]
     return graph, weights, Cocycle(desc, crossings)
 
 

@@ -8,8 +8,13 @@ segment axioms directly instead of assuming them.
 
 A tree is rooted at its first listed node when built, keeping each node's
 parent, edge value up and depth: ``segment``, ``distance`` and ``meet``
-climb to the lowest common ancestor in O(path length).  ``verify_metric``
-stays O(n^3) over all node triples, on BFS paths.
+climb to the lowest common ancestor in O(path length).  A distance is one
+``Kernel.sum`` over the path's edge values in path order: one level
+comparison per edge and one residue sum at the dominant level, and under
+``double()``, whose addition does not associate, the ordered left fold of
+``add``.  A tree loaded by ``scenes`` shares one value object among the
+edges spelled alike.  ``verify_metric`` stays O(n^3) over all node
+triples, on BFS paths.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import DomainError
+from .kernel import kernel_of
 from .ops import _add, _cmp
-from .values import Value, check_value, is_zero, zero
+from .values import Value, check_value, is_zero
 
 
 class LTree:
@@ -78,12 +84,9 @@ def _lca(t: LTree, x, y):
 
 
 def _path_sum(t: LTree, path) -> Value:
-    """Edge values along path, added in path order (doubles do not associate)."""
+    """The sum of the edge values along path, folded in path order (doubles do not associate)."""
     up, depth = t.up, t.depth
-    acc = zero(t.desc)
-    for a, b in zip(path, path[1:]):
-        acc = _add(t.desc, acc, up[a] if depth[a] > depth[b] else up[b])
-    return acc
+    return kernel_of(t.desc).sum([up[a] if depth[a] > depth[b] else up[b] for a, b in zip(path, path[1:])])
 
 
 def segment(t: LTree, x, y):

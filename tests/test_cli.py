@@ -217,6 +217,10 @@ def test_string_event_is_rejected(tmp_path, capsys):
         f.write_text(json.dumps(scene))
         code, err = _run(capsys, ["measure", "eval", str(f), "--event", "E"])
         assert code == 1 and f"an event is a list of atom ids, not {members!r}" in err
+    scene["events"]["E"] = ["zz", 1]  # unknown members of two kinds are reported, not compared
+    f.write_text(json.dumps(scene))
+    code, err = _run(capsys, ["measure", "validate", str(f)])
+    assert code == 1 and err == "error: unknown atoms ['zz', 1]\n"
 
 
 @pytest.mark.parametrize("doc, message", [

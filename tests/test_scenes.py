@@ -1,6 +1,7 @@
 """JSON interfaces: scene, function, tree, and track files."""
 
 import json
+import random
 import re
 
 import pytest
@@ -17,6 +18,8 @@ from lexiring.scenes import (
     load_track,
     load_tree,
     scene_from_dict,
+    track_from_dict,
+    tree_from_dict,
 )
 from lexiring.values import ZERO, parse_value
 from lexiring.xreal import XReal
@@ -141,6 +144,68 @@ def test_tree_file(tmp_path):
     from lexiring.tree import distance
 
     assert distance(t, "u", "v") == pv("S", "(1,1/2)")
+
+
+def test_equal_literal_texts_share_one_value():
+    m = scene_from_dict({"structure": "P", "atoms": [
+        {"id": "a", "value": "(0,1/2)"}, {"id": "b", "value": "(0,1/2)"}, {"id": "c", "value": "(0,2/4)"}]})
+    vals = m.atom_values
+    assert vals["a"] is vals["b"]
+    assert vals["c"] is not vals["a"] and vals["c"] == vals["a"]  # parsed separately, equal
+    t = tree_from_dict({"structure": "O", "nodes": ["r", "u", "v", "w"], "edges": [
+        {"a": "r", "b": "u", "value": "(0,1/2)"}, {"a": "r", "b": "v", "value": "(0,1/2)"},
+        {"a": "v", "b": "w", "value": "(0,2/4)"}]})
+    assert t.up["u"] is t.up["v"]
+    assert t.up["w"] is not t.up["u"] and t.up["w"] == t.up["u"]
+    _, w, c = track_from_dict({"structure": "S", "sectors": ["s", "t"], "switches": [],
+                               "weights": {"s": "(0,1)", "t": "(0,1)"},
+                               "crossings": [{"sector": "s", "end": "0", "multiplier": "(0,1)"}]})
+    assert w.weights["s"] is w.weights["t"] is c.crossings[("s", "0")]
+    fn = function_from_dict({"kind": "lvalued", "structure": "P", "values": {"q1": "(0,3)", "q2": "(0,3)"}},
+                            builtin_scene("dartboard"))
+    assert fn.values["q1"] is fn.values["q2"]
+
+
+def test_a_benchmark_shaped_tree_holds_one_value_per_distinct_text():
+    rng = random.Random(1)
+    names = [f"n{v}" for v in range(5000)]
+    edges = [{"a": names[rng.randrange(v)], "b": names[v],
+              "value": f"({rng.choice((1, 0, -1))},{rng.randint(1, 9)}/{rng.randint(1, 4)})"}
+             for v in range(1, 5000)]
+    assert len({e["value"] for e in edges}) == 108
+    t = tree_from_dict({"structure": "O", "nodes": names, "edges": edges})
+    assert len({id(v) for v in t.up.values()}) <= 108
+
+
+def _dartboard_function(doc):
+    return function_from_dict(doc, builtin_scene("dartboard"))
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (tree_from_dict, {"structure": "O", "nodes": ["a", "b", "c"], "edges": [
+        {"a": "a", "b": "b", "value": "(0,1)"}, {"a": "b", "b": "c", "value": "(0,1/0)"}]},
+     "bad denominator '0' (at position 5 in '(0,1/0)')"),
+    (scene_from_dict, {"structure": "P", "atoms": [{"id": "a", "value": "(0,1)"}, {"id": "b", "value": "(0,x)"}]},
+     "expected a rational or 'inf', found 'x' (at position 3 in '(0,x)')"),
+    (track_from_dict, {"structure": "S", "sectors": ["s"], "switches": [], "weights": {"s": "(0,1/)"}},
+     "bad denominator ')' (at position 5 in '(0,1/)')"),
+    (track_from_dict, {"structure": "S", "sectors": ["s"], "switches": [], "weights": {"s": "(0,1)"},
+                       "crossings": [{"sector": "s", "end": "0", "multiplier": "(1,"}]},
+     "unexpected end of input (at position 3 in '(1,')"),
+    (_dartboard_function, {"kind": "real", "values": {"q1": "1", "q2": "1/x"}}, "bad denominator 'x' (at position 2 in '1/x')"),
+    (_dartboard_function, {"kind": "signed", "structure": "P", "values": {"q1": "(0,1)", "q2": "(0,1)("}},
+     "trailing input '(' (at position 5 in '(0,1)(')"),
+    (tree_from_dict, {"structure": "O", "nodes": ["a", "b", "c"], "edges": [
+        {"a": "a", "b": "b", "value": "(0,1)"}, {"a": "b", "b": "c", "value": 3}]},
+     "field edges[1].value must be a string"),
+    (tree_from_dict, {"structure": "O", "nodes": ["a", "b", "c"], "edges": [
+        {"a": "a", "b": "b", "value": "(0,1)"}, {"a": "b", "b": "c", "value": ["(0,1)"]}]},
+     "field edges[1].value must be a string"),
+])
+def test_a_bad_document_literal_names_its_text_or_its_path(load, doc, message):
+    with pytest.raises(ParseError) as exc:
+        load(doc)
+    assert str(exc.value) == message
 
 
 def test_builtin_tracks_load_and_check():

@@ -119,13 +119,20 @@ def test_malformed_trees_rejected():
         LTree(d, ["a"], [("a", "a", pv("O", "(0,1)"))])
 
 
+def random_literal(rng, struct):
+    """An edge literal at a level in -2..2 (0..2 over N0); bar structures also draw top, and N0 \\/ Rc its zero pair."""
+    if struct in ("Obar", "Sbar", r"N0 \/ Rc") and rng.random() < 0.15:
+        return "0" if struct == r"N0 \/ Rc" else "top"
+    low = 0 if struct in ("Sbar", r"N0 \/ Rc") else -2
+    return f"({rng.randrange(low, 3)},{rng.randrange(1, 9)}/{rng.randrange(1, 5)})"
+
+
 def random_edges(rng, n, struct="O"):
     nodes = [f"n{i}" for i in range(n)]
     edges = []
     for i in range(1, n):
         parent = nodes[rng.randrange(i)]
-        lit = f"({rng.randrange(-2, 3)},{rng.randrange(1, 9)}/{rng.randrange(1, 5)})"
-        edges.append((parent, nodes[i], pv(struct, lit)))
+        edges.append((parent, nodes[i], pv(struct, random_literal(rng, struct))))
     return nodes, edges
 
 
@@ -180,35 +187,40 @@ def sample_triples(rng, nodes, k):
 def test_queries_match_bfs_on_bushy_trees():
     # doubles add non-associatively, so a distance folded in another order differs
     rng = random.Random(14)
-    for struct in ("O", "double(O)"):
+    # Obar and Sbar draw top edges; the zero of N0 \/ Rc is a pair, not the adjoined 0
+    for struct in ("O", "double(O)", "Obar", "Sbar", r"N0 \/ Rc"):
         for _ in range(30):
             nodes, edges = random_edges(rng, rng.randrange(2, 40), struct)
             rng.shuffle(nodes)  # root the tree at an arbitrary node
             edges = [(b, a, v) if rng.random() < 0.5 else (a, b, v) for a, b, v in edges]
-            if struct != "O":
+            if struct == "double(O)":
                 edges = [(a, b, pv(struct, "-(0,1)")) if rng.random() < 0.3 else (a, b, v) for a, b, v in edges]
             t = LTree(parse_struct(struct), nodes, edges)
             check_queries_against_bfs(t, edges, sample_triples(rng, nodes, 20))
 
 
 def test_queries_match_bfs_on_caterpillar_rooted_at_a_leaf():
-    rng = random.Random(15)
-    spine = [f"s{i}" for i in range(200)]
-    edges = [(a, b, pv("O", f"({rng.randrange(-1, 2)},{rng.randrange(1, 5)})")) for a, b in zip(spine, spine[1:])]
-    legs = []
-    for s in spine:
-        at = s
-        for j in range(rng.randint(1, 2)):
-            leg = f"{s}_{j}"
-            edges.append((at, leg, pv("O", f"({rng.randrange(-1, 2)},1/{rng.randrange(1, 4)})")))
-            legs.append(leg)
-            at = leg
-        if s == "s100":
-            leaf = at  # the end of a leg halfway along the spine
-    nodes = [leaf] + [n for n in spine + legs if n != leaf]
-    assert len(nodes) >= 300
-    t = LTree(parse_struct("O"), nodes, edges)
-    check_queries_against_bfs(t, edges, sample_triples(rng, nodes, 150))
+    for struct in ("O", "double(O)"):  # long paths whose addition does not associate under double
+        rng = random.Random(15)
+        spine = [f"s{i}" for i in range(200)]
+        edges = [(a, b, f"({rng.randrange(-1, 2)},{rng.randrange(1, 5)})") for a, b in zip(spine, spine[1:])]
+        legs = []
+        for s in spine:
+            at = s
+            for j in range(rng.randint(1, 2)):
+                leg = f"{s}_{j}"
+                edges.append((at, leg, f"({rng.randrange(-1, 2)},1/{rng.randrange(1, 4)})"))
+                legs.append(leg)
+                at = leg
+            if s == "s100":
+                leaf = at  # the end of a leg halfway along the spine
+        if struct == "double(O)":  # every third edge negative
+            edges = [(a, b, "-" + text if i % 3 == 0 else text) for i, (a, b, text) in enumerate(edges)]
+        edges = [(a, b, pv(struct, text)) for a, b, text in edges]
+        nodes = [leaf] + [n for n in spine + legs if n != leaf]
+        assert len(nodes) >= 300
+        t = LTree(parse_struct(struct), nodes, edges)
+        check_queries_against_bfs(t, edges, sample_triples(rng, nodes, 150))
 
 
 def test_meet_checks_every_node():
