@@ -7,11 +7,21 @@ event evaluates by folding the atom values with level-dominant addition:
 ``Kernel.sum`` over the members, which compares levels and adds only the
 residues at the dominant level.
 
-``LMeasure(...)`` checks every value it is given.  ``shift_levels`` and
-``align_levels`` build from a measure that was checked already, so they
-check only what can newly fall outside the structure: ``shift_levels``
-checks each distinct new level once (an ``N0`` level may not go below 0),
-and ``align_levels`` moves levels only between attained ones.
+A measure keeps the values it was built with, shared between measures
+and never mutated.  Over integer top levels (``Kernel.int_levels``) it
+also keeps one map from each level those values attain to its current
+level, in atom order: the identity until a write moves a level.  A
+level shift (a product with (k, 1)) and the closing of interior gaps are
+strictly increasing relabelings of the levels, so ``shift_levels`` and
+``align_levels`` compose that map in O(levels) and touch no atom, and
+``value`` relabels only the dominant level of its sum: a strictly
+increasing relabeling keeps which level dominates.  ``atom_values`` is a
+read-only view, built on first use.
+
+``LMeasure(...)`` checks every value it is given.  The writes check only
+what can newly fall outside the structure: ``shift_levels`` checks each
+new level once, in atom order (an ``N0`` level may not go below 0), and
+``align_levels`` moves levels only between attained ones.
 
 Level bookkeeping lives here too: slices (the ordinary extended-real
 measure read off at one level), recovery of a measure from its slices,
@@ -21,6 +31,7 @@ total height, interior-gap alignment and level shifts.
 from __future__ import annotations
 
 from functools import cached_property
+from types import MappingProxyType
 
 from .descriptors import Base, StructDesc
 from .errors import DomainError, InconsistentSlicesError, ShapeError
@@ -89,35 +100,56 @@ class LMeasure:
             raise DomainError(f"values for unknown atoms: {sorted(extra)}")
         for v in atom_values.values():
             check_value(desc, v)
-        self.desc = desc
-        self.space = space
-        self.atom_values = dict(atom_values)
+        self.desc, self.space, self._values, self._levels = desc, space, dict(atom_values), None
 
     @classmethod
-    def _built(cls, desc: StructDesc, space: AtomSpace, atom_values: dict) -> "LMeasure":
-        """A measure over a new dict of values already well-shaped for desc: nothing is re-checked."""
+    def _built(cls, desc: StructDesc, space: AtomSpace, values: dict, levels: dict | None = None) -> "LMeasure":
+        """A measure over values already well-shaped for desc: nothing is re-checked, and values is kept.
+
+        levels maps each level the values attain to its current level, in
+        atom order; None is the identity.
+        """
         m = cls.__new__(cls)
-        m.desc, m.space, m.atom_values = desc, space, atom_values
+        m.desc, m.space, m._values, m._levels = desc, space, values, levels
         return m
+
+    def _level_map(self) -> dict:
+        """Each level the kept values attain -> its current level, in atom order."""
+        if self._levels is None:
+            if not kernel_of(self.desc).int_levels:
+                raise ShapeError("measure values do not have an integer top level")
+            self._levels = {v.level.x: v.level.x for v in self._values.values() if isinstance(v, Pair)}
+        return self._levels
+
+    def _sum(self, atoms) -> Value:
+        """The measure of checked atoms: their kept values folded in the order given, then relabeled."""
+        vals, levels = self._values, self._levels
+        v = kernel_of(self.desc).sum([vals[a] for a in atoms])
+        if levels is not None and isinstance(v, Pair) and levels[v.level.x] != v.level.x:
+            return Pair(Scalar(levels[v.level.x]), v.residue)
+        return v
+
+    @cached_property
+    def atom_values(self) -> MappingProxyType:
+        """Each atom's current value, as a read-only view built on first use."""
+        levels = self._levels
+        if levels is None or all(base == now for base, now in levels.items()):
+            return MappingProxyType(self._values)
+        at = {base: Scalar(now) for base, now in levels.items()}
+        return MappingProxyType({a: Pair(at[v.level.x], v.residue) if isinstance(v, Pair) else v
+                                 for a, v in self._values.items()})
 
     def value(self, E) -> Value:
         """The measure of an event (any iterable of atom ids)."""
         ev = self.space.check_event(E)
-        vals = self.atom_values
-        return kernel_of(self.desc).sum([vals[a] for a in self.space.atoms if a in ev])
+        return self._sum(filter(ev.__contains__, self.space.atoms))
 
     def total(self) -> Value:
         return self.value(self.space.atoms)
 
     def attained_levels(self):
         """Sorted integer levels carried by the atoms (tops and zeros excluded)."""
-        if not kernel_of(self.desc).int_levels:
-            raise ShapeError("measure values do not have an integer top level")
-        levels = set()
-        for v in self.atom_values.values():
-            if isinstance(v, Pair):
-                levels.add(v.level.x)
-        return sorted(levels)
+        return sorted(self._level_map().values())
 
 
 def slice_at(m: LMeasure, k: int, E) -> XReal:
@@ -174,21 +206,15 @@ def align_levels(m: LMeasure) -> LMeasure:
     """Close interior level gaps, keeping the top attained level fixed.
 
     Lower levels move up so the attained levels become consecutive; a
-    measure with no interior gaps (proximal) is returned unchanged.
+    measure with no interior gaps (proximal) keeps its levels.
     """
     levels = m.attained_levels()
     if not levels:
         return m
     top = levels[-1]
     # each level moves up to at most the top: it stays inside N0 or Z, so nothing needs a check
-    remap = {lev: Scalar(top - rank) for rank, lev in enumerate(reversed(levels))}
-    atom_values = {}
-    for a, v in m.atom_values.items():
-        if isinstance(v, Pair):
-            atom_values[a] = Pair(remap[v.level.x], v.residue)
-        else:
-            atom_values[a] = v
-    return LMeasure._built(m.desc, m.space, atom_values)
+    remap = {lev: top - rank for rank, lev in enumerate(reversed(levels))}
+    return LMeasure._built(m.desc, m.space, m._values, {base: remap[now] for base, now in m._level_map().items()})
 
 
 def is_proximal(m: LMeasure) -> bool:
@@ -197,15 +223,14 @@ def is_proximal(m: LMeasure) -> bool:
 
 
 def shift_levels(m: LMeasure, k: int) -> LMeasure:
-    """Multiply every atom value by (k, 1); each distinct new level is checked once."""
-    d, moved, atom_values = m.desc, {}, {}  # moved: old level -> the checked new level
-    for a, v in m.atom_values.items():
-        if v is not ZERO and v is not TOP:
-            if not moved:
-                require_shiftable(d)
-            lev = v.level.x
-            if lev not in moved:
-                moved[lev] = kernel_of(d.a).check(Scalar(lev + k))
-            v = Pair(moved[lev], v.residue)
-        atom_values[a] = v
-    return LMeasure._built(d, m.space, atom_values)
+    """Multiply every atom value by (k, 1); each new level is checked once, in atom order."""
+    d = m.desc
+    if not kernel_of(d).int_levels:  # no level to move: refused unless every value is 0 or top
+        if any(v is not ZERO and v is not TOP for v in m._values.values()):
+            require_shiftable(d)
+        return m
+    levels = m._level_map()
+    if levels:
+        require_shiftable(d)
+    check = kernel_of(d.a).check
+    return LMeasure._built(d, m.space, m._values, {base: check(Scalar(now + k)).x for base, now in levels.items()})

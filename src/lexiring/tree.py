@@ -13,8 +13,9 @@ climb to the lowest common ancestor in O(path length).  A distance is one
 comparison per edge and one residue sum at the dominant level, and under
 ``double()``, whose addition does not associate, the ordered left fold of
 ``add``.  A tree loaded by ``scenes`` shares one value object among the
-edges spelled alike.  ``verify_metric`` stays O(n^3) over all node
-triples, on BFS paths.
+edges spelled alike, and ``LTree`` checks each distinct value object
+once.  ``verify_metric`` stays O(n^3) over all node triples, on BFS
+paths.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ class LTree:
         if len(set(self.nodes)) != len(self.nodes):
             raise DomainError("node identifiers must be distinct")
         adj = {n: {} for n in self.nodes}
-        count = 0
+        count, checked = 0, set()  # ids of the value objects checked; adj keeps each one alive
         for a, b, v in edges:
             if a not in adj or b not in adj:
                 raise DomainError(f"edge ({a!r},{b!r}) uses unknown nodes")
             if a == b or b in adj[a]:
                 raise DomainError(f"bad edge ({a!r},{b!r})")
-            check_value(desc, v)
+            if id(v) not in checked:
+                check_value(desc, v)
+                checked.add(id(v))
             adj[a][b] = v
             adj[b][a] = v
             count += 1

@@ -37,6 +37,9 @@ GOLDEN_CASES = {
     "measure_eval_upper.txt": ["--format", "json", "measure", "eval", "--builtin", "dartboard", "--event", "upper"],
     "measure_slice_cross.txt": ["--format", "json", "measure", "slice", "--builtin", "dartboard", "--event", "cross", "--level", "-1"],
     "measure_height_depth2.txt": ["--format", "json", "measure", "height", "--builtin", "dartboard-depth2"],
+    "measure_shift_dartboard.txt": ["--format", "json", "measure", "shift", "--builtin", "dartboard", "--by", "2"],
+    "measure_align_depth2.txt": ["--format", "json", "measure", "align", "--builtin", "dartboard-depth2"],
+    "prob_standardize_dartboard.txt": ["--format", "json", "prob", "standardize", "--builtin", "dartboard"],
     "weights_check_stretch.txt": ["--format", "json", "weights", "check", "stretch"],
     "weights_deck_levelshift.txt": ["--format", "json", "weights", "deck", "levelshift", "--scalar", "(-1,1)"],
 }

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError, InconsistentSlicesError, ShapeError
+from lexiring.errors import DomainError, InconsistentSlicesError, LexiringError, ShapeError
 from lexiring.graded import GradedIntervalSet, IntervalPiece, graded_measure, verify_open_graded
 from lexiring.measure import (
     AtomSpace,
@@ -17,8 +17,12 @@ from lexiring.measure import (
     slice_at,
     total_height,
 )
+from lexiring.kernel import kernel_of
+from lexiring.laws import random_value
+from lexiring.ops import require_shiftable
+from lexiring.prob import bayes, cond_prob, level_masses, standardize, validate_probability
 from lexiring.scenes import builtin_scene
-from lexiring.values import TOP, ZERO, Pair, Scalar, parse_value
+from lexiring.values import TOP, ZERO, Pair, Scalar, parse_value, stack_levels
 from lexiring.xreal import INF, XReal
 from lexiring.xreal import ZERO as XR_ZERO
 
@@ -202,8 +206,6 @@ def test_open_graded_window():
 
 @pytest.mark.parametrize("struct", ["S", "O", "P", "Obar", "Sbar"])
 def test_shift_and_align_build_what_the_checking_constructor_accepts(struct):
-    from lexiring.laws import random_value
-
     d = parse_struct(struct)
     rng = random.Random(f"rebuild/{struct}")
     atoms = [f"a{i}" for i in range(40)]
@@ -229,6 +231,149 @@ def test_shift_levels_checks_each_new_level():
         shift_levels(LMeasure(parse_struct(r"Nbar0 /\ Rc"), AtomSpace(["a"]), {"a": pv(r"Nbar0 /\ Rc", "(1,2)")}), 1)
     zeros = LMeasure(parse_struct(r"Nbar0 /\ Rc"), AtomSpace(["z"]), {"z": ZERO})
     assert shift_levels(zeros, 1).atom_values == {"z": ZERO}  # nothing to move, nothing to refuse
+
+
+def test_shift_levels_reports_the_first_failure_in_atom_order():
+    d = parse_struct("S")
+    m = LMeasure(d, AtomSpace(["a", "b"]), {"a": pv("S", "(1,1)"), "b": pv("S", "(0,1)")})
+    with pytest.raises(ShapeError, match=r"^negative value -1 in N0$"):  # b's -2 comes later in atom order
+        shift_levels(m, -2)
+    with pytest.raises(ShapeError, match=r"^negative value -1 in N0$"):  # likewise once the levels are relabeled
+        shift_levels(shift_levels(m, 3), -5)
+
+
+class _CountingDict(dict):
+    """A dict that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_writes_share_the_kept_values_and_touch_no_atom():
+    d = parse_struct("O")
+    rng = random.Random("writes")
+    atoms = [f"a{i}" for i in range(200)]
+    values = _CountingDict({a: random_value(rng, d) for a in atoms})
+    m = LMeasure._built(d, AtomSpace(atoms), values)
+    m.attained_levels()  # lists the attained levels: the one scan of the atoms
+    values.reads = 0
+    for _ in range(50):
+        m = align_levels(shift_levels(m, rng.choice((-2, -1, 1, 2))))
+        assert m._values is values
+    assert values.reads == 0
+    assert is_proximal(m)
+    with pytest.raises(TypeError):
+        m.atom_values["a0"] = ZERO
+
+
+# ---------------------------------------------------------------------------
+# relabeled writes against the per-atom rebuild they replace
+# ---------------------------------------------------------------------------
+
+def _rebuilt_shift(m, k):
+    """Every pair rebuilt at its new level; each distinct new level checked once, in atom order."""
+    d, moved, values = m.desc, {}, {}
+    for a, v in m.atom_values.items():
+        if v is not ZERO and v is not TOP:
+            if not moved:
+                require_shiftable(d)
+            lev = v.level.x
+            if lev not in moved:
+                moved[lev] = kernel_of(d.a).check(Scalar(lev + k))
+            v = Pair(moved[lev], v.residue)
+        values[a] = v
+    return LMeasure._built(d, m.space, values)
+
+
+def _rebuilt_align(m):
+    """Every pair rebuilt at its level with the interior gaps closed below the top."""
+    levels = sorted({v.level.x for v in m.atom_values.values() if isinstance(v, Pair)})
+    if not levels:
+        return m
+    remap = {lev: Scalar(levels[-1] - rank) for rank, lev in enumerate(reversed(levels))}
+    return LMeasure._built(m.desc, m.space, {a: Pair(remap[v.level.x], v.residue) if isinstance(v, Pair) else v
+                                             for a, v in m.atom_values.items()})
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the library error it raised."""
+    try:
+        return f(*args)
+    except LexiringError as e:
+        return type(e), str(e)
+
+
+def _standard_form(m):
+    pm = standardize(m)
+    return pm.total_depth, dict(pm.base.atom_values)
+
+
+def _random_measure(rng, struct):
+    """Random values; over P each level carries mass one, over Pn(n) every level vector is at most 0."""
+    d = parse_struct(struct)
+    atoms = [f"a{i}" for i in range(rng.randrange(1, 12))]
+    n = kernel_of(d).prob_depth
+    if n is None or n == 1:
+        values = {a: random_value(rng, d) for a in atoms}
+        if n == 1:
+            mass = level_masses(LMeasure(d, AtomSpace(atoms), values))
+            values = {a: v if v is ZERO else Pair(v.level, Scalar(v.residue.x / mass[v.level.x]))
+                      for a, v in values.items()}
+    else:
+        values = {a: ZERO if rng.random() < 0.15 else
+                  stack_levels(tuple(rng.randrange(-3, 1) for _ in range(n)), XReal(1, len(atoms) + 1))
+                  for a in atoms}
+    return LMeasure(d, AtomSpace(atoms), values)
+
+
+def _assert_same_measure(rng, got, want):
+    assert got.atom_values == want.atom_values
+    assert got.attained_levels() == want.attained_levels()
+    atoms = got.space.atoms
+    events = [[a for a in atoms if rng.random() < 0.5] for _ in range(4)] + [atoms]
+    for e in events:
+        assert got.value(e) == want.value(e)
+    for a, b in zip(events, events[1:]):
+        assert _outcome(cond_prob, got, a, b) == _outcome(cond_prob, want, a, b)
+    cells = [rng.randrange(3) for _ in atoms]
+    partition = [[a for a, c in zip(atoms, cells) if c == i] for i in range(3)]
+    assert _outcome(bayes, got, partition, events[0]) == _outcome(bayes, want, partition, events[0])
+    for read in (level_masses, validate_probability, _standard_form):
+        assert _outcome(read, got) == _outcome(read, want)
+
+
+@pytest.mark.parametrize("struct", ["S", "O", "P", "Sbar", "Obar", "Pn(2)", "Pn(3)"])
+def test_relabeled_writes_match_the_per_atom_rebuild(struct):
+    rng = random.Random(f"relabel/{struct}")
+    for _ in range(40):
+        m = fast = slow = _random_measure(rng, struct)
+        for _ in range(rng.randrange(1, 9)):
+            if rng.random() < 0.5:
+                k = rng.randrange(-4, 5)
+                got, want = _outcome(shift_levels, fast, k), _outcome(_rebuilt_shift, slow, k)
+            else:
+                got, want = align_levels(fast), _rebuilt_align(slow)
+            if isinstance(want, tuple):  # refused: the same error, and the chain goes on where it was
+                assert got == want
+                continue
+            fast, slow = got, want
+            assert fast._values is m._values
+            _assert_same_measure(rng, fast, slow)
 
 
 def test_the_checking_constructor_still_rejects_ill_shaped_values():

@@ -166,15 +166,21 @@ def test_equal_literal_texts_share_one_value():
     assert fn.values["q1"] is fn.values["q2"]
 
 
-def test_a_benchmark_shaped_tree_holds_one_value_per_distinct_text():
+def test_a_benchmark_shaped_tree_holds_one_value_per_distinct_text(monkeypatch):
+    import lexiring.tree as tree
+
     rng = random.Random(1)
     names = [f"n{v}" for v in range(5000)]
     edges = [{"a": names[rng.randrange(v)], "b": names[v],
               "value": f"({rng.choice((1, 0, -1))},{rng.randint(1, 9)}/{rng.randint(1, 4)})"}
              for v in range(1, 5000)]
     assert len({e["value"] for e in edges}) == 108
+    checked = []  # LTree's own checks: one per distinct value object, not one per edge
+    monkeypatch.setattr(tree, "check_value", lambda d, v: checked.append(v))
     t = tree_from_dict({"structure": "O", "nodes": names, "edges": edges})
-    assert len({id(v) for v in t.up.values()}) <= 108
+    distinct = {id(v) for v in t.up.values()}
+    assert len(distinct) <= 108
+    assert len(checked) == len(distinct) and {id(v) for v in checked} == distinct
 
 
 def _dartboard_function(doc):

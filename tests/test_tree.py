@@ -6,10 +6,11 @@ from collections import deque
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError
+from lexiring.errors import DomainError, ShapeError
 from lexiring.ops import add
 from lexiring.tree import LTree, distance, meet, segment, verify_metric
-from lexiring.values import ZERO, parse_value, zero
+from lexiring.values import ZERO, Pair, Scalar, parse_value, zero
+from lexiring.xreal import XReal
 
 
 def pv(struct, text):
@@ -117,6 +118,16 @@ def test_malformed_trees_rejected():
         )  # cycle
     with pytest.raises(DomainError):
         LTree(d, ["a"], [("a", "a", pv("O", "(0,1)"))])
+
+
+def test_a_shared_ill_shaped_edge_value_is_still_refused():
+    d = parse_struct("O")
+    bad = Pair(Scalar(0), Scalar(XReal(0)))  # a zero residue, which insertion removes
+    with pytest.raises(ShapeError, match="insertion removes it"):
+        LTree(d, ["a", "b", "c", "d"], [("a", "b", bad), ("b", "c", bad), ("c", "d", bad)])
+    good = pv("O", "(0,1)")
+    with pytest.raises(ShapeError, match="insertion removes it"):
+        LTree(d, ["a", "b", "c"], [("a", "b", good), ("b", "c", bad)])
 
 
 def random_literal(rng, struct):
