@@ -13,12 +13,12 @@ it by every operation.  Variants:
 
 ``kernel_of(d)`` compiles d, the first time it is used, into a ``Kernel``
 of closures (shape check, zero test, comparison, addition, n-ary sum,
-multiplication, n-ary product, seeded random draws) and capability
-flags, and keeps it in d's ``_kernel`` slot: it lives and dies with the
-descriptor object.  A composite kernel captures its parts' closures, so
-no call walks the descriptor again (Feeley & Lapalme, "Using closures
-for code generation", Computer Languages 12(1), 1987).  All but
-``check`` assume well-shaped operands.
+multiplication, n-ary product, order successor, seeded random draws),
+canonical elements and capability flags, and keeps it in d's ``_kernel``
+slot: it lives and dies with the descriptor object.  A composite kernel
+captures its parts' closures, so no call walks the descriptor again
+(Feeley & Lapalme, "Using closures for code generation", Computer
+Languages 12(1), 1987).  All but ``check`` assume well-shaped operands.
 
 ``sum(values)`` folds event measures, Bayes, finite series, integrals
 and branch equations.  It equals the ordered left fold of ``add`` from
@@ -50,7 +50,7 @@ from math import gcd, prod as int_prod
 from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, facts,
                           pairing_facts)
 from .errors import CapabilityError, ShapeError
-from .xreal import INF, XReal
+from .xreal import INF, ONE, XReal
 from .xreal import ZERO as XR_ZERO
 
 
@@ -126,6 +126,7 @@ class Signed(Value):
         return ("-" if self.sign < 0 else "+") + repr(self.mag)
 
 
+DENSE, NOTHING_ABOVE = object(), object()  # what succ returns besides an element (see Kernel)
 LT, EQ, GT = -1, 0, 1
 _PAIRINGS = (SInsert, BarSInsert, Insert, BarInsert)
 ZERO_P = 0.12  # chance of drawing an adjoined zero, where the caller does not say
@@ -141,14 +142,32 @@ class Kernel:
     levels stacked over the finite rationals (None unless d is such a
     probability structure); ``facts`` equals ``facts(d)``, and
     ``semiring``/``semifield`` are copied from it.
+
+    ``one`` and ``least_positive`` (the least element above zero) are None
+    where d has none, ``least_positive`` exactly where ``facts(d)`` says;
+    ``repeat_limit`` is a countable repeat's sum in a base (``inf`` in
+    ``Rc`` and ``Nbar0``), else None; ``residue_kernel(level)`` is the
+    kernel of the residues at a level.  ``succ(x)`` is the least element
+    above x, ``DENSE`` where elements lie above x but none is least, or
+    ``NOTHING_ABOVE``.  In these lexicographic orders a pair steps up its
+    residue, then ``step_up(level)``, the least element above the level:
+    the level's successor with the least residue a level carries (zero in
+    a full product, else the least positive one), ``top`` above a greatest
+    level of a bar pairing, and in ``mixed(...)`` the next level that has
+    residues.  Bases have no ``residue_kernel`` or ``step_up``, and
+    ``double(...)``, neither a level nor a residue structure, no ``succ``.
     """
 
     __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
-                 "facts", "semiring", "semifield", "int_levels", "prob_depth")
+                 "facts", "semiring", "semifield", "int_levels", "prob_depth",
+                 "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up")
 
-    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None, prod=None):
+    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None, prod=None,
+                 succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None, step_up=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
+        self.one, self.least_positive, self.repeat_limit = one, least_positive, repeat_limit
+        self.residue_kernel, self.succ, self.step_up = residue_kernel, succ, step_up
         self.sum = sum or _ordered_fold(zero, add)
         if isinstance(d, _PAIRINGS):  # from the parts' kernels, so a nest's compile stays linear in its size
             f = pairing_facts(d, kernel_of(d.a).facts, kernel_of(d.b).facts)
@@ -235,6 +254,20 @@ def _dominant_sum(zero, cmp_level, residue_sum):
     return sum_
 
 
+def _pair_succ(least, residue_kernel, step_up):
+    """succ over 0, pairs and top: the least element past 0, then the residue's successor, then step_up."""
+    def succ(x):
+        if x is TOP:
+            return NOTHING_ABOVE
+        if x is ZERO:
+            return least
+        s = residue_kernel(x.level).succ(x.residue)
+        if s is NOTHING_ABOVE:
+            return step_up(x.level)
+        return s if s is DENSE else Pair(x.level, s)
+    return succ
+
+
 # ---------------------------------------------------------------------------
 # base structures
 # ---------------------------------------------------------------------------
@@ -254,6 +287,15 @@ _BASE_GENS = {
     "Rc": lambda rng, zero_p: Scalar(random_xreal(rng)),
     "Ro": lambda rng, zero_p: Scalar(random_xreal(rng, allow_inf=False)),
     "Nbar0": lambda rng, zero_p: Scalar(INF if rng.random() < 0.1 else XReal(rng.randrange(0, 9))),
+}
+
+_INT_ONE, _XR_ONE, _XR_INF = Scalar(1), Scalar(ONE), Scalar(INF)
+_BASE_ORDER = {  # succ, one, least_positive, repeat_limit
+    "N0": (lambda x: Scalar(x.x + 1), _INT_ONE, _INT_ONE, None),
+    "Z": (lambda x: Scalar(x.x + 1), None, _INT_ONE, None),
+    "Rc": (lambda x: NOTHING_ABOVE if x.x.is_inf else DENSE, _XR_ONE, None, _XR_INF),
+    "Ro": (lambda x: DENSE, _XR_ONE, None, None),
+    "Nbar0": (lambda x: NOTHING_ABOVE if x.x.is_inf else Scalar(x.x + ONE), _XR_ONE, _XR_ONE, _XR_INF),
 }
 
 
@@ -348,8 +390,8 @@ def _compile_base(d: Base) -> Kernel:
         return v
 
     return Kernel(d, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
-                  _scalar_mul, _BASE_GENS[name], sum=(_int_sum if integers else _xreal_sum)(zero),
-                  prod=_int_prod if integers else _xreal_prod(zero))
+                  _scalar_mul, _BASE_GENS[name], None, (_int_sum if integers else _xreal_sum)(zero),
+                  _int_prod if integers else _xreal_prod(zero), *_BASE_ORDER[name])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +402,7 @@ def _compile_pairing(d) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
     check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
     cmp_a, cmp_b, add_a, add_b, sum_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.sum, kb.mul
-    sum_a, prod_b = ka.sum, kb.prod
+    sum_a, prod_b, succ_a = ka.sum, kb.prod, ka.succ
     gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
     bar = isinstance(d, (BarSInsert, BarInsert))
     full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
@@ -443,8 +485,25 @@ def _compile_pairing(d) -> Kernel:
                 residues.append(v.residue)
         return TOP if top else Pair(sum_a(levels), prod_b(residues))
 
+    lp_b = kb.least_positive
+    least_positive = None if lp_b is None or not (full or ka.facts.semigroup) else Pair(ka.zero, lp_b)
+    least_b = kb.zero if full else lp_b  # the least residue a level carries
+
+    def step_up(level):
+        s = succ_a(level)
+        if s is NOTHING_ABOVE:
+            return TOP if bar else s
+        return DENSE if s is DENSE or least_b is None else Pair(s, least_b)
+
+    def residue_kernel(level):
+        return kb
+
+    # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
+    one = None if full or kb.one is None else Pair(ka.zero, kb.one)
     return Kernel(d, check, is_zero, zero, cmp, add, mul, gen, prob_depth,
-                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod)
+                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
+                  _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
+                  one, least_positive, None, residue_kernel, step_up)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +575,27 @@ def _compile_mixed(d: MixedInsert) -> Kernel:
         lev = level(rng)
         return Pair(Scalar(lev), sub(lev).nonzero(rng))
 
+    listed = sorted(subs)  # validation keeps every listed level in the range
+
+    def first_from(lev):
+        """The least element at the least level from lev on that carries residues."""
+        if default is None:
+            lev = next((x for x in listed if x >= lev), lev)
+        k = sub(lev)
+        least = None if k is None else k.least_positive
+        return NOTHING_ABOVE if k is None else DENSE if least is None else Pair(Scalar(lev), least)
+
+    def residue_kernel(level):
+        return sub(level.x)
+
+    def step_up(level):
+        return first_from(level.x + 1)
+
+    first = max(lo or 0, 0) if naturals else lo  # the least level of the range
     return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
-                  sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)))
+                  sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
+                  residue_kernel=residue_kernel, step_up=step_up,
+                  succ=_pair_succ(DENSE if first is None else first_from(first), residue_kernel, step_up))
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,6 @@ def add(d: StructDesc, x: Value, y: Value) -> Value:
     return k.add(x, y)
 
 
-def add_all(d: StructDesc, vals) -> Value:
-    """The sum of well-shaped values (``Kernel.sum``)."""
-    return kernel_of(d).sum(vals)
-
-
 def _mul(d: StructDesc, x: Value, y: Value) -> Value:
     return kernel_of(d).mul(x, y)
 
@@ -274,7 +269,7 @@ def assoc_iso_inv(d: StructDesc, x: Value) -> Value:
 
 
 __all__ = [
-    "LT", "EQ", "GT", "cmp", "add", "add_all", "mul", "inv", "try_inv",
+    "LT", "EQ", "GT", "cmp", "add", "mul", "inv", "try_inv",
     "divide", "level", "residue", "shift",
     "double_add", "neg", "OVector", "scalar_mul_vec", "is_lattice_point",
     "regroup_desc", "assoc_iso", "assoc_iso_inv", "one", "zero",

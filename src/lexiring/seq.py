@@ -15,29 +15,22 @@ is otherwise an error.  With bounded levels the sum lives at the greatest
 attained level; countably many contributions there force an infinite
 residue, which only structures with infinities can absorb.
 
-The least upper bound of a residue ramp is taken innermost first: an
-``Rc`` or ``Nbar0`` residue reaches ``inf``.  Where the multiples are
-unbounded within a level, the bound steps one level up, to the least
-element there: after a finite ``N0``, ``Z`` or ``Nbar0`` level, with a
-zero residue in a full product (``\\/``) and the least positive residue
-(``facts(d).least_positive``) in an insertion.  Above an ``inf`` or
-``top`` level only a bar pairing's adjoined ``top`` lies, which is then
-the bound; elsewhere the next level out steps up instead.  After a
-finite ``Rc``/``Ro`` level, or where an insertion's residues have no
-least positive element, the multiples are bounded but have no least
-bound: ``NotRepresentableError``.  A composite level is not stepped up
-(``NotRepresentableError``), nor is a ``mixed(...)`` one
-(``CapabilityError``).
+Both follow one rule over kernel members, innermost first.  A base's
+multiples reach its ``repeat_limit`` (``inf`` in ``Rc`` and ``Nbar0``)
+or are unbounded; a pair's keep its level while its residue's have a
+limit.  Where they are unbounded, a sum fails, and a least upper bound is
+the least element above the level, ``step_up``: one level up, ``top`` in
+a bar pairing, or, above a greatest level, the next level out's bound.
+Where elements lie above the level but none is least (after a finite
+``Rc`` level, say), there is no least bound: ``NotRepresentableError``.
 """
 
 from __future__ import annotations
 
-from .descriptors import Base, BarInsert, BarSInsert, MixedInsert, SInsert, StructDesc, facts
-from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError, ShapeError
-from .kernel import kernel_of
+from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError
+from .kernel import DENSE, NOTHING_ABOVE, kernel_of
 from .ops import _add, _cmp
-from .values import TOP, ZERO, Pair, Scalar, Value, check_value, is_zero, zero
-from .xreal import INF, XReal
+from .values import TOP, ZERO, Pair, Scalar, Value, check_value, zero
 
 
 class Repeat:
@@ -76,104 +69,68 @@ class SeqGen:
         self.tail = tail
 
 
-def require_int_levels(d: StructDesc):
+def require_int_levels(d):
     if not kernel_of(d).int_levels:
         raise CapabilityError("infinite tails need an integer-leveled insertion structure")
 
 
-def least_positive(d: StructDesc) -> Value:
+def least_positive(d) -> Value:
     """The least element greater than zero, which exists where ``facts(d).least_positive`` holds."""
-    if not facts(d).least_positive:
+    lp = kernel_of(d).least_positive
+    if lp is None:
         raise NotRepresentableError(f"{d!r} has no least positive element")
-    if isinstance(d, Base):
-        return Scalar(XReal(1) if d.name == "Nbar0" else 1)
-    return Pair(zero(d.a), least_positive(d.b))
+    return lp
 
 
-def repeat_sum(d: StructDesc, v: Value) -> Value:
-    """The countable sum v + v + v + ... evaluated in d."""
-    if is_zero(d, v):
-        return zero(d)
-    if v is TOP:
-        return TOP
-    if isinstance(d, Base):
-        if d.name in ("Rc", "Nbar0"):
-            return Scalar(INF)
-        raise NotSummableError(f"a countable repeat does not evaluate in {d!r}")
-    if isinstance(v, Pair):
-        sub = d.residue_desc(v.level.x) if isinstance(d, MixedInsert) else d.b
-        return Pair(v.level, repeat_sum(sub, v.residue))
-    raise ShapeError(f"cannot repeat {v!r} in {d!r}")
+def _limit(k, v: Value, step_up: bool):
+    """The sum of v, v, v, ... in k's structure, or with step_up the least upper bound of v, 2v, 3v, ...
+
+    NOTHING_ABOVE where the multiples are unbounded (a sum: within their level).
+    """
+    if v is TOP or k.is_zero(v):
+        return v
+    if k.residue_kernel is None:
+        return NOTHING_ABOVE if k.repeat_limit is None else k.repeat_limit
+    bound = _limit(k.residue_kernel(v.level), v.residue, step_up)
+    if bound is not NOTHING_ABOVE:
+        return Pair(v.level, bound)
+    if not step_up:
+        return bound
+    bound = k.step_up(v.level)  # the residues are unbounded: the least element above their level
+    if bound is DENSE:  # bounded, but with no least bound
+        raise NotRepresentableError("residues at the top level have no least upper bound in this structure")
+    return bound
 
 
-class _Unbounded(Exception):
-    pass
-
-
-def _sup_multiples(d: StructDesc, step: Value) -> Value:
-    """Least upper bound of {step, 2*step, 3*step, ...}; _Unbounded if nothing in d bounds them."""
-    if step is TOP:
-        return TOP
-    if is_zero(d, step):
-        return zero(d)
-    if isinstance(d, Base):
-        if d.name in ("Rc", "Nbar0"):
-            return Scalar(INF)
-        raise _Unbounded()
-    if not isinstance(step, Pair):
-        raise ShapeError(f"cannot form multiples of {step!r} in {d!r}")
-    level, mixed = step.level, isinstance(d, MixedInsert)
-    try:
-        return Pair(level, _sup_multiples(d.residue_desc(level.x) if mixed else d.b, step.residue))
-    except _Unbounded:
-        if mixed:
-            raise CapabilityError(f"residue multiples in {d!r} do not step up a level") from None
-        # the bound is the least element one level up, after a finite N0, Z or Nbar0 level
-        x = level.x if isinstance(level, Scalar) else None
-        if level is TOP or isinstance(x, XReal) and x.is_inf:
-            if isinstance(d, (BarInsert, BarSInsert)):
-                return TOP  # only the adjoined top lies above this level
-            raise  # nothing lies above this level: the multiples are unbounded here too
-        if not isinstance(d.a, Base):
-            raise NotRepresentableError(f"residue multiples in {d!r} do not step up a composite level") from None
-        if d.a.name in ("N0", "Z", "Nbar0"):
-            up = Scalar(x + (XReal(1) if isinstance(x, XReal) else 1))
-            if isinstance(d, (SInsert, BarSInsert)):
-                return Pair(up, zero(d.b))  # a full product keeps zero residues
-            if facts(d.b).least_positive:
-                return Pair(up, least_positive(d.b))
-        raise NotRepresentableError(  # bounded, but with no least bound
-            "residues at the top level have no least upper bound in this structure") from None
-
-
-def sum_sequence(d: StructDesc, s: SeqGen) -> Value:
-    """Evaluate a countable sum: the head's sum, plus the tail's unless the head dominates it."""
-    for v in s.head:
-        check_value(d, v)
-    head = kernel_of(d).sum(s.head)
-    tail = s.tail
-    if tail is None or head is TOP:
-        return head
+def _tail_term(d, tail, unbounded: Exception) -> Value:
+    """Check a tail against d: the value it repeats, or its ramp's first term; for a level ramp top, or unbounded."""
     require_int_levels(d)
-    if isinstance(tail, LevelRamp):
-        check_value(d, Pair(Scalar(tail.start), tail.residue))
-        if facts(d).top:
-            return TOP
-        raise NotSummableError("levels are unbounded above and the structure has no top")
     if isinstance(tail, Repeat):
-        check_value(d, tail.value)
-        if tail.value is TOP or is_zero(d, tail.value):
-            return _add(d, head, tail.value)  # top absorbs; zero adds nothing
-        level, residue = tail.value.level, tail.value.residue
-    else:
-        level, residue = Scalar(tail.level), tail.step
-        check_value(d, Pair(level, residue))
-    if head is not ZERO and head.level.x > level.x:  # the head dominates the tail
+        return check_value(d, tail.value)
+    if isinstance(tail, ResidueRamp):
+        return check_value(d, Pair(Scalar(tail.level), tail.step))
+    check_value(d, Pair(Scalar(tail.start), tail.residue))
+    if kernel_of(d).facts.top:
+        return TOP
+    raise unbounded
+
+
+def sum_sequence(d, s: SeqGen) -> Value:
+    """Evaluate a countable sum: the head's sum, plus the tail's unless the head dominates it."""
+    k = kernel_of(d)
+    head = k.sum([k.check(v) for v in s.head])
+    if s.tail is None or head is TOP:
         return head
-    return _add(d, head, Pair(level, repeat_sum(d.b, residue)))
+    term = _tail_term(d, s.tail, NotSummableError("levels are unbounded above and the structure has no top"))
+    total = _limit(k, term, False)
+    if total is not NOTHING_ABOVE:
+        return _add(d, head, total)  # top absorbs, zero adds nothing, a head at a greater level wins
+    if head is not ZERO and head.level.x > term.level.x:  # the head dominates the tail
+        return head
+    raise NotSummableError(f"a countable repeat does not evaluate in {d!r}")
 
 
-def sup_finite(d: StructDesc, values) -> Value:
+def sup_finite(d, values) -> Value:
     """Least upper bound of a finite set: its maximum."""
     vals = list(values)
     if not vals:
@@ -186,31 +143,13 @@ def sup_finite(d: StructDesc, values) -> Value:
     return best
 
 
-def sup_sequence(d: StructDesc, s) -> Value:
+def sup_sequence(d, s) -> Value:
     """Least upper bound of a finite set or a SeqGen family."""
     if not isinstance(s, SeqGen):
         return sup_finite(d, s)
-    candidates = list(s.head)
-    for v in candidates:
-        check_value(d, v)
-    tail = s.tail
-    if tail is not None:
-        require_int_levels(d)
-    if isinstance(tail, LevelRamp):
-        check_value(d, Pair(Scalar(tail.start), tail.residue))
-        if facts(d).top:
-            return TOP
-        raise NotRepresentableError("the level set is unbounded and the structure has no top")
-    if isinstance(tail, Repeat):
-        check_value(d, tail.value)
-        candidates.append(tail.value)
-    elif isinstance(tail, ResidueRamp):
-        # the level is an integer, so the multiples step up a level rather than escape unbounded
-        candidates.append(_sup_multiples(d, check_value(d, Pair(Scalar(tail.level), tail.step))))
-    if not candidates:
-        return zero(d)
-    best = candidates[0]
-    for v in candidates[1:]:
-        if _cmp(d, v, best) > 0:
-            best = v
-    return best
+    candidates = [check_value(d, v) for v in s.head]
+    if s.tail is not None:
+        term = _tail_term(d, s.tail, NotRepresentableError("the level set is unbounded and the structure has no top"))
+        # an integer level has a successor, so the bound of a residue ramp is never NOTHING_ABOVE
+        candidates.append(term if isinstance(s.tail, Repeat) else _limit(kernel_of(d), term, True))
+    return sup_finite(d, candidates) if candidates else zero(d)

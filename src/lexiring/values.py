@@ -2,8 +2,8 @@
 
 The value variants (``ZERO``, ``TOP``, ``Scalar``, ``Pair``, ``Signed``)
 are defined in ``kernel`` and re-exported here.  ``check_value``,
-``is_zero`` and ``zero`` are lookups into the descriptor's kernel, which
-is compiled lazily, once per descriptor object.
+``is_zero``, ``zero`` and ``one`` are lookups into the descriptor's
+kernel, which is compiled lazily, once per descriptor object.
 
 Literals: ``0``, ``top``, ``inf``, integers, ``p/q``, nested tuples, and
 a leading ``-`` under double().  Flat tuples like ``(-1,2,3)`` are
@@ -44,15 +44,10 @@ def is_zero(d: StructDesc, v: Value) -> bool:
 
 def one(d: StructDesc) -> Value:
     """Multiplicative identity of a semiring descriptor."""
-    if isinstance(d, Base):
-        if d.name == "N0":
-            return Scalar(1)
-        if d.name in ("Rc", "Ro", "Nbar0"):
-            return Scalar(XReal(1))
+    v = kernel_of(d).one
+    if v is None:
         raise ShapeError(f"{d!r} has no multiplicative identity")
-    if isinstance(d, (Insert, BarInsert)):
-        return Pair(zero(d.a), one(d.b))
-    raise ShapeError(f"{d!r} has no multiplicative identity")
+    return v
 
 
 def stack_levels(levels, residue: XReal) -> Value:

@@ -279,6 +279,17 @@ def test_sup_of_a_top_residue_ramp(capsys):
     assert capsys.readouterr().out == "(0,top)\n(0,top)\n"
 
 
+@pytest.mark.parametrize("struct, expr, out", [
+    (r"N0 /\ ((N0 \/ N0) /\ N0)", "sup(resramp(0,((0,0),1)))", "(0,((0,1),1))"),
+    # the level is (0,0), the zero of Nbar0 \/ Nbar0, which prints as 0
+    (r"N0 /\ ((Nbar0 \/ Nbar0) /\ N0)", "sup(resramp(0,((inf,inf),1)))", "(1,(0,1))"),
+    (r"N0 /\ mixed(N0; 0..2; default:N0)", "sup(resramp(0,(0,1)))", "(0,(1,1))"),
+])
+def test_sup_steps_up_composite_and_mixed_levels(capsys, struct, expr, out):
+    assert main(["eval", struct, expr]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
 def test_nesting_depth_is_limited(capsys):
     from lexiring.descriptors import MAX_DEPTH
 

@@ -1,9 +1,16 @@
 """Countable sums and least upper bounds."""
 
+import ast
+import inspect
+import random
+
 import pytest
 
+import lexiring.descriptors as D
+import lexiring.seq
 from lexiring.descriptors import parse_struct
-from lexiring.errors import CapabilityError, NotRepresentableError, NotSummableError
+from lexiring.errors import NotRepresentableError, NotSummableError
+from lexiring.kernel import DENSE, NOTHING_ABOVE, ZERO_P, kernel_of
 from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_sequence
 from lexiring.values import TOP, Scalar, check_value, parse_value, zero
 from lexiring.xreal import XReal
@@ -137,6 +144,13 @@ def test_sup_residue_ramp_steps_up_a_finite_nbar0_level():
     (r"N0 /\ (Rc b/\ N0)", (r"Rc b/\ N0", "(inf,1)"), "(0,top)"),
     (r"N0 /\ (Nbar0 b/\ N0)", (r"Nbar0 b/\ N0", "(inf,1)"), "(0,top)"),
     (r"N0 /\ mixed(N0; 0..2; default:Rc)", ("mixed(N0; 0..2; default:Rc)", "(0,1)"), "(0,(0,inf))"),
+    # a composite level steps up through its own residue, then its level
+    (r"N0 /\ ((N0 \/ N0) /\ N0)", (r"(N0 \/ N0) /\ N0", "((0,0),1)"), "(0,((0,1),1))"),
+    # nothing lies above the level (inf,inf): the outer level steps up, to the inner least positive element
+    (r"N0 /\ ((Nbar0 \/ Nbar0) /\ N0)", (r"(Nbar0 \/ Nbar0) /\ N0", "((inf,inf),1)"), "(1,((0,0),1))"),
+    # a mixed level steps up to the next level of its range that carries residues
+    (r"N0 /\ mixed(N0; 0..2; default:N0)", ("mixed(N0; 0..2; default:N0)", "(0,1)"), "(0,(1,1))"),
+    (r"N0 /\ mixed(N0; 0..3; 0:N0, 2:N0)", ("mixed(N0; 0..3; 0:N0, 2:N0)", "(0,1)"), "(0,(2,1))"),
 ])
 def test_sup_residue_ramp_rows(struct, step, lub):
     d = parse_struct(struct)
@@ -149,8 +163,6 @@ def test_sup_residue_ramp_rows(struct, step, lub):
     # (0,(x,...)) is a bound for every x > 0 of Rc, so no bound is least
     (r"N0 /\ (Rc \/ N0)", (r"Rc \/ N0", "(0,1)"), "residues at the top level have no least upper bound"),
     (r"N0 /\ (Rc /\ N0)", (r"Rc /\ N0", "(0,1)"), "residues at the top level have no least upper bound"),
-    # a composite level is not stepped up
-    (r"N0 /\ ((N0 \/ N0) /\ N0)", (r"(N0 \/ N0) /\ N0", "((0,0),1)"), "do not step up a composite level"),
 ])
 def test_sup_residue_ramp_refusals(struct, step, message):
     with pytest.raises(NotRepresentableError, match=message):
@@ -161,6 +173,74 @@ def test_mixed_residues_repeat_and_refuse_to_step_up():
     d = parse_struct(r"N0 /\ mixed(N0; 0..2; default:Rc)")
     assert sum_sequence(d, SeqGen(tail=Repeat(pv(r"N0 /\ mixed(N0; 0..2; default:Rc)", "(0,(0,1))")))) == \
         pv(r"N0 /\ mixed(N0; 0..2; default:Rc)", "(0,(0,inf))")
+    # above the top of the range the outer level steps up, to a least positive element that
+    # facts(mixed(...)).least_positive does not claim
     d = parse_struct(r"N0 /\ mixed(N0; 0..2; default:N0)")
-    with pytest.raises(CapabilityError, match="do not step up a level"):
-        sup_sequence(d, SeqGen(tail=ResidueRamp(0, pv("mixed(N0; 0..2; default:N0)", "(0,1)"))))
+    with pytest.raises(NotRepresentableError, match="residues at the top level have no least upper bound"):
+        sup_sequence(d, SeqGen(tail=ResidueRamp(0, pv("mixed(N0; 0..2; default:N0)", "(2,1)"))))
+
+
+# Integer-leveled insertions whose residues have composite, bar, full and mixed levels, greatest
+# elements (inf, top) to step up from, and dense orders where no least bound exists.
+ORDER_STRUCTURES = (
+    r"N0 /\ N0", r"Z /\ (Rc \/ N0)", r"N0 b/\ (Rc \/ Nbar0)", r"Z b/\ Nbar0",
+    r"N0 /\ (N0 \/ N0)", r"N0 /\ (Nbar0 \/ Nbar0)", r"N0 /\ (Rc \/ N0)", r"N0 /\ (Rc b/\ N0)",
+    r"N0 /\ ((N0 \/ N0) /\ N0)", r"N0 /\ ((Nbar0 \/ Nbar0) /\ N0)", r"N0 /\ ((N0 \/ Nbar0) /\ Nbar0)",
+    r"Z b/\ ((N0 b\/ Nbar0) b/\ N0)",
+    r"N0 /\ mixed(N0; 0..2; default:N0)", r"N0 /\ mixed(N0; 0..3; 0:N0, 2:N0)",
+    r"Z /\ mixed(Z; ..3; 1:Nbar0, default:N0)", r"N0 /\ (mixed(N0; 0..3; 0:Nbar0, 2:N0) /\ Nbar0)",
+)
+
+
+@pytest.mark.parametrize("struct", ORDER_STRUCTURES)
+def test_succ_is_the_least_element_above(struct):
+    k = kernel_of(parse_struct(struct))
+    rng = random.Random(11)
+    ys = [k.gen(rng, ZERO_P) for _ in range(300)]
+    stepped = 0
+    for x in ys[:150]:
+        s = k.succ(x)
+        if s is NOTHING_ABOVE:
+            assert all(k.cmp(y, x) <= 0 for y in ys), x
+        elif s is not DENSE:
+            assert k.cmp(x, k.check(s)) < 0, (x, s)
+            assert all(k.cmp(y, x) <= 0 or k.cmp(y, s) >= 0 for y in ys), (x, s)
+            stepped += 1
+    assert stepped
+
+
+@pytest.mark.parametrize("struct", ORDER_STRUCTURES)
+def test_sup_of_a_residue_ramp_is_its_least_upper_bound(struct):
+    d = parse_struct(struct)
+    k = kernel_of(d)
+    rng = random.Random(12)
+    ys = [k.gen(rng, ZERO_P) for _ in range(300)]
+    bounds = 0
+    for _ in range(40):
+        step = k.nonzero(rng)
+        if step is TOP:
+            continue
+        try:
+            lub = k.check(sup_sequence(d, SeqGen(tail=ResidueRamp(step.level.x, step.residue))))
+        except NotRepresentableError:
+            continue
+        multiple = step
+        for _ in range(64):
+            assert k.cmp(multiple, lub) <= 0, (step, lub)
+            multiple = k.add(multiple, step)
+        for _ in range(4):
+            multiple = k.add(multiple, multiple)  # 1040 * step, above every drawn y below the bound
+        assert all(k.cmp(y, lub) >= 0 or k.cmp(y, multiple) <= 0 for y in ys), (step, lub)
+        bounds += 1
+    assert bounds
+
+
+def test_seq_names_no_descriptor_class():
+    classes = {name for name, obj in vars(D).items() if isinstance(obj, type) and issubclass(obj, D.StructDesc)}
+    tree = ast.parse(inspect.getsource(lexiring.seq))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & classes
+    dispatches = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+                  and getattr(n.args[0], "id", None) == "d"]
+    assert not dispatches

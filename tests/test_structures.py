@@ -131,6 +131,27 @@ def test_least_positive_exists_exactly_where_the_facts_say():
     assert built > 100
 
 
+def test_one_exists_exactly_in_the_semirings():
+    rng = random.Random(9)
+    built = 0
+    for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::41]:
+        try:
+            D.validate_desc(d)
+        except CapabilityError:
+            continue
+        if not D.facts(d).semiring:
+            with pytest.raises(ShapeError, match="has no multiplicative identity"):
+                one(d)
+            continue
+        k = kernel_of(d)
+        e = k.check(one(d))
+        for _ in range(20):
+            v = k.gen(rng, ZERO_P)
+            assert k.mul(v, e) == v and k.mul(e, v) == v, (d, v)
+        built += 1
+    assert built > 50
+
+
 def test_kernel_facts_are_the_descriptor_facts():
     for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::41] + [parse_struct("Sn(64)"), parse_struct("Pn(3)")]:
         try:
