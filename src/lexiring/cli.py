@@ -17,12 +17,12 @@ import sys
 
 from . import ops
 from .dartboard import BUILTIN_SCENES
-from .descriptors import capabilities, parse_struct
+from .descriptors import TokenStream, capabilities, parse_struct
 from .errors import LexiringError, ParseError, ShapeError
 from .kernel import kernel_of
 from .seq import (LevelRamp, Repeat, ResidueRamp, SeqGen, require_int_levels, sum_sequence, sup_finite,
                   sup_sequence)
-from .values import _ValueParser, format_value, parse_value
+from .values import format_value, parse_value
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +32,10 @@ from .values import _ValueParser, format_value, parse_value
 _GENS = ("repeat", "levelramp", "resramp")
 
 
-class _ExprEval(_ValueParser):
+class _ExprEval(TokenStream):
     """Expressions over literals, parsed on one token stream.
+
+    The kernel's ``read`` reads each literal on this cursor; it is checked whole.
 
     Where an atom may be a literal or a parenthesised expression, the
     literal is tried first.  When every route fails, the error raised is
@@ -100,7 +102,7 @@ class _ExprEval(_ValueParser):
         if tok == "cmp":
             self.next()
             raise self.error("cmp(...) only makes sense at the top level")
-        v = self.try_literal(self.d)
+        v = self.try_literal()
         if v is not None:
             return v
         if tok == "(":
@@ -111,10 +113,13 @@ class _ExprEval(_ValueParser):
         tok = self.next()
         raise self.error(f"unexpected token {tok!r}")
 
-    def try_literal(self, d):
+    def literal(self, k):
+        return k.check(k.read(self))
+
+    def try_literal(self):
         save = self.pos
         try:
-            return self.literal(d)
+            return self.literal(self.k)
         except (ParseError, ShapeError) as exc:
             if self.pos > self.furthest[0]:
                 self.furthest = (self.pos, exc)
@@ -132,19 +137,19 @@ class _ExprEval(_ValueParser):
                 self.next()
                 self.expect("(")
                 if tok == "repeat":
-                    tail = Repeat(self.literal(self.d))
+                    tail = Repeat(self.literal(self.k))
                 elif tok == "levelramp":
                     require_int_levels(self.d)
                     start = self.int()
                     self.expect(",")
                     step = self.int()
                     self.expect(",")
-                    tail = LevelRamp(start, step, self.literal(self.d.b))
+                    tail = LevelRamp(start, step, self.literal(kernel_of(self.d.b)))
                 else:
                     require_int_levels(self.d)
                     lev = self.int()
                     self.expect(",")
-                    tail = ResidueRamp(lev, self.literal(self.d.b))
+                    tail = ResidueRamp(lev, self.literal(kernel_of(self.d.b)))
                 self.expect(")")
             else:
                 head.append(self.expr())

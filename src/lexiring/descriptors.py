@@ -123,18 +123,6 @@ class MixedInsert(StructDesc):
         self.table = tuple(sorted(table))
         self.default = default
 
-    def residue_desc(self, level: int):
-        if self.lo is not None and level < self.lo:
-            return None
-        if self.hi is not None and level > self.hi:
-            return None
-        if self.base.name == "N0" and level < 0:
-            return None
-        for lev, d in self.table:
-            if lev == level:
-                return d
-        return self.default
-
     def __eq__(self, other):
         return (
             isinstance(other, MixedInsert)

@@ -13,8 +13,9 @@ it by every operation.  Variants:
 
 ``kernel_of(d)`` compiles d, the first time it is used, into a ``Kernel``
 of closures (shape check, zero test, comparison, addition, n-ary sum,
-multiplication, n-ary product, order successor, seeded random draws),
-canonical elements and capability flags, and keeps it in d's ``_kernel``
+multiplication, n-ary product, inverse, order successor, seeded random
+draws, literal reading and formatting), canonical elements and
+capability flags, and keeps it in d's ``_kernel``
 slot: it lives and dies with the descriptor object.  A composite kernel
 captures its parts' closures, so no call walks the descriptor again
 (Feeley & Lapalme, "Using closures for code generation", Computer
@@ -48,8 +49,8 @@ from functools import reduce
 from math import gcd, prod as int_prod
 
 from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, facts,
-                          pairing_facts)
-from .errors import CapabilityError, ShapeError
+                          is_digits, pairing_facts)
+from .errors import CapabilityError, DomainError, ShapeError
 from .xreal import INF, ONE, XReal
 from .xreal import ZERO as XR_ZERO
 
@@ -156,16 +157,26 @@ class Kernel:
     level of a bar pairing, and in ``mixed(...)`` the next level that has
     residues.  Bases have no ``residue_kernel`` or ``step_up``, and
     ``double(...)``, neither a level nor a residue structure, no ``succ``.
+
+    ``read(ts)`` reads one literal from a ``TokenStream`` and leaves it
+    unchecked: callers check it whole, so a literal cut short is a parse
+    error before any shape error.  ``body(ts)`` reads a pair without its
+    parentheses, which flat-tuple sugar continues; it is None for bases
+    and ``double(...)``.  ``fmt(v)`` is v's canonical literal.  ``inv(v)``
+    inverts a nonzero v of a semiring: a pairing negates its level (in
+    ``Z``, or ``N0`` at 0), then inverts its residue.
     """
 
     __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
-                 "facts", "semiring", "semifield", "int_levels", "prob_depth",
+                 "facts", "semiring", "semifield", "int_levels", "prob_depth", "read", "body", "fmt", "inv",
                  "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up")
 
-    def __init__(self, d, check, is_zero, zero, cmp, add, mul, gen, prob_depth=None, sum=None, prod=None,
-                 succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None, step_up=None):
+    def __init__(self, d, text, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
+                 prod=None, succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
+                 step_up=None, body=None, inv=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
+        self.read, self.body, self.fmt, self.inv = read, body, fmt, inv
         self.one, self.least_positive, self.repeat_limit = one, least_positive, repeat_limit
         self.residue_kernel, self.succ, self.step_up = residue_kernel, succ, step_up
         self.sum = sum or _ordered_fold(zero, add)
@@ -181,7 +192,6 @@ class Kernel:
         else:
             self.prod = prod
         self.int_levels = isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
-        text = repr(d)  # not d: a closure over d would tie d and its kernel in a reference cycle
 
         def nonzero(rng, tries=64):
             for _ in range(tries):
@@ -203,15 +213,16 @@ def kernel_of(d: StructDesc) -> Kernel:
 
 
 def _compile(d: StructDesc) -> Kernel:
+    text = repr(d)  # not d: a closure over d would tie d and its kernel in a reference cycle
     if isinstance(d, Base):
-        return _compile_base(d)
+        return _compile_base(d, text)
     if isinstance(d, _PAIRINGS):
-        return _compile_pairing(d)
+        return _compile_pairing(d, text)
     if isinstance(d, MixedInsert):
-        return _compile_mixed(d)
+        return _compile_mixed(d, text)
     if isinstance(d, DoubleOf):
-        return _compile_double(d)
-    raise ShapeError(f"unknown descriptor {d!r}")
+        return _compile_double(d, text)
+    raise ShapeError(f"unknown descriptor {text}")
 
 
 def _is_adjoined_zero(v) -> bool:
@@ -252,6 +263,34 @@ def _dominant_sum(zero, cmp_level, residue_sum):
             top, group = v.level, [v.residue]
         return zero if top is None else Pair(top, residue_sum(top, group))
     return sum_
+
+
+def _read_pair(text, bar, zero, body):
+    """read over a bare 0, top and a parenthesised pair body."""
+    def read(ts):
+        tok = ts.peek()
+        if tok == "top":
+            if not bar:
+                raise ShapeError(f"'top' is not an element of {text}")
+            ts.pos += 1
+            return TOP
+        if tok == "0" and ts.toks[ts.pos + 1:ts.pos + 2] != ["/"]:
+            ts.pos += 1
+            return zero  # a bare 0 denotes the additive identity of any structure
+        ts.expect("(")
+        v = body(ts)
+        ts.expect(")")
+        return v
+    return read
+
+
+def _read_residue(read, body, ts):
+    """A residue, where flat-tuple sugar "(a,b,c)" continues a pair body without its parentheses."""
+    if body is not None:
+        tok = ts.peek()
+        if tok != "(" and tok != "top" and (tok != "0" or ts.toks[ts.pos + 1:ts.pos + 2] == [","]):
+            return body(ts)  # a bare 0 that no ',' follows is the residue structure's zero
+    return read(ts)
 
 
 def _pair_succ(least, residue_kernel, step_up):
@@ -367,7 +406,7 @@ def _xreal_prod(zero):
     return prod
 
 
-def _compile_base(d: Base) -> Kernel:
+def _compile_base(d: Base, text: str) -> Kernel:
     name = d.name
     integers = name in ("N0", "Z")
     zero = Scalar(0 if integers else XR_ZERO)
@@ -389,20 +428,49 @@ def _compile_base(d: Base) -> Kernel:
             raise ShapeError(f"{v!r} is not a natural number or inf")
         return v
 
-    return Kernel(d, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
-                  _scalar_mul, _BASE_GENS[name], None, (_int_sum if integers else _xreal_sum)(zero),
-                  _int_prod if integers else _xreal_prod(zero), *_BASE_ORDER[name])
+    def read(ts):
+        if ts.peek() == "top":
+            raise ShapeError(f"'top' is not an element of {text}")
+        if integers:
+            return Scalar(ts.int())
+        tok = ts.next()
+        if tok == "inf":
+            return _XR_INF
+        if not is_digits(tok):
+            raise ts.error(f"expected a rational or 'inf', found {tok!r}")
+        if ts.peek() != "/":
+            return Scalar(XReal(int(tok)))
+        ts.pos += 1
+        den = ts.next()
+        if not is_digits(den) or int(den) == 0:
+            raise ts.error(f"bad denominator {den!r}")
+        return Scalar(XReal(int(tok), int(den)))
+
+    def inv(v):
+        if integers:
+            if v.x == 1:
+                return v
+            raise DomainError(f"{v!r} is not invertible in {text}")
+        if v.x.is_inf:
+            raise DomainError("inf has no multiplicative inverse")
+        return Scalar(ONE / v.x)
+
+    return Kernel(d, text, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
+                  _scalar_mul, _BASE_GENS[name], read, lambda v: str(v.x), None,
+                  (_int_sum if integers else _xreal_sum)(zero), _int_prod if integers else _xreal_prod(zero),
+                  *_BASE_ORDER[name], inv=inv)
 
 
 # ---------------------------------------------------------------------------
 # insertions and s-insertions
 # ---------------------------------------------------------------------------
 
-def _compile_pairing(d) -> Kernel:
+def _compile_pairing(d, text: str) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
     check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
     cmp_a, cmp_b, add_a, add_b, sum_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.sum, kb.mul
     sum_a, prod_b, succ_a = ka.sum, kb.prod, ka.succ
+    read_a, read_b, body_b, fmt_a, fmt_b, inv_b = ka.read, kb.read, kb.body, ka.fmt, kb.fmt, kb.inv
     gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
     bar = isinstance(d, (BarSInsert, BarInsert))
     full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
@@ -498,19 +566,40 @@ def _compile_pairing(d) -> Kernel:
     def residue_kernel(level):
         return kb
 
+    def body(ts):
+        level = read_a(ts)
+        ts.expect(",")
+        return Pair(level, _read_residue(read_b, body_b, ts))
+
+    def fmt(v):
+        return "top" if v is TOP else "0" if is_zero(v) else f"({fmt_a(v.level)},{fmt_b(v.residue)})"
+
+    a = d.a
+    int_level = a.name if isinstance(a, Base) else None
+
+    def inv(v):
+        if v is TOP:
+            raise DomainError("top has no multiplicative inverse")
+        level = v.level
+        if int_level == "Z":
+            level = Scalar(-level.x)
+        elif int_level != "N0" or level.x:  # N0 negates only its 0
+            raise DomainError(f"level {level!r} cannot be negated in {a!r}")
+        return Pair(level, inv_b(v.residue))
+
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
     one = None if full or kb.one is None else Pair(ka.zero, kb.one)
-    return Kernel(d, check, is_zero, zero, cmp, add, mul, gen, prob_depth,
-                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
+    return Kernel(d, text, check, is_zero, zero, cmp, add, mul, gen, _read_pair(text, bar, zero, body), fmt,
+                  prob_depth, _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
-                  one, least_positive, None, residue_kernel, step_up)
+                  one, least_positive, None, residue_kernel, step_up, body, inv)
 
 
 # ---------------------------------------------------------------------------
 # mixed insertions
 # ---------------------------------------------------------------------------
 
-def _compile_mixed(d: MixedInsert) -> Kernel:
+def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
     lo, hi, naturals = d.lo, d.hi, d.base.name == "N0"
     subs = {lev: kernel_of(sd) for lev, sd in d.table}
     default = None if d.default is None else kernel_of(d.default)
@@ -591,10 +680,21 @@ def _compile_mixed(d: MixedInsert) -> Kernel:
     def step_up(level):
         return first_from(level.x + 1)
 
+    def body(ts):
+        lev = ts.int()
+        k = sub(lev)
+        if k is None:
+            raise ShapeError(f"level {lev} lies outside the mixed insertion range")
+        ts.expect(",")
+        return Pair(Scalar(lev), _read_residue(k.read, k.body, ts))
+
+    def fmt(v):
+        return "0" if v is ZERO else f"({v.level.x},{sub(v.level.x).fmt(v.residue)})"
+
     first = max(lo or 0, 0) if naturals else lo  # the least level of the range
-    return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
-                  sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
-                  residue_kernel=residue_kernel, step_up=step_up,
+    return Kernel(d, text, check, _is_adjoined_zero, ZERO, cmp, add, None, gen, _read_pair(text, False, ZERO, body),
+                  fmt, sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
+                  residue_kernel=residue_kernel, step_up=step_up, body=body,
                   succ=_pair_succ(DENSE if first is None else first_from(first), residue_kernel, step_up))
 
 
@@ -609,9 +709,10 @@ def _split_int_level(x: Value):
     return x.level.x, x.residue.x
 
 
-def _compile_double(d: DoubleOf) -> Kernel:
+def _compile_double(d: DoubleOf, text: str) -> Kernel:
     ki = kernel_of(d.inner)
     check_i, zero_i, cmp_i, add_i, nonzero_i = ki.check, ki.is_zero, ki.cmp, ki.add, ki.nonzero
+    read_i, fmt_i = ki.read, ki.fmt
 
     def check(v):
         if v is ZERO:
@@ -655,4 +756,16 @@ def _compile_double(d: DoubleOf) -> Kernel:
             return ZERO
         return Signed(rng.choice((1, -1)), nonzero_i(rng))
 
-    return Kernel(d, check, _is_adjoined_zero, ZERO, cmp, add, None, gen)
+    def read(ts):
+        sign = 1
+        if ts.peek() in ("+", "-"):
+            sign = -1 if ts.next() == "-" else 1
+        if sign == 1 and ts.peek() == "0":
+            ts.pos += 1
+            return ZERO
+        return Signed(sign, read_i(ts))
+
+    def fmt(v):
+        return "0" if v is ZERO else fmt_i(v.mag) if v.sign > 0 else "-" + fmt_i(v.mag)
+
+    return Kernel(d, text, check, _is_adjoined_zero, ZERO, cmp, add, None, gen, read, fmt)

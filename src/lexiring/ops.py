@@ -7,15 +7,15 @@ Multiplication adds levels using the level structure's own addition,
 which for composite level structures is itself level-dominant; this is
 exactly what makes the insertion combinator non-associative.
 
-``cmp``, ``add`` and ``mul`` run the descriptor's kernel (see ``kernel``),
-compiled lazily, once per descriptor object.  Public functions validate
-the shapes of their arguments; the ``_`` variants assume well-shaped
-inputs and are used on internal hot paths.
+``cmp``, ``add``, ``mul`` and ``inv`` run the descriptor's kernel (see
+``kernel``), compiled lazily, once per descriptor object.  Public
+functions validate the shapes of their arguments; the ``_`` variants
+assume well-shaped inputs and are used on internal hot paths.
 """
 
 from __future__ import annotations
 
-from .descriptors import BarInsert, BarSInsert, Base, DoubleOf, Insert, SInsert, StructDesc
+from .descriptors import BarInsert, BarSInsert, DoubleOf, Insert, SInsert, StructDesc
 from .errors import CapabilityError, DomainError, ShapeError
 from .kernel import EQ, GT, LT, TOP, ZERO, Pair, Scalar, Signed, Value, kernel_of
 from .values import check_value, is_zero, one, zero
@@ -70,28 +70,6 @@ def mul(d: StructDesc, x: Value, y: Value) -> Value:
     return k.mul(x, y)
 
 
-def _neg_level(d: StructDesc, lv: Value) -> Value:
-    if isinstance(d, Base) and d.name == "Z":
-        return Scalar(-lv.x)
-    if isinstance(d, Base) and d.name == "N0" and lv.x == 0:
-        return lv
-    raise DomainError(f"level {lv!r} cannot be negated in {d!r}")
-
-
-def _inv(d: StructDesc, v: Value) -> Value:
-    if v is TOP:
-        raise DomainError("top has no multiplicative inverse")
-    if isinstance(d, Base):
-        if isinstance(v.x, XReal):
-            if v.x.is_inf:
-                raise DomainError("inf has no multiplicative inverse")
-            return Scalar(XReal(1) / v.x)
-        if v.x == 1:
-            return Scalar(1)
-        raise DomainError(f"{v!r} is not invertible in {d!r}")
-    return Pair(_neg_level(d.a, v.level), _inv(d.b, v.residue))
-
-
 def inv(d: StructDesc, x: Value) -> Value:
     """Multiplicative inverse in an ordered semifield."""
     k = kernel_of(d)
@@ -100,7 +78,7 @@ def inv(d: StructDesc, x: Value) -> Value:
     k.check(x)
     if k.is_zero(x):
         raise DomainError("zero has no multiplicative inverse")
-    return _inv(d, x)
+    return k.inv(x)
 
 
 def try_inv(d: StructDesc, x: Value) -> Value:
@@ -111,7 +89,7 @@ def try_inv(d: StructDesc, x: Value) -> Value:
     k.check(x)
     if k.is_zero(x):
         raise DomainError("zero has no multiplicative inverse")
-    return _inv(d, x)
+    return k.inv(x)
 
 
 def divide(d: StructDesc, x: Value, y: Value) -> Value:

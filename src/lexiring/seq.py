@@ -148,6 +148,8 @@ def sup_sequence(d, s) -> Value:
     if not isinstance(s, SeqGen):
         return sup_finite(d, s)
     candidates = [check_value(d, v) for v in s.head]
+    if TOP in candidates:  # top bounds every tail
+        return TOP
     if s.tail is not None:
         term = _tail_term(d, s.tail, NotRepresentableError("the level set is unbounded and the structure has no top"))
         # an integer level has a successor, so the bound of a residue ramp is never NOTHING_ABOVE

@@ -1,5 +1,6 @@
 """Golden-file CLI tests, exit codes, and the selfcheck harness."""
 
+import collections
 import json
 import os
 import pathlib
@@ -10,12 +11,15 @@ import sys
 
 import pytest
 
+from lexiring import descriptors as D
 from lexiring import ops
-from lexiring.cli import eval_expression, main
-from lexiring.descriptors import facts, parse_struct
-from lexiring.errors import LexiringError
+from lexiring.cli import _ExprEval, eval_expression, main
+from lexiring.descriptors import TokenStream, facts, is_digits, parse_struct
+from lexiring.errors import CapabilityError, DomainError, LexiringError, ShapeError
+from lexiring.kernel import kernel_of
 from lexiring.laws import random_value
-from lexiring.values import format_value, is_zero, parse_value
+from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, format_value, is_zero, parse_value, zero
+from lexiring.xreal import INF, XReal
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -140,12 +144,36 @@ def test_parse_format_roundtrip_fuzz():
 MUTATION_TOKENS = ["(", ")", ",", "/", "-", "+", "*", "0", "1", "12", "inf", "top", "²", "..", ";", "x", " "]
 
 
-def test_mutated_literals_fail_cleanly():
-    rng = random.Random(47)
-    pairs = [(s, parse_struct(s)) for s in ROUNDTRIP_STRUCTS]
-    for _ in range(3000):
+def _flatten(toks):
+    """Flat-tuple sugar: drop the parentheses of every pair that ends a pair as its residue, (1,(2,3)) -> (1,2,3)."""
+    i = 1
+    while i < len(toks):
+        if toks[i] == "(" and toks[i - 1] == ",":
+            depth, j = 0, i
+            while j < len(toks):
+                depth += {"(": 1, ")": -1}.get(toks[j], 0)
+                if depth == 0:
+                    break
+                j += 1
+            if j + 1 < len(toks) and toks[j + 1] == ")":
+                del toks[j], toks[i]
+                continue
+        i += 1
+    return toks
+
+
+def _mutations(rng, structs, n, flat=False):
+    """n draws of (structure text, descriptor, value, its literal after one to three token edits).
+
+    With flat, every second literal is written as flat tuples before its edits.
+    """
+    pairs = [(s, parse_struct(s)) for s in structs]
+    for draw in range(n):
         text, d = rng.choice(pairs)
-        toks = re.findall(r"[0-9]+|[A-Za-z]+|\S", format_value(d, random_value(rng, d)))
+        v = random_value(rng, d)
+        toks = re.findall(r"[0-9]+|[A-Za-z]+|\S", format_value(d, v))
+        if flat and draw % 2:
+            _flatten(toks)
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(toks) + 1)
             edit = rng.choice(("insert", "delete", "replace"))
@@ -155,12 +183,206 @@ def test_mutated_literals_fail_cleanly():
                 del toks[i]
             else:
                 toks[i] = rng.choice(MUTATION_TOKENS)
-        mutated = "".join(toks)
+        yield text, d, v, "".join(toks)
+
+
+def test_mutated_literals_fail_cleanly():
+    for text, d, _, mutated in _mutations(random.Random(47), ROUNDTRIP_STRUCTS, 3000):
         for parse in (lambda: parse_value(d, mutated), lambda: eval_expression(text, mutated)):
             try:
                 parse()
             except LexiringError:
                 pass
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the literal reader, printer and inverse that
+# dispatched on descriptor classes, kept here as the reference for the
+# kernel's read, fmt and inv
+# ---------------------------------------------------------------------------
+
+def _ref_residue_desc(d, level):
+    if d.lo is not None and level < d.lo or d.hi is not None and level > d.hi or d.base.name == "N0" and level < 0:
+        return None
+    return dict(d.table).get(level, d.default)
+
+
+_REF_PAIRS = (D.SInsert, D.BarSInsert, D.Insert, D.BarInsert, D.MixedInsert)
+
+
+class _RefParser(TokenStream):
+    """Literal grammar; values are built unchecked and checked once, whole."""
+
+    def value(self, d):
+        tok = self.peek()
+        if isinstance(d, D.DoubleOf):
+            sign = 1
+            if tok in ("+", "-"):
+                self.next()
+                sign = -1 if tok == "-" else 1
+            if self.peek() == "0" and sign == 1:
+                self.next()
+                return ZERO
+            return Signed(sign, self.value(d.inner))
+        if tok == "top":
+            if not isinstance(d, (D.BarInsert, D.BarSInsert)):
+                raise ShapeError(f"'top' is not an element of {d!r}")
+            self.next()
+            return TOP
+        if tok == "0" and not isinstance(d, D.Base) and self.toks[self.pos + 1:self.pos + 2] != ["/"]:
+            self.next()
+            return zero(d)
+        if isinstance(d, D.Base):
+            return self.scalar(d)
+        self.expect("(")
+        v = self.pair_body(d)
+        self.expect(")")
+        return v
+
+    def pair_body(self, d):
+        if isinstance(d, D.MixedInsert):
+            lv = self.int()
+            sub = _ref_residue_desc(d, lv)
+            if sub is None:
+                raise ShapeError(f"level {lv} lies outside the mixed insertion range")
+            self.expect(",")
+            return Pair(Scalar(lv), self.component(sub))
+        lv = self.value(d.a)
+        self.expect(",")
+        return Pair(lv, self.component(d.b))
+
+    def component(self, d):
+        if isinstance(d, _REF_PAIRS) and self.peek() not in ("(", "top"):
+            if self.peek() == "0" and self.toks[self.pos + 1:self.pos + 2] != [","]:
+                return self.value(d)
+            return self.pair_body(d)
+        return self.value(d)
+
+    def scalar(self, d):
+        if d.name in ("N0", "Z"):
+            return Scalar(self.int())
+        tok = self.next()
+        if tok == "inf":
+            return Scalar(INF)
+        if not is_digits(tok):
+            raise self.error(f"expected a rational or 'inf', found {tok!r}")
+        if self.peek() != "/":
+            return Scalar(XReal(int(tok)))
+        self.next()
+        den = self.next()
+        if not is_digits(den) or int(den) == 0:
+            raise self.error(f"bad denominator {den!r}")
+        return Scalar(XReal(int(tok), int(den)))
+
+
+def _ref_parse(d, text):
+    p = _RefParser(text)
+    v = check_value(d, p.value(d))
+    p.done()
+    return v
+
+
+def _ref_format(d, v):
+    if is_zero(d, v):
+        return "0"
+    if v is TOP:
+        return "top"
+    if isinstance(d, D.Base):
+        return str(v.x)
+    if isinstance(d, D.MixedInsert):
+        return f"({v.level.x},{_ref_format(_ref_residue_desc(d, v.level.x), v.residue)})"
+    if isinstance(d, D.DoubleOf):
+        body = _ref_format(d.inner, v.mag)
+        return body if v.sign > 0 else f"-{body}"
+    return f"({_ref_format(d.a, v.level)},{_ref_format(d.b, v.residue)})"
+
+
+def _ref_neg_level(d, lv):
+    if isinstance(d, D.Base) and d.name == "Z":
+        return Scalar(-lv.x)
+    if isinstance(d, D.Base) and d.name == "N0" and lv.x == 0:
+        return lv
+    raise DomainError(f"level {lv!r} cannot be negated in {d!r}")
+
+
+def _ref_inv(d, v):
+    if v is TOP:
+        raise DomainError("top has no multiplicative inverse")
+    if isinstance(d, D.Base):
+        if isinstance(v.x, XReal):
+            if v.x.is_inf:
+                raise DomainError("inf has no multiplicative inverse")
+            return Scalar(XReal(1) / v.x)
+        if v.x == 1:
+            return Scalar(1)
+        raise DomainError(f"{v!r} is not invertible in {d!r}")
+    return Pair(_ref_neg_level(d.a, v.level), _ref_inv(d.b, v.residue))
+
+
+def _ref_inverse(d, x, semifield):
+    """ops.inv (semifield) or ops.try_inv over the reference inverse."""
+    k = kernel_of(d)
+    if semifield and not k.semifield:
+        raise CapabilityError(f"{d!r} is not a semifield; no inverses")
+    if not k.semiring:
+        raise CapabilityError(f"{d!r} is not a semiring")
+    k.check(x)
+    if k.is_zero(x):
+        raise DomainError("zero has no multiplicative inverse")
+    return _ref_inv(d, x)
+
+
+class _RefExprEval(_ExprEval, _RefParser):
+    """Expressions whose literals the reference parser reads."""
+
+    def literal(self, k):
+        d = self.d if k is self.k else self.d.b  # series ramps read residues of an insertion
+        return check_value(d, self.value(d))
+
+
+def _ref_eval(struct_text, expr_text):
+    d = parse_struct(struct_text)
+    kind, out = _RefExprEval(d, expr_text).run()
+    return {-1: "LT", 0: "EQ", 1: "GT"}[out] if kind == "cmp" else _ref_format(d, out)
+
+
+def _outcome(f, *args):
+    """f's value, or its error's class and message (a ParseError message carries its position)."""
+    try:
+        return "value", f(*args)
+    except LexiringError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ORACLE_STRUCTS = ROUNDTRIP_STRUCTS + [
+    "N0", "Z", "Rc", "Ro", "Nbar0", r"N0 b/\ Rc", r"Obar b/\ Rc", r"N0 b\/ Rc", r"Z /\ (N0 b/\ Rc)",
+    r"(N0 \/ N0) /\ Ro", r"N0 /\ N0", "double(P)", r"mixed(Z; ..3; 1:N0 \/ N0, default:Rc)",
+]
+
+
+def test_kernel_literals_and_inverses_match_the_reference():
+    counts = collections.Counter()
+    for text, d, v, mutated in _mutations(random.Random(47), ORACLE_STRUCTS, 4000, flat=True):
+        assert format_value(d, v) == _ref_format(d, v)
+        flat = "".join(_flatten(re.findall(r"[0-9]+|[A-Za-z]+|\S", format_value(d, v))))
+        assert _outcome(parse_value, d, flat) == _outcome(_ref_parse, d, flat), (text, flat)
+        for x in (v, ops.add(d, v, v)):
+            for semifield in (True, False):
+                got = _outcome(ops.inv if semifield else ops.try_inv, d, x)
+                assert got == _outcome(_ref_inverse, d, x, semifield), (text, x)
+                counts["inv " + got[0]] += 1
+        got = _outcome(parse_value, d, mutated)
+        assert got == _outcome(_ref_parse, d, mutated), (text, mutated)
+        counts["parse " + got[0]] += 1
+        if got[0] == "value":
+            assert format_value(d, got[1]) == _ref_format(d, got[1])
+        got = _outcome(eval_expression, text, mutated)
+        assert got == _outcome(_ref_eval, text, mutated), (text, mutated)
+        counts["eval " + got[0]] += 1
+    # every kind of outcome occurs: values, parse errors, shape errors and domain errors
+    assert min(counts[f"{kind} {c}"] for kind, c in [("parse", "value"), ("parse", "ParseError"),
+                                                     ("parse", "ShapeError"), ("eval", "value"),
+                                                     ("inv", "value"), ("inv", "DomainError")]) >= 20, counts
 
 
 def _run(capsys, argv):
@@ -277,6 +499,13 @@ def test_sup_of_a_top_residue_ramp(capsys):
     assert main(["eval", r"N0 /\ Sbar", "sup(resramp(0,top))"]) == 0
     assert main(["eval", r"N0 /\ Sbar", "sum(resramp(0,top))"]) == 0
     assert capsys.readouterr().out == "(0,top)\n(0,top)\n"
+
+
+def test_a_top_head_term_bounds_any_tail(capsys):
+    # the tail's levels are not integers, but top already bounds every term
+    assert main(["eval", r"Rc b/\ N0", "sup(top, repeat((1,1)))"]) == 0
+    assert main(["eval", r"Rc b/\ N0", "sum(top, repeat((1,1)))"]) == 0
+    assert capsys.readouterr().out == "top\ntop\n"
 
 
 @pytest.mark.parametrize("struct, expr, out", [

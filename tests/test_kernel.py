@@ -1,14 +1,18 @@
 """The per-descriptor kernel: pinned random draws, shape-check messages,
 one compile per descriptor object, and the double() witness."""
 
+import ast
 import functools
 import gc
 import hashlib
+import importlib
+import inspect
 import random
 import weakref
 
 import pytest
 
+from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.descriptors import BarInsert, Base, Insert, facts, parse_struct
 from lexiring.errors import ShapeError
@@ -273,3 +277,24 @@ def test_structures_without_multiplication_have_no_prod():
 
     for text in ("double(O)", "mixed(Z; -2..2; 0:P, default:Rc)"):
         assert kernel_of(parse_struct(text)).prod is None
+
+
+@pytest.mark.parametrize("module", ["seq", "values", "cli"])
+def test_no_descriptor_dispatch_outside_the_kernel(module):
+    """The module names no descriptor class and has no isinstance(d, ...): the kernel decides each kind once."""
+    classes = {name for name, obj in vars(D).items() if isinstance(obj, type) and issubclass(obj, D.StructDesc)}
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"lexiring.{module}")))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & classes
+    dispatches = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+                  and getattr(n.args[0], "id", None) == "d"]
+    assert not dispatches
+
+
+def test_literals_and_inverses_have_no_second_dispatch():
+    import lexiring.values
+
+    assert not hasattr(ops, "_inv") and not hasattr(ops, "_neg_level")
+    assert not hasattr(lexiring.values, "_ValueParser") and not hasattr(D.MixedInsert, "residue_desc")

@@ -1,13 +1,9 @@
 """Countable sums and least upper bounds."""
 
-import ast
-import inspect
 import random
 
 import pytest
 
-import lexiring.descriptors as D
-import lexiring.seq
 from lexiring.descriptors import parse_struct
 from lexiring.errors import NotRepresentableError, NotSummableError
 from lexiring.kernel import DENSE, NOTHING_ABOVE, ZERO_P, kernel_of
@@ -233,14 +229,3 @@ def test_sup_of_a_residue_ramp_is_its_least_upper_bound(struct):
         assert all(k.cmp(y, lub) >= 0 or k.cmp(y, multiple) <= 0 for y in ys), (step, lub)
         bounds += 1
     assert bounds
-
-
-def test_seq_names_no_descriptor_class():
-    classes = {name for name, obj in vars(D).items() if isinstance(obj, type) and issubclass(obj, D.StructDesc)}
-    tree = ast.parse(inspect.getsource(lexiring.seq))
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not names & classes
-    dispatches = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
-                  and getattr(n.args[0], "id", None) == "d"]
-    assert not dispatches

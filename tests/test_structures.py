@@ -166,10 +166,13 @@ def test_kernel_facts_are_the_descriptor_facts():
 def test_mixed_parse():
     d = parse_struct("mixed(N0; 0..2; 0:Rc, 1:Rc, 2:Nbar0)")
     assert isinstance(d, D.MixedInsert)
-    assert d.residue_desc(2) == D.NBAR0
-    assert d.residue_desc(3) is None
+    listed = dict(d.table)
+    assert listed[2] == D.NBAR0 and kernel_of(d).residue_kernel(Scalar(2)) is kernel_of(listed[2])
+    assert kernel_of(d).residue_kernel(Scalar(3)) is None
     d2 = parse_struct("mixed(Z; ..0; default:Rc)")
-    assert d2.residue_desc(-100) == D.RC and d2.residue_desc(1) is None
+    k2 = kernel_of(d2)
+    assert d2.default == D.RC and k2.residue_kernel(Scalar(-100)) is kernel_of(d2.default)
+    assert k2.residue_kernel(Scalar(1)) is None
     with pytest.raises(CapabilityError, match="below every level of N0"):
         parse_struct("mixed(N0; -3..-1; default:Rc)")  # every listed level is negative
     d3 = parse_struct("mixed(N0; -3..0; default:Rc)")
@@ -330,6 +333,20 @@ def test_try_inv_units_outside_semifields():
         ops.try_inv(s, pv("S", "(1,2)"))  # no negative levels available
     with pytest.raises(DomainError):
         ops.try_inv(o, pv("O", "(0,inf)"))
+
+
+# level before residue: (1,inf) in S fails on its level
+@pytest.mark.parametrize("struct, text, message", [
+    ("S", "(1,inf)", "level 1 cannot be negated in N0"),
+    ("S", "(0,inf)", "inf has no multiplicative inverse"),
+    (r"(N0 \/ N0) /\ Ro", "((0,0),2)", r"level (0,0) cannot be negated in (N0 \/ N0)"),
+    (r"Z /\ (N0 b/\ Rc)", "(1,top)", "top has no multiplicative inverse"),
+    (r"N0 /\ N0", "(0,2)", "2 is not invertible in N0"),
+])
+def test_try_inv_errors(struct, text, message):
+    with pytest.raises(DomainError) as exc:
+        ops.try_inv(parse_struct(struct), pv(struct, text))
+    assert str(exc.value) == message
 
 
 def test_divide_dartboard_value():
