@@ -20,6 +20,17 @@ slot: it lives and dies with the descriptor object.  A composite kernel
 captures its parts' closures, so no call walks the descriptor again
 (Feeley & Lapalme, "Using closures for code generation", Computer
 Languages 12(1), 1987).  All but ``check`` assume well-shaped operands.
+A pairing of two bases compiles its ``check`` as one inline test of
+exact types and payloads, which accepts a well-shaped pair at once and
+hands anything else to the composed check, so every verdict and every
+error is the composed check's.
+
+Seeded draws take their integers from ``_below(rng, n)``, which draws
+``getrandbits(n.bit_length())`` until the result is below n, as CPython's
+``randrange(n)`` does: the same bits, the same values, the same rng state
+after.  ``DRAW_DIGEST`` in the tests pins the stream, so a Python whose
+``random`` draws otherwise shows there.  Equal base draws are one shared,
+never mutated object.
 
 ``sum(values)`` folds event measures, Bayes, finite series, integrals
 and branch equations.  It equals the ordered left fold of ``add`` from
@@ -48,8 +59,8 @@ from __future__ import annotations
 from functools import reduce
 from math import gcd, prod as int_prod
 
-from .descriptors import (Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, facts,
-                          is_digits, pairing_facts)
+from .descriptors import (RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc,
+                          facts, is_digits, pairing_facts)
 from .errors import CapabilityError, DomainError, ShapeError
 from .xreal import INF, ONE, XReal
 from .xreal import ZERO as XR_ZERO
@@ -173,7 +184,7 @@ class Kernel:
 
     def __init__(self, d, text, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
                  prod=None, succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
-                 step_up=None, body=None, inv=None):
+                 step_up=None, body=None, inv=None, nonzero=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
         self.read, self.body, self.fmt, self.inv = read, body, fmt, inv
@@ -193,12 +204,13 @@ class Kernel:
             self.prod = prod
         self.int_levels = isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
 
-        def nonzero(rng, tries=64):
-            for _ in range(tries):
-                v = gen(rng, 0.0)
-                if not is_zero(v):
-                    return v
-            raise AssertionError(f"could not generate a nonzero value of {text}")
+        if nonzero is None:
+            def nonzero(rng, tries=64):
+                for _ in range(tries):
+                    v = gen(rng, 0.0)
+                    if not is_zero(v):
+                        return v
+                raise AssertionError(f"could not generate a nonzero value of {text}")
 
         self.nonzero = nonzero
 
@@ -246,6 +258,8 @@ def _fold_from_first(mul):
 
 def _dominant_sum(zero, cmp_level, residue_sum):
     """The sum of pairs: residue_sum(level, residues) at the dominant level; 0 is skipped, top absorbs."""
+    ints = cmp_level is _int_cmp  # integer levels are compared inline
+
     def sum_(values):
         top, group = None, None  # the dominant level so far and the residues there
         for v in values:
@@ -254,13 +268,14 @@ def _dominant_sum(zero, cmp_level, residue_sum):
             if v is TOP:
                 return TOP
             if top is not None:
-                c = cmp_level(v.level, top)
+                c = v.level.x - t if ints else cmp_level(v.level, top)  # only its sign is read
                 if c < 0:
                     continue
                 if c == 0:
                     group.append(v.residue)
                     continue
             top, group = v.level, [v.residue]
+            t = top.x if ints else None
         return zero if top is None else Pair(top, residue_sum(top, group))
     return sum_
 
@@ -311,24 +326,51 @@ def _pair_succ(least, residue_kernel, step_up):
 # base structures
 # ---------------------------------------------------------------------------
 
-def random_xreal(rng, allow_inf=True, allow_zero=True):
-    r = rng.random()
-    if allow_inf and r < 0.10:
-        return INF
-    if allow_zero and r < 0.18:
-        return XReal(0)
-    return XReal(rng.randrange(1, 13), rng.randrange(1, 9))
+def _below(rng, n):
+    """rng.randrange(n) for n >= 1, drawn as CPython draws it: getrandbits(n.bit_length()) until below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
-_BASE_GENS = {
-    "N0": lambda rng, zero_p: Scalar(rng.randrange(0, 8)),
-    "Z": lambda rng, zero_p: Scalar(rng.randrange(-7, 8)),
-    "Rc": lambda rng, zero_p: Scalar(random_xreal(rng)),
-    "Ro": lambda rng, zero_p: Scalar(random_xreal(rng, allow_inf=False)),
-    "Nbar0": lambda rng, zero_p: Scalar(INF if rng.random() < 0.1 else XReal(rng.randrange(0, 9))),
+_INT_ONE, _XR_ONE, _XR_INF, _XR_ZERO = Scalar(1), Scalar(ONE), Scalar(INF), Scalar(XR_ZERO)
+# a base's draws, pre-built and shared: n/d for n in 1..12 and d in 1..8 in Rc and Ro, else the table
+_FINITE = tuple(Scalar(XReal(n, d)) for n in range(1, 13) for d in range(1, 9))
+_BASE_DRAWS = {  # name: (table, random() cut below which inf or 0 is drawn, inf below this)
+    "N0": (tuple(map(Scalar, range(8))), 0, 0), "Z": (tuple(map(Scalar, range(-7, 8))), 0, 0),
+    "Rc": (None, 0.18, 0.10), "Ro": (None, 0.18, 0), "Nbar0": (tuple(Scalar(XReal(n)) for n in range(9)), 0.1, 0.1),
 }
 
-_INT_ONE, _XR_ONE, _XR_INF = Scalar(1), Scalar(ONE), Scalar(INF)
+
+def _base_draws(name, text):
+    """gen and nonzero of a base, which draws through gen and tells a drawn 0 by identity."""
+    table, cut, inf_p = _BASE_DRAWS[name]
+    n, zero = (len(table), table[7 if name == "Z" else 0]) if table else (0, _XR_ZERO)
+
+    def gen(rng, zero_p):
+        if cut:
+            r = rng.random()
+            if r < cut:
+                return _XR_INF if r < inf_p else zero
+        return table[_below(rng, n)] if table else _FINITE[_below(rng, 12) * 8 + _below(rng, 8)]
+
+    def nonzero(rng, tries=64):
+        for _ in range(tries):
+            v = gen(rng, 0.0)
+            if v is not zero:  # every 0 drawn is this one object
+                return v
+        raise AssertionError(f"could not generate a nonzero value of {text}")
+
+    return gen, nonzero
+
+
+def random_xreal(rng):
+    """An XReal drawn as in Rc: inf with chance 0.10, 0 with 0.08, else n/d for n in 1..12 and d in 1..8."""
+    return kernel_of(RC).gen(rng, 0.0).x
+
+
 _BASE_ORDER = {  # succ, one, least_positive, repeat_limit
     "N0": (lambda x: Scalar(x.x + 1), _INT_ONE, _INT_ONE, None),
     "Z": (lambda x: Scalar(x.x + 1), None, _INT_ONE, None),
@@ -455,15 +497,46 @@ def _compile_base(d: Base, text: str) -> Kernel:
             raise DomainError("inf has no multiplicative inverse")
         return Scalar(ONE / v.x)
 
+    gen, nonzero = _base_draws(name, text)
     return Kernel(d, text, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
-                  _scalar_mul, _BASE_GENS[name], read, lambda v: str(v.x), None,
+                  _scalar_mul, gen, read, lambda v: str(v.x), None,
                   (_int_sum if integers else _xreal_sum)(zero), _int_prod if integers else _xreal_prod(zero),
-                  *_BASE_ORDER[name], inv=inv)
+                  *_BASE_ORDER[name], inv=inv, nonzero=nonzero)
 
 
 # ---------------------------------------------------------------------------
 # insertions and s-insertions
 # ---------------------------------------------------------------------------
+
+# a base's payload x passes its check if type(x) is int and x >= lo, or if type(x) is XReal, x.num >= lo and
+# dlo <= x.den <= dhi (an XReal as its constructor builds it: int fields, in lowest terms)
+_PAYLOADS = {"N0": (int, 0, 0, 0), "Z": (int, -float("inf"), 0, 0), "Rc": (XReal, 0, 0, float("inf")),
+             "Ro": (XReal, 0, 1, float("inf")), "Nbar0": (XReal, 0, 0, 1)}
+
+
+def _fused_check(a, b, nonzero_b, composed):
+    """The check of a pairing of bases a and b: one inline test, else the composed check.
+
+    The test takes exact types (so no bool or subclass) and, for a residue
+    that must be nonzero, a positive integer or numerator; whatever it
+    accepts, the composed check accepts too, and it hands everything else
+    over, so every verdict and every error is the composed check's.
+    """
+    ta, lo_a, dlo_a, dhi_a = _PAYLOADS[a]
+    tb, lo_b, dlo_b, dhi_b = _PAYLOADS[b]
+    int_a, int_b, lo_b = ta is int, tb is int, max(lo_b, 1) if nonzero_b else lo_b  # Z is never a residue
+
+    def check(v):
+        if type(v) is Pair:
+            x, y = v.level, v.residue
+            if type(x) is Scalar and type(y) is Scalar:
+                x, y = x.x, y.x
+                if (type(x) is ta and (x >= lo_a if int_a else dlo_a <= x.den <= dhi_a) and type(y) is tb
+                        and (y >= lo_b if int_b else dlo_b <= y.den <= dhi_b and y.num >= lo_b)):
+                    return v
+        return composed(v)
+    return check
+
 
 def _compile_pairing(d, text: str) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
@@ -502,6 +575,9 @@ def _compile_pairing(d, text: str) -> Kernel:
         if not full and zero_b(v.residue):
             raise ShapeError(f"residue of {v!r} is the zero of {b!r}; insertion removes it")
         return v
+
+    if isinstance(d.a, Base) and isinstance(b, Base):
+        check = _fused_check(d.a.name, b.name, not full, check)
 
     def cmp(x, y):
         if x is TOP:
@@ -643,7 +719,7 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
 
     # draw among the levels of [glo, ghi] that carry a residue structure,
     # without walking the range (it may span billions of levels); on a
-    # range without gaps this consumes the rng as randrange(glo, ghi + 1)
+    # range without gaps this consumes the rng as randrange(glo, ghi + 1) would
     glo = (0 if naturals else -3 if hi is None else hi - 4) if lo is None else lo
     ghi = glo + 4 if hi is None else hi
     if default is not None:
@@ -651,12 +727,12 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
         width = ghi + 1 - start
 
         def level(rng):
-            return start + rng.randrange(width)
+            return start + _below(rng, width)
     else:
         levels = sorted(lev for lev in subs if glo <= lev <= ghi)
 
         def level(rng):
-            return levels[rng.randrange(len(levels))]
+            return levels[_below(rng, len(levels))]
 
     def gen(rng, zero_p):
         if rng.random() < zero_p:

@@ -1,7 +1,8 @@
 """Seeded random generators and the algebraic law suites.
 
 Everything here is deterministic given (seed, cases); the CLI selfcheck
-and the acceptance tests both run these suites.  Laws call the public
+and the acceptance tests both run these suites.  Integers are drawn
+through ``kernel._below``, which gives the values ``randrange`` gives.  Laws call the public
 operations through the ``ops`` module object on purpose, so a broken
 operation (or a test monkeypatch) is caught by name.
 
@@ -19,7 +20,7 @@ import random
 from . import ops
 from .errors import LexiringError
 from .descriptors import BarInsert, BarSInsert, StructDesc, facts, parse_struct
-from .kernel import ZERO_P, kernel_of, random_xreal
+from .kernel import ZERO_P, _below, kernel_of, random_xreal
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, is_zero, one, zero
 from .xreal import INF, XReal
 
@@ -188,15 +189,15 @@ def random_measure(rng, struct_text="O", n_atoms=None, finite=True):
     from .measure import AtomSpace, LMeasure
 
     d = parse_struct(struct_text)
-    n = n_atoms or rng.randrange(1, 7)
+    n = n_atoms or 1 + _below(rng, 6)
     atoms = [f"a{i}" for i in range(n)]
     values = {}
     for a in atoms:
         if rng.random() < 0.2:
             values[a] = ZERO
         else:
-            lev = rng.randrange(-3, 4)
-            res = XReal(rng.randrange(1, 12), rng.randrange(1, 7))
+            lev = _below(rng, 7) - 3
+            res = XReal(1 + _below(rng, 11), 1 + _below(rng, 6))
             if not finite and rng.random() < 0.1:
                 res = INF
             values[a] = Pair(Scalar(lev), Scalar(res))
@@ -210,7 +211,7 @@ def random_prob_scene(rng, n_levels=2, atoms_per_level=3):
     d = parse_struct("P")
     values = {}
     for lev in range(0, -n_levels, -1):
-        cuts = sorted(rng.randrange(1, 24) for _ in range(atoms_per_level - 1))
+        cuts = sorted(1 + _below(rng, 23) for _ in range(atoms_per_level - 1))
         bounds = [0] + cuts + [24]
         for i in range(atoms_per_level):
             num = bounds[i + 1] - bounds[i]
@@ -227,10 +228,10 @@ def random_tree_edges(rng, n):
     nodes = [f"n{i}" for i in range(n)]
     edges = []
     for i in range(1, n):
-        parent = nodes[rng.randrange(i)]
+        parent = nodes[_below(rng, i)]
         v = Pair(
-            Scalar(rng.randrange(-2, 3)),
-            Scalar(XReal(rng.randrange(1, 9), rng.randrange(1, 5))),
+            Scalar(_below(rng, 5) - 2),
+            Scalar(XReal(1 + _below(rng, 8), 1 + _below(rng, 4))),
         )
         edges.append((parent, nodes[i], v))
     return nodes, edges
@@ -277,7 +278,7 @@ def measure_laws(seed: int, cases: int):
     def additivity():
         m = random_measure(rng)
         atoms = m.space.atoms
-        marks = [rng.randrange(3) for _ in atoms]
+        marks = [_below(rng, 3) for _ in atoms]
         e = [a for a, mk in zip(atoms, marks) if mk == 0]
         f = [a for a, mk in zip(atoms, marks) if mk == 1]
         return None if m.value(e + f) == ops.add(m.desc, m.value(e), m.value(f)) else "additivity failed"
@@ -289,7 +290,7 @@ def measure_laws(seed: int, cases: int):
             return "align output not proximal"
         if align_levels(aligned).atom_values != aligned.atom_values:
             return "align not idempotent"
-        k = rng.randrange(-3, 4)
+        k = _below(rng, 7) - 3
         if shift_levels(shift_levels(m, k), -k).atom_values != m.atom_values:
             return "shift roundtrip failed"
         return None
@@ -310,12 +311,12 @@ def integrate_laws(seed: int, cases: int):
     n = max(1, cases)
 
     def single_level_oracle():
-        atoms = [f"a{j}" for j in range(rng.randrange(1, 6))]
+        atoms = [f"a{j}" for j in range(1 + _below(rng, 5))]
         space = AtomSpace(atoms)
-        k0 = rng.randrange(-3, 4)
-        residues = {a: XReal(rng.randrange(1, 9), rng.randrange(1, 5)) for a in atoms}
+        k0 = _below(rng, 7) - 3
+        residues = {a: XReal(1 + _below(rng, 8), 1 + _below(rng, 4)) for a in atoms}
         m = LMeasure(d, space, {a: Pair(Scalar(k0), Scalar(residues[a])) for a in atoms})
-        fvals = {a: XReal(rng.randrange(0, 5), rng.randrange(1, 4)) for a in atoms}
+        fvals = {a: XReal(_below(rng, 5), 1 + _below(rng, 3)) for a in atoms}
         got = integrate_real(m, SimpleFunction.real(fvals), atoms)
         expected = XR_ZERO
         for a in atoms:
@@ -330,7 +331,7 @@ def integrate_laws(seed: int, cases: int):
             m.desc,
             {a: (ZERO if rng.random() < 0.3 else nonzero_value(rng, m.desc)) for a in atoms},
         )
-        marks = [rng.randrange(3) for _ in atoms]
+        marks = [_below(rng, 3) for _ in atoms]
         e = [a for a, mk in zip(atoms, marks) if mk == 0]
         f = [a for a, mk in zip(atoms, marks) if mk == 1]
         lhs = integrate_lvalued(m, g, e + f)
@@ -345,8 +346,8 @@ def integrate_laws(seed: int, cases: int):
                 vals[a] = ZERO
             else:
                 mag = Pair(
-                    Scalar(rng.randrange(-2, 3)),
-                    Scalar(XReal(rng.randrange(1, 7), rng.randrange(1, 4))),
+                    Scalar(_below(rng, 5) - 2),
+                    Scalar(XReal(1 + _below(rng, 6), 1 + _below(rng, 3))),
                 )
                 vals[a] = Signed(rng.choice((1, -1)), mag)
         f = SimpleFunction.signed(dd, vals)
@@ -374,7 +375,7 @@ def prob_laws(seed: int, cases: int):
         if len(atoms) < 2:
             return None
         rng.shuffle(atoms)
-        cut = rng.randrange(1, len(atoms))
+        cut = 1 + _below(rng, len(atoms) - 1)
         cells = [atoms[:cut], atoms[cut:]]
         zeros = [a for a in m.space.atoms if is_zero(m.desc, m.atom_values[a])]
         cells[0] = cells[0] + zeros
@@ -384,7 +385,7 @@ def prob_laws(seed: int, cases: int):
         out = bayes(m, cells, b_ev)
         if out["total"] != m.value(b_ev):
             return "total probability law failed"
-        k = rng.randrange(-2, 3)
+        k = _below(rng, 5) - 2
         if cond_prob(shift_levels(m, k), atoms[:1], b_ev) != cond_prob(m, atoms[:1], b_ev):
             return "conditional probability not shift invariant"
         return None
@@ -399,7 +400,7 @@ def tree_laws(seed: int, cases: int):
     d = parse_struct("O")
 
     def metric_and_meet():
-        nodes, edges = random_tree_edges(rng, rng.randrange(2, 13))
+        nodes, edges = random_tree_edges(rng, 2 + _below(rng, 11))
         t = LTree(d, nodes, edges)
         if not verify_metric(t)["ok"]:
             return "metric axioms failed"

@@ -103,10 +103,11 @@ def divide(d: StructDesc, x: Value, y: Value) -> Value:
 
 def level(d: StructDesc, x: Value) -> Value:
     """The level part of a nonzero element (undefined for 0 and top)."""
-    check_value(d, x)
+    k = kernel_of(d)
+    k.check(x)
     if x is TOP:
         raise DomainError("level of top is undefined")
-    if is_zero(d, x):
+    if k.is_zero(x):
         raise DomainError("level of zero is undefined")
     if isinstance(x, Pair):
         return x.level
@@ -115,10 +116,11 @@ def level(d: StructDesc, x: Value) -> Value:
 
 def residue(d: StructDesc, x: Value) -> Value:
     """The residue part; by convention the residue of zero is zero."""
-    check_value(d, x)
+    k = kernel_of(d)
+    k.check(x)
     if x is TOP:
         raise DomainError("residue of top is undefined")
-    if is_zero(d, x):
+    if k.is_zero(x):
         if isinstance(d, (Insert, BarInsert, SInsert, BarSInsert)):
             return zero(d.b)
         raise DomainError(f"residue of zero is not defined for {d!r}")
@@ -139,7 +141,7 @@ def shift(d: StructDesc, x: Value, k: int) -> Value:
     """Multiply by (k, 1): shift the top-level integer level by k."""
     if x is ZERO or x is TOP:
         return x
-    check_value(d, x)
+    kernel_of(d).check(x)
     require_shiftable(d)
     # the residue was checked with x; only the new level can fall outside (N0 below 0)
     return Pair(kernel_of(d.a).check(Scalar(x.level.x + k)), x.residue)

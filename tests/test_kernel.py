@@ -2,6 +2,7 @@
 one compile per descriptor object, and the double() witness."""
 
 import ast
+import collections
 import functools
 import gc
 import hashlib
@@ -15,7 +16,7 @@ import pytest
 from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.descriptors import BarInsert, Base, Insert, facts, parse_struct
-from lexiring.errors import ShapeError
+from lexiring.errors import LexiringError, ShapeError
 from lexiring.laws import LAW_STRUCTURES, nonzero_value, random_value
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, parse_value
 from lexiring.xreal import INF, XReal
@@ -298,3 +299,117 @@ def test_literals_and_inverses_have_no_second_dispatch():
 
     assert not hasattr(ops, "_inv") and not hasattr(ops, "_neg_level")
     assert not hasattr(lexiring.values, "_ValueParser") and not hasattr(D.MixedInsert, "residue_desc")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_below_draws_as_randrange(seed):
+    from lexiring.kernel import _below
+
+    sizes = list(range(1, 601)) + [2**k + e for k in range(1, 71) for e in (-1, 0, 1)]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in sizes:
+        assert _below(ours, n) == theirs.randrange(n), n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+@pytest.mark.parametrize("module", ["kernel", "laws"])
+def test_draws_do_not_go_through_randrange(module):
+    """randrange re-checks its arguments on every draw; the kernel and the law suites draw through _below."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"lexiring.{module}")))
+    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "randrange"]
+    assert not calls
+
+
+# what a planted add that returns 0 on equal operands makes structure_laws(s, 42 + i, 400) report:
+# the case number and the operands pin the order of the draws inside each suite
+BROKEN_ADD_FAILURES = [
+    "FAIL S: add_monotone (cases=152) -- (5,1/4),(5,1/4)",
+    "FAIL S: distributive (cases=106) -- (3,inf),(2,11/7),(2,1)",
+    "FAIL S: level_of_product (cases=3) -- (6,11/6),(6,inf)",
+    "FAIL S: level_of_sum (cases=162) -- raised DomainError: level of zero is undefined",
+    "FAIL O: add_monotone (cases=194) -- (1,1/2),(1,1/2)",
+    "FAIL O: distributive (cases=214) -- (-3,inf),(2,inf),(2,5)",
+    "FAIL O: level_of_product (cases=7) -- (-7,7/2),(-7,7/5)",
+    "FAIL P: add_associative (cases=268) -- (-1,4),(5,2/5),(5,2/5)",
+    "FAIL P: add_monotone (cases=305) -- (4,5/3),(4,5/3)",
+    "FAIL P: level_of_product (cases=13) -- (-2,11/7),(-2,12/7)",
+    "FAIL P: level_of_sum (cases=340) -- raised DomainError: level of zero is undefined",
+    "FAIL Obar: add_associative (cases=363) -- (7,inf),(7,inf),(0,2/3)",
+    "FAIL Obar: add_monotone (cases=38) -- top,top",
+    "FAIL Obar: distributive (cases=83) -- top,(-3,12/5),(2,inf)",
+    "FAIL Obar: level_of_product (cases=14) -- (-3,2/3),(-3,3)",
+    "FAIL Obar: level_of_sum (cases=51) -- raised DomainError: level of zero is undefined",
+    "FAIL Sn(2): add_associative (cases=73) -- top,top,(5,(5,inf))",
+    "FAIL Sn(2): distributive (cases=3) -- top,(2,(0,4/3)),(5,(6,9/7))",
+    "FAIL Sn(2): level_of_product (cases=34) -- (5,(1,11/4)),(5,(2,1/4))",
+    "FAIL On(2): add_associative (cases=4) -- top,top,(-3,(3,inf))",
+    "FAIL On(2): distributive (cases=43) -- top,(0,(-4,8/7)),(3,(7,4/7))",
+    "FAIL On(2): level_of_product (cases=8) -- (0,(-6,3/2)),(0,top)",
+    "FAIL Pn(2): level_of_product (cases=5) -- (-6,(-1,5/4)),(-6,(4,7/5))",
+]
+
+
+def test_law_case_stream_is_pinned(monkeypatch):
+    from lexiring.laws import structure_laws
+
+    real_add = ops.add
+
+    def broken_add(d, x, y):
+        out = real_add(d, x, y)
+        return ZERO if x is not ZERO and y is not ZERO and x == y else out
+
+    monkeypatch.setattr(ops, "add", broken_add)
+    failures = [r.line() for i, s in enumerate(LAW_STRUCTURES) for r in structure_laws(s, 42 + i, 400) if not r.ok]
+    assert failures == BROKEN_ADD_FAILURES
+
+
+FUSED_STRUCTURES = LAW_STRUCTURES + (r"S /\ Rc", r"N0 b/\ Rc", r"Nbar0 b/\ N0")
+R1 = Scalar(XReal(1))
+ILL_SHAPED = [
+    Pair(Scalar(-1), R1), Pair(Scalar(0), Scalar(INF)), Pair(Scalar(0), Scalar(XReal(0))), Pair(Scalar(1), Scalar(0)),
+    Pair(Pair(Scalar(0), R1), R1), Pair(Scalar(0), Pair(Scalar(0), R1)), TOP, ZERO, Scalar(XReal(1)),
+    Pair(Scalar(XReal(3, 2)), Scalar(1)), Pair(Scalar(XReal(2)), Scalar(XReal(3, 2))), Pair(Scalar(INF), Scalar(2)),
+    Signed(1, Pair(Scalar(0), R1)), Pair(Signed(1, Scalar(0)), R1), Pair(Scalar(0), Signed(-1, R1)),
+    Pair(Scalar(True), R1), Pair(Scalar(False), Scalar(True)), Pair(Scalar(0), Scalar(False)), Pair(Scalar(1), Scalar(1)),
+    Pair(Scalar(XReal(1)), R1), Pair(Scalar(1.0), R1), Pair(Scalar(0), Scalar(1.5)), Pair(R1, Scalar(XReal(1, 0))),
+    Pair(Scalar(2), Pair(Scalar(-1), R1)), Pair(Scalar(2), Pair(Scalar(1), TOP)), Pair(Scalar(2), ZERO),
+]
+
+
+def _verdict(check, v):
+    try:
+        return "ok", check(v)
+    except Exception as exc:  # the class and message are compared, whatever they are
+        return type(exc).__name__, str(exc)
+
+
+def test_fused_check_agrees_with_the_composed_check(monkeypatch):
+    """Where a pairing's parts are bases, its check accepts well-shaped pairs inline and hands everything else to
+    the composed check: on the mutated literals and ill-shaped values below, both give the same verdict."""
+    from test_cli import _mutations
+
+    from lexiring import kernel
+    from lexiring.descriptors import TokenStream
+
+    fused = {text: kernel.kernel_of(parse_struct(text)).check for text in FUSED_STRUCTURES}
+    monkeypatch.setattr(kernel, "_fused_check", lambda a, b, nonzero_b, composed: composed)
+    composed = {text: kernel.kernel_of(parse_struct(text)).check for text in FUSED_STRUCTURES}
+    def n_fused(checks):
+        return sum(c.__qualname__.startswith("_fused_check") for c in checks.values())
+
+    assert (n_fused(fused), n_fused(composed)) == (6, 0)  # every pairing of two bases is fused
+
+    values = {text: list(ILL_SHAPED) for text in FUSED_STRUCTURES}
+    for text, d, v, mutated in _mutations(random.Random(13), FUSED_STRUCTURES, 3000):
+        values[text].append(v)
+        try:
+            values[text].append(kernel.kernel_of(d).read(TokenStream(mutated)))
+        except LexiringError:
+            pass
+    verdicts = collections.Counter()
+    for text in FUSED_STRUCTURES:
+        for v in values[text]:
+            got = _verdict(fused[text], v)
+            assert got == _verdict(composed[text], v), (text, v)
+            verdicts[got[0]] += 1
+    assert verdicts["ok"] >= 3000 and verdicts["ShapeError"] >= 200, verdicts
