@@ -22,11 +22,12 @@ semifield, top, least-upper-bound property, summability, and the order
 facts those rest on (a least positive element, least elements, greatest
 elements of bounded sets).  Each is a sufficient condition under which a
 lexicographic product inherits the property from its parts: a five-row
-table for the bases, one rule per fact for the four pairings, and a
-constant each for ``mixed(...)`` and ``double(...)``.  ``capabilities``,
-``validate_desc``, the kernel's flags, the law suites and ``seq`` read it;
-validation and the kernel compile apply the pairing rule
-(``pairing_facts``) to the parts' facts they already hold.
+table for the bases, one rule per fact for the four pairings, a constant
+for ``double(...)`` and one for ``mixed(...)``, whose least positive
+element is that of its least level's residues.  ``capabilities``,
+``validate_desc`` and the kernel read it, validation and the kernel
+compile applying the pairing rule (``pairing_facts``) to the parts' facts
+they already hold; everything else asks the kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import CapabilityError, ParseError
+from .errors import CapabilityError, ParseError, ShapeError
 
 BASE_NAMES = ("N0", "Z", "Rc", "Ro", "Nbar0")
 
@@ -160,6 +161,20 @@ class DoubleOf(StructDesc):
         return f"double({self.inner!r})"
 
 
+def regroup_desc(d: StructDesc) -> StructDesc:
+    """A \\/ (B \\/ C)  ->  (A \\/ B) \\/ C"""
+    if not (isinstance(d, SInsert) and isinstance(d.b, SInsert)):
+        raise ShapeError("expected a right-nested s-insertion A \\/ (B \\/ C)")
+    return SInsert(SInsert(d.a, d.b.a), d.b.b)
+
+
+def ungroup_desc(d: StructDesc) -> StructDesc:
+    """(A \\/ B) \\/ C  ->  A \\/ (B \\/ C), the inverse of regroup_desc"""
+    if not (isinstance(d, SInsert) and isinstance(d.a, SInsert)):
+        raise ShapeError("expected a left-nested s-insertion (A \\/ B) \\/ C")
+    return SInsert(d.a.a, SInsert(d.a.b, d.b))
+
+
 # ---------------------------------------------------------------------------
 # structural facts
 # ---------------------------------------------------------------------------
@@ -205,8 +220,11 @@ def facts(d: StructDesc) -> Facts:
         return pairing_facts(d, facts(d.a), facts(d.b))
     if isinstance(d, Base):
         return _BASE_FACTS[d.name]
-    if isinstance(d, MixedInsert):
-        return _MIXED_FACTS
+    if isinstance(d, MixedInsert):  # the residues of its least level that carries residues decide least_positive
+        first = max(d.lo or 0, 0) if d.base.name == "N0" else d.lo  # the least level of the range
+        least = None if first is None else next(
+            (sub for lev, sub in d.table if lev == first or d.default is None and lev > first), d.default)
+        return _MIXED_FACTS._replace(least_positive=least is not None and facts(least).least_positive)
     if isinstance(d, DoubleOf):
         return _DOUBLE_FACTS
     raise CapabilityError(f"unknown descriptor {d!r}")
@@ -282,7 +300,7 @@ def _validated_facts(d: StructDesc) -> Facts:
             raise CapabilityError("default residue structure must be a semigroup")
     elif isinstance(d, DoubleOf) and not _validated_facts(d.inner).semigroup:
         raise CapabilityError("double() requires an ordered abelian semigroup inside")
-    return facts(d)  # no parts below: a base, mixed(...) or double(...) has constant facts
+    return facts(d)  # no pairing: constant facts, but for the least level's residues in mixed(...)
 
 
 # ---------------------------------------------------------------------------

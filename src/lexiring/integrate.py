@@ -16,16 +16,16 @@ level add):
 Every integral walks its event in atom order, as ``LMeasure.value``
 does, so a function missing at several atoms names the first of them,
 whatever the hash seed.  Infinite residues propagate through the
-arithmetic; no special casing.
+arithmetic; no special casing.  The measure's and the function's kernels
+say whether they can be integrated (``sliceable``, ``int_levels``, ``neg``).
 """
 
 from __future__ import annotations
 
-from .descriptors import Base, DoubleOf, StructDesc
 from .errors import CapabilityError, DomainError, ShapeError
 from .kernel import kernel_of
-from .measure import LMeasure, is_sliceable
-from .ops import _add, shift
+from .measure import LMeasure
+from .ops import shift
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, check_value, is_zero
 from .xreal import XReal
 
@@ -48,14 +48,14 @@ class SimpleFunction:
         return cls("real", None, values)
 
     @classmethod
-    def lvalued(cls, desc: StructDesc, values: dict) -> "SimpleFunction":
+    def lvalued(cls, desc, values: dict) -> "SimpleFunction":
         for v in values.values():
             check_value(desc, v)
         return cls("lvalued", desc, values)
 
     @classmethod
-    def signed(cls, desc: StructDesc, values: dict) -> "SimpleFunction":
-        if not isinstance(desc, DoubleOf):
+    def signed(cls, desc, values: dict) -> "SimpleFunction":
+        if kernel_of(desc).neg is None:
             raise ShapeError("signed functions need a double() descriptor")
         for v in values.values():
             check_value(desc, v)
@@ -72,8 +72,8 @@ def _in_atom_order(m: LMeasure, A) -> list:
     return sorted(m.space.check_event(A), key=m.space.position.__getitem__)
 
 
-def _require_sliceable(d: StructDesc):
-    if not is_sliceable(d):
+def _require_sliceable(d):
+    if not kernel_of(d).sliceable:
         raise CapabilityError("integration needs an (integer level, rational residue) measure")
 
 
@@ -98,12 +98,13 @@ def integrate_lvalued(m: LMeasure, g: SimpleFunction, B) -> Value:
     atoms = _in_atom_order(m, B)
 
     def go(desc, values, atoms) -> Value:
-        if isinstance(desc, Base):
-            if desc.name not in ("Rc", "Ro"):
+        k = kernel_of(desc)
+        if k.base is not None:
+            if k.base not in ("Rc", "Ro"):
                 raise CapabilityError(f"cannot integrate values of {desc!r}")
             f = SimpleFunction.real({a: values[a].x for a in atoms})
             return integrate_real(m, f, atoms)
-        if not kernel_of(desc).int_levels:
+        if not k.int_levels:
             raise CapabilityError("integrand must be a right-nested integer-leveled structure")
         parts = {}
         for a in atoms:
@@ -125,7 +126,7 @@ def integrate_signed(m: LMeasure, f: SimpleFunction, A) -> Value:
     """Signed integral: split into positive and negative parts, combine."""
     if f.kind != "signed":
         raise ShapeError("expected a signed function")
-    dd: DoubleOf = f.desc
+    dd = f.desc
     atoms = _in_atom_order(m, A)
     plus, minus = {}, {}
     for a in atoms:
@@ -142,4 +143,4 @@ def integrate_signed(m: LMeasure, f: SimpleFunction, A) -> Value:
         raise DomainError("signed integral with an unbounded part is undefined")
     p_signed = ZERO if is_zero(dd.inner, p) else Signed(1, p)
     n_signed = ZERO if is_zero(dd.inner, n) else Signed(-1, n)
-    return _add(dd, p_signed, n_signed)
+    return kernel_of(dd).add(p_signed, n_signed)

@@ -140,7 +140,6 @@ class Signed(Value):
 
 DENSE, NOTHING_ABOVE = object(), object()  # what succ returns besides an element (see Kernel)
 LT, EQ, GT = -1, 0, 1
-_PAIRINGS = (SInsert, BarSInsert, Insert, BarInsert)
 ZERO_P = 0.12  # chance of drawing an adjoined zero, where the caller does not say
 
 
@@ -154,6 +153,12 @@ class Kernel:
     levels stacked over the finite rationals (None unless d is such a
     probability structure); ``facts`` equals ``facts(d)``, and
     ``semiring``/``semifield`` are copied from it.
+
+    Callers learn what kind of structure d is here: ``base`` names a base;
+    ``parts`` holds an insertion's level and residue kernels, ``int_levels``
+    says its levels are ``N0`` or ``Z``, ``sliceable`` that they stand over
+    ``Rc`` or ``Ro``; ``bar`` marks a bar pairing; ``neg`` flips the sign in
+    ``double(...)``.  Each is None or False elsewhere.
 
     ``one`` and ``least_positive`` (the least element above zero) are None
     where d has none, ``least_positive`` exactly where ``facts(d)`` says;
@@ -180,29 +185,28 @@ class Kernel:
 
     __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
                  "facts", "semiring", "semifield", "int_levels", "prob_depth", "read", "body", "fmt", "inv",
-                 "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up")
+                 "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up",
+                 "base", "parts", "sliceable", "bar", "neg")
 
-    def __init__(self, d, text, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
+    def __init__(self, text, facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
                  prod=None, succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
-                 step_up=None, body=None, inv=None, nonzero=None):
+                 step_up=None, body=None, inv=None, parts=None, int_levels=False, sliceable=False, bar=False,
+                 nonzero=None, base=None, neg=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
         self.read, self.body, self.fmt, self.inv = read, body, fmt, inv
         self.one, self.least_positive, self.repeat_limit = one, least_positive, repeat_limit
         self.residue_kernel, self.succ, self.step_up = residue_kernel, succ, step_up
+        self.base, self.parts, self.int_levels, self.sliceable, self.bar, self.neg = (
+            base, parts, int_levels, sliceable, bar, neg)
         self.sum = sum or _ordered_fold(zero, add)
-        if isinstance(d, _PAIRINGS):  # from the parts' kernels, so a nest's compile stays linear in its size
-            f = pairing_facts(d, kernel_of(d.a).facts, kernel_of(d.b).facts)
-        else:
-            f = facts(d)
-        self.facts, self.semiring, self.semifield = f, f.semiring, f.semifield
+        self.facts, self.semiring, self.semifield = facts, facts.semiring, facts.semifield
         if mul is None:
             self.prod = None
         elif prod is None or not self.semiring:
             self.prod = _fold_from_first(mul)
         else:
             self.prod = prod
-        self.int_levels = isinstance(d, (Insert, BarInsert)) and isinstance(d.a, Base) and d.a.name in ("N0", "Z")
 
         if nonzero is None:
             def nonzero(rng, tries=64):
@@ -228,7 +232,7 @@ def _compile(d: StructDesc) -> Kernel:
     text = repr(d)  # not d: a closure over d would tie d and its kernel in a reference cycle
     if isinstance(d, Base):
         return _compile_base(d, text)
-    if isinstance(d, _PAIRINGS):
+    if isinstance(d, (SInsert, BarSInsert, Insert, BarInsert)):
         return _compile_pairing(d, text)
     if isinstance(d, MixedInsert):
         return _compile_mixed(d, text)
@@ -498,10 +502,10 @@ def _compile_base(d: Base, text: str) -> Kernel:
         return Scalar(ONE / v.x)
 
     gen, nonzero = _base_draws(name, text)
-    return Kernel(d, text, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
+    return Kernel(text, facts(d), check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
                   _scalar_mul, gen, read, lambda v: str(v.x), None,
                   (_int_sum if integers else _xreal_sum)(zero), _int_prod if integers else _xreal_prod(zero),
-                  *_BASE_ORDER[name], inv=inv, nonzero=nonzero)
+                  *_BASE_ORDER[name], inv=inv, nonzero=nonzero, base=name)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +553,8 @@ def _compile_pairing(d, text: str) -> Kernel:
     full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
     b = d.b
     prob_depth = None
-    if not (full or bar) and isinstance(d.a, Base) and d.a.name == "Z":
-        inner = 0 if isinstance(b, Base) and b.name == "Ro" else kb.prob_depth
+    if not (full or bar) and ka.base == "Z":
+        inner = 0 if kb.base == "Ro" else kb.prob_depth
         prob_depth = None if inner is None else inner + 1
 
     if full:
@@ -576,8 +580,8 @@ def _compile_pairing(d, text: str) -> Kernel:
             raise ShapeError(f"residue of {v!r} is the zero of {b!r}; insertion removes it")
         return v
 
-    if isinstance(d.a, Base) and isinstance(b, Base):
-        check = _fused_check(d.a.name, b.name, not full, check)
+    if ka.base and kb.base:
+        check = _fused_check(ka.base, kb.base, not full, check)
 
     def cmp(x, y):
         if x is TOP:
@@ -650,8 +654,7 @@ def _compile_pairing(d, text: str) -> Kernel:
     def fmt(v):
         return "top" if v is TOP else "0" if is_zero(v) else f"({fmt_a(v.level)},{fmt_b(v.residue)})"
 
-    a = d.a
-    int_level = a.name if isinstance(a, Base) else None
+    a, int_level = d.a, ka.base
 
     def inv(v):
         if v is TOP:
@@ -665,10 +668,14 @@ def _compile_pairing(d, text: str) -> Kernel:
 
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
     one = None if full or kb.one is None else Pair(ka.zero, kb.one)
-    return Kernel(d, text, check, is_zero, zero, cmp, add, mul, gen, _read_pair(text, bar, zero, body), fmt,
-                  prob_depth, _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
+    int_levels = not full and int_level in ("N0", "Z")
+    # facts from the parts' kernels, so a nest's compile stays linear in its size
+    return Kernel(text, pairing_facts(d, ka.facts, kb.facts), check, is_zero, zero, cmp, add, mul, gen,
+                  _read_pair(text, bar, zero, body), fmt, prob_depth,
+                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
-                  one, least_positive, None, residue_kernel, step_up, body, inv)
+                  one, least_positive, None, residue_kernel, step_up, body, inv, None if full else (ka, kb),
+                  int_levels, int_levels and kb.base in ("Rc", "Ro"), bar)
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +775,12 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
         return "0" if v is ZERO else f"({v.level.x},{sub(v.level.x).fmt(v.residue)})"
 
     first = max(lo or 0, 0) if naturals else lo  # the least level of the range
-    return Kernel(d, text, check, _is_adjoined_zero, ZERO, cmp, add, None, gen, _read_pair(text, False, ZERO, body),
-                  fmt, sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
-                  residue_kernel=residue_kernel, step_up=step_up, body=body,
-                  succ=_pair_succ(DENSE if first is None else first_from(first), residue_kernel, step_up))
+    least = DENSE if first is None else first_from(first)
+    return Kernel(text, facts(d), check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
+                  _read_pair(text, False, ZERO, body), fmt, residue_kernel=residue_kernel, step_up=step_up, body=body,
+                  sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
+                  succ=_pair_succ(least, residue_kernel, step_up),
+                  least_positive=least if type(least) is Pair else None)
 
 
 # ---------------------------------------------------------------------------
@@ -844,4 +853,5 @@ def _compile_double(d: DoubleOf, text: str) -> Kernel:
     def fmt(v):
         return "0" if v is ZERO else fmt_i(v.mag) if v.sign > 0 else "-" + fmt_i(v.mag)
 
-    return Kernel(d, text, check, _is_adjoined_zero, ZERO, cmp, add, None, gen, read, fmt)
+    return Kernel(text, facts(d), check, _is_adjoined_zero, ZERO, cmp, add, None, gen, read, fmt,
+                  neg=lambda v: v if v is ZERO else Signed(-v.sign, v.mag))

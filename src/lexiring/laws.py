@@ -19,7 +19,7 @@ import random
 
 from . import ops
 from .errors import LexiringError
-from .descriptors import BarInsert, BarSInsert, StructDesc, facts, parse_struct
+from .descriptors import parse_struct
 from .kernel import ZERO_P, _below, kernel_of, random_xreal
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, is_zero, one, zero
 from .xreal import INF, XReal
@@ -29,7 +29,7 @@ from .xreal import INF, XReal
 # random elements
 # ---------------------------------------------------------------------------
 
-def random_value(rng: random.Random, d: StructDesc, zero_p: float = ZERO_P) -> Value:
+def random_value(rng: random.Random, d, zero_p: float = ZERO_P) -> Value:
     return kernel_of(d).gen(rng, zero_p)
 
 
@@ -171,9 +171,9 @@ def structure_laws(struct_text: str, seed: int, cases: int):
         ("level_of_product", level_mul),
         ("level_of_sum", level_add),
     ]
-    if facts(d).semifield:
+    if kernel_of(d).semifield:
         checks.append(("multiplicative_inverse", inverse))
-    if isinstance(d, (BarInsert, BarSInsert)):
+    if kernel_of(d).bar:
         checks.append(("top_products", bar_products))
     return _triple_laws(name, cases, triple, checks)
 

@@ -24,8 +24,9 @@ new level once, in atom order (an ``N0`` level may not go below 0), and
 ``align_levels`` moves levels only between attained ones.
 
 Level bookkeeping lives here too: slices (the ordinary extended-real
-measure read off at one level), recovery of a measure from its slices,
-total height, interior-gap alignment and level shifts.
+measure read off at one level, where ``Kernel.sliceable``), recovery of a
+measure from its slices, total height, interior-gap alignment and level
+shifts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from functools import cached_property
 from types import MappingProxyType
 
-from .descriptors import Base, StructDesc
 from .errors import DomainError, InconsistentSlicesError, ShapeError
 from .kernel import kernel_of
 from .ops import require_shiftable
@@ -83,15 +83,10 @@ class AtomSpace:
         raise DomainError(f"unknown event {name!r}")
 
 
-def is_sliceable(d: StructDesc) -> bool:
-    """Integer levels over a rational residue: what slices and integrals need."""
-    return kernel_of(d).int_levels and isinstance(d.b, Base) and d.b.name in ("Rc", "Ro")
-
-
 class LMeasure:
     """Finite atom space with one structure value per atom."""
 
-    def __init__(self, desc: StructDesc, space: AtomSpace, atom_values: dict):
+    def __init__(self, desc, space: AtomSpace, atom_values: dict):
         missing = set(space.atoms) - set(atom_values)
         if missing:
             raise DomainError(f"atoms without values: {sorted(missing)}")
@@ -103,7 +98,7 @@ class LMeasure:
         self.desc, self.space, self._values, self._levels = desc, space, dict(atom_values), None
 
     @classmethod
-    def _built(cls, desc: StructDesc, space: AtomSpace, values: dict, levels: dict | None = None) -> "LMeasure":
+    def _built(cls, desc, space: AtomSpace, values: dict, levels: dict | None = None) -> "LMeasure":
         """A measure over values already well-shaped for desc: nothing is re-checked, and values is kept.
 
         levels maps each level the values attain to its current level, in
@@ -154,8 +149,7 @@ class LMeasure:
 
 def slice_at(m: LMeasure, k: int, E) -> XReal:
     """The ordinary extended-real measure read off at level k."""
-    d = m.desc
-    if not is_sliceable(d):
+    if not kernel_of(m.desc).sliceable:
         raise ShapeError("slices need an (integer level, rational residue) structure")
     v = m.value(E)
     if v is ZERO:
@@ -168,7 +162,7 @@ def slice_at(m: LMeasure, k: int, E) -> XReal:
     return INF if lev > k else XR_ZERO
 
 
-def recover_from_slices(desc: StructDesc, space: AtomSpace, slices: dict) -> LMeasure:
+def recover_from_slices(desc, space: AtomSpace, slices: dict) -> LMeasure:
     """Rebuild a measure from per-level atom slices.
 
     ``slices`` maps level -> {atom -> XReal}.  Each atom's value is the
@@ -177,9 +171,9 @@ def recover_from_slices(desc: StructDesc, space: AtomSpace, slices: dict) -> LMe
     that top level is ambiguous (it also encodes "level above") and is
     rejected.
     """
-    if not is_sliceable(desc):
-        raise ShapeError("slices need an (integer level, rational residue) structure")
     k, atom_values = kernel_of(desc), {}
+    if not k.sliceable:
+        raise ShapeError("slices need an (integer level, rational residue) structure")
     for a in space.atoms:
         pieces = []
         for lev, per_atom in slices.items():
@@ -229,8 +223,6 @@ def shift_levels(m: LMeasure, k: int) -> LMeasure:
         if any(v is not ZERO and v is not TOP for v in m._values.values()):
             require_shiftable(d)
         return m
-    levels = m._level_map()
-    if levels:
-        require_shiftable(d)
-    check = kernel_of(d.a).check
-    return LMeasure._built(d, m.space, m._values, {base: check(Scalar(now + k)).x for base, now in levels.items()})
+    check = require_shiftable(d).check
+    return LMeasure._built(d, m.space, m._values,
+                           {base: check(Scalar(now + k)).x for base, now in m._level_map().items()})

@@ -1,23 +1,22 @@
 """Arithmetic on described structures.
 
-Comparison, addition, multiplication and inversion are all driven by the
-descriptor: levels dominate, equal levels recurse into the residue, and
-the adjoined zero / top behave as least / greatest absorbing elements.
+Comparison, addition, multiplication and inversion run the descriptor's
+kernel (see ``kernel``), compiled lazily, once per descriptor object:
+levels dominate, equal levels recurse into the residue, and the adjoined
+zero / top behave as least / greatest absorbing elements.
 Multiplication adds levels using the level structure's own addition,
 which for composite level structures is itself level-dominant; this is
 exactly what makes the insertion combinator non-associative.
 
-``cmp``, ``add``, ``mul`` and ``inv`` run the descriptor's kernel (see
-``kernel``), compiled lazily, once per descriptor object.  Public
-functions validate the shapes of their arguments; the ``_`` variants
-assume well-shaped inputs and are used on internal hot paths.
+Public functions validate the shapes of their arguments and ask the
+kernel what kind of structure they work in; hot paths call its closures.
 """
 
 from __future__ import annotations
 
-from .descriptors import BarInsert, BarSInsert, DoubleOf, Insert, SInsert, StructDesc
+from .descriptors import regroup_desc, ungroup_desc
 from .errors import CapabilityError, DomainError, ShapeError
-from .kernel import EQ, GT, LT, TOP, ZERO, Pair, Scalar, Signed, Value, kernel_of
+from .kernel import EQ, GT, LT, TOP, ZERO, Pair, Scalar, Value, kernel_of
 from .values import check_value, is_zero, one, zero
 from .xreal import XReal
 
@@ -26,11 +25,7 @@ from .xreal import XReal
 # comparison, addition, multiplication
 # ---------------------------------------------------------------------------
 
-def _cmp(d: StructDesc, x: Value, y: Value) -> int:
-    return kernel_of(d).cmp(x, y)
-
-
-def cmp(d: StructDesc, x: Value, y: Value) -> int:
+def cmp(d, x: Value, y: Value) -> int:
     """Total-order comparison; returns -1, 0 or 1."""
     k = kernel_of(d)
     k.check(x)
@@ -38,11 +33,7 @@ def cmp(d: StructDesc, x: Value, y: Value) -> int:
     return k.cmp(x, y)
 
 
-def _add(d: StructDesc, x: Value, y: Value) -> Value:
-    return kernel_of(d).add(x, y)
-
-
-def add(d: StructDesc, x: Value, y: Value) -> Value:
+def add(d, x: Value, y: Value) -> Value:
     """Level-dominant addition; zero is the identity, top absorbs."""
     k = kernel_of(d)
     k.check(x)
@@ -50,11 +41,7 @@ def add(d: StructDesc, x: Value, y: Value) -> Value:
     return k.add(x, y)
 
 
-def _mul(d: StructDesc, x: Value, y: Value) -> Value:
-    return kernel_of(d).mul(x, y)
-
-
-def require_semiring(d: StructDesc):
+def require_semiring(d):
     """d's kernel; CapabilityError unless d is a semiring."""
     k = kernel_of(d)
     if not k.semiring:
@@ -62,7 +49,7 @@ def require_semiring(d: StructDesc):
     return k
 
 
-def mul(d: StructDesc, x: Value, y: Value) -> Value:
+def mul(d, x: Value, y: Value) -> Value:
     """Levels add (by the level structure's addition), residues multiply."""
     k = require_semiring(d)
     k.check(x)
@@ -70,7 +57,7 @@ def mul(d: StructDesc, x: Value, y: Value) -> Value:
     return k.mul(x, y)
 
 
-def inv(d: StructDesc, x: Value) -> Value:
+def inv(d, x: Value) -> Value:
     """Multiplicative inverse in an ordered semifield."""
     k = kernel_of(d)
     if not k.semifield:
@@ -81,7 +68,7 @@ def inv(d: StructDesc, x: Value) -> Value:
     return k.inv(x)
 
 
-def try_inv(d: StructDesc, x: Value) -> Value:
+def try_inv(d, x: Value) -> Value:
     """Inverse of an invertible element of any semiring (levels must negate)."""
     k = kernel_of(d)
     if not k.semiring:
@@ -92,7 +79,7 @@ def try_inv(d: StructDesc, x: Value) -> Value:
     return k.inv(x)
 
 
-def divide(d: StructDesc, x: Value, y: Value) -> Value:
+def divide(d, x: Value, y: Value) -> Value:
     """x / y in a semifield; division by zero is a domain error."""
     return mul(d, x, inv(d, y))
 
@@ -101,7 +88,7 @@ def divide(d: StructDesc, x: Value, y: Value) -> Value:
 # level and residue projections
 # ---------------------------------------------------------------------------
 
-def level(d: StructDesc, x: Value) -> Value:
+def level(d, x: Value) -> Value:
     """The level part of a nonzero element (undefined for 0 and top)."""
     k = kernel_of(d)
     k.check(x)
@@ -114,58 +101,62 @@ def level(d: StructDesc, x: Value) -> Value:
     raise DomainError(f"{d!r} elements have no level part")
 
 
-def residue(d: StructDesc, x: Value) -> Value:
+def residue(d, x: Value) -> Value:
     """The residue part; by convention the residue of zero is zero."""
     k = kernel_of(d)
     k.check(x)
     if x is TOP:
         raise DomainError("residue of top is undefined")
-    if k.is_zero(x):
-        if isinstance(d, (Insert, BarInsert, SInsert, BarSInsert)):
-            return zero(d.b)
-        raise DomainError(f"residue of zero is not defined for {d!r}")
-    if isinstance(x, Pair):
+    if isinstance(x, Pair):  # the zero of a full product too: its residue is the residue structure's zero
         return x.residue
+    if k.is_zero(x):
+        if k.parts is not None:
+            return k.parts[1].zero
+        raise DomainError(f"residue of zero is not defined for {d!r}")
     raise DomainError(f"{d!r} elements have no residue part")
 
 
-def require_shiftable(d: StructDesc):
-    """Raise unless d's elements have an integer top level to shift."""
-    if not isinstance(d, (Insert, BarInsert)):
+def require_shiftable(d):
+    """The kernel of d's levels; raise unless d's elements have an integer top level to shift."""
+    k = kernel_of(d)
+    if k.parts is None:
         raise CapabilityError(f"{d!r} has no integer level to shift")
-    if not kernel_of(d).int_levels:
+    if not k.int_levels:
         raise ShapeError("top level is not an integer")
+    return k.parts[0]
 
 
-def shift(d: StructDesc, x: Value, k: int) -> Value:
+def shift(d, x: Value, k: int) -> Value:
     """Multiply by (k, 1): shift the top-level integer level by k."""
     if x is ZERO or x is TOP:
         return x
     kernel_of(d).check(x)
-    require_shiftable(d)
     # the residue was checked with x; only the new level can fall outside (N0 below 0)
-    return Pair(kernel_of(d.a).check(Scalar(x.level.x + k)), x.residue)
+    return Pair(require_shiftable(d).check(Scalar(x.level.x + k)), x.residue)
 
 
 # ---------------------------------------------------------------------------
 # signed values (double structures)
 # ---------------------------------------------------------------------------
 
-def double_add(d: DoubleOf, x: Value, y: Value) -> Value:
-    """Sign-aware addition in double(L) for L with integer levels."""
-    if not isinstance(d, DoubleOf):
-        raise CapabilityError("double_add needs a double() descriptor")
+def _require_double(d, op: str):
     k = kernel_of(d)
+    if k.neg is None:
+        raise CapabilityError(f"{op} needs a double() descriptor")
+    return k
+
+
+def double_add(d, x: Value, y: Value) -> Value:
+    """Sign-aware addition in double(L) for L with integer levels."""
+    k = _require_double(d, "double_add")
     k.check(x)
     k.check(y)
     return k.add(x, y)
 
 
-def neg(d: DoubleOf, x: Value) -> Value:
-    check_value(d, x)
-    if x is ZERO:
-        return ZERO
-    return Signed(-x.sign, x.mag)
+def neg(d, x: Value) -> Value:
+    """The additive inverse in double(L): the sign flips."""
+    return _require_double(d, "neg").neg(check_value(d, x))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +168,8 @@ class OVector:
 
     __slots__ = ("desc", "entries")
 
-    def __init__(self, desc: StructDesc, entries):
-        if not isinstance(desc, (Insert, BarInsert)):
+    def __init__(self, desc, entries):
+        if kernel_of(desc).parts is None:
             raise CapabilityError("vectors are defined over insertion structures")
         entries = tuple(entries)
         if not entries:
@@ -189,7 +180,7 @@ class OVector:
         self.entries = entries
 
     @classmethod
-    def _built(cls, desc: StructDesc, entries: tuple) -> "OVector":
+    def _built(cls, desc, entries: tuple) -> "OVector":
         """A vector of entries already well-shaped for desc: nothing is re-checked."""
         w = cls.__new__(cls)
         w.desc, w.entries = desc, entries
@@ -224,14 +215,7 @@ def is_lattice_point(w: OVector) -> bool:
 # associativity isomorphism for s-insertions
 # ---------------------------------------------------------------------------
 
-def regroup_desc(d: StructDesc) -> StructDesc:
-    """A \\/ (B \\/ C)  ->  (A \\/ B) \\/ C"""
-    if not (isinstance(d, SInsert) and isinstance(d.b, SInsert)):
-        raise ShapeError("expected a right-nested s-insertion A \\/ (B \\/ C)")
-    return SInsert(SInsert(d.a, d.b.a), d.b.b)
-
-
-def assoc_iso(d: StructDesc, x: Value) -> Value:
+def assoc_iso(d, x: Value) -> Value:
     """(a, (b, c)) -> ((a, b), c); an order and addition isomorphism."""
     regroup_desc(d)
     check_value(d, x)
@@ -239,10 +223,9 @@ def assoc_iso(d: StructDesc, x: Value) -> Value:
     return Pair(Pair(a, bc.level), bc.residue)
 
 
-def assoc_iso_inv(d: StructDesc, x: Value) -> Value:
+def assoc_iso_inv(d, x: Value) -> Value:
     """Inverse of assoc_iso: input shaped for (A \\/ B) \\/ C."""
-    if not (isinstance(d, SInsert) and isinstance(d.a, SInsert)):
-        raise ShapeError("expected a left-nested s-insertion (A \\/ B) \\/ C")
+    ungroup_desc(d)
     check_value(d, x)
     ab, c = x.level, x.residue
     return Pair(ab.level, Pair(ab.residue, c))

@@ -24,18 +24,17 @@ fast as the one it came from.
 
 from __future__ import annotations
 
-from .descriptors import StructDesc
 from .errors import CapabilityError, DomainError, InfiniteMassError
 from .integrate import SimpleFunction, integrate_lvalued, integrate_real
 from .kernel import kernel_of
 from .measure import LMeasure, align_levels, shift_levels
-from .ops import _mul, divide
+from .ops import divide
 from .values import TOP, ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels, zero
 from .xreal import ONE as XR_ONE
 from .xreal import XReal
 
 
-def _require_prob_desc(d: StructDesc) -> int:
+def _require_prob_desc(d) -> int:
     n = kernel_of(d).prob_depth
     if n is None:
         raise CapabilityError("probability needs integer levels over finite rationals")
@@ -125,7 +124,7 @@ def standardize(m: LMeasure) -> PMeasure:
         raise DomainError("the zero measure cannot be standardized")
     kappa = tuple(-max(vec[i] for vec in vecs) for i in range(n))
     unit = stack_levels(kappa, XR_ONE)
-    atom_values = {a: _mul(m.desc, unit, v) for a, v in m.atom_values.items()}
+    atom_values = {a: kernel_of(m.desc).mul(unit, v) for a, v in m.atom_values.items()}
     out = LMeasure._built(m.desc, m.space, atom_values)
     return PMeasure(out, -min(level_vector(v, n)[0][0] for v in out.atom_values.values() if v is not ZERO))
 
@@ -212,7 +211,7 @@ def bayes(m, partition, B) -> dict:
         cond = k.zero if k.is_zero(joint) else divide(d, joint, prior)
         conditionals[name] = cond
         priors[name] = prior
-        terms.append(_mul(d, cond, prior))
+        terms.append(k.mul(cond, prior))
     total = k.sum(terms)
     posteriors = {}
     for (name, _), term, joint in zip(cells, terms, joint_of):

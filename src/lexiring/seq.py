@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError
 from .kernel import DENSE, NOTHING_ABOVE, kernel_of
-from .ops import _add, _cmp
 from .values import TOP, ZERO, Pair, Scalar, Value, check_value, zero
 
 
@@ -124,7 +123,7 @@ def sum_sequence(d, s: SeqGen) -> Value:
     term = _tail_term(d, s.tail, NotSummableError("levels are unbounded above and the structure has no top"))
     total = _limit(k, term, False)
     if total is not NOTHING_ABOVE:
-        return _add(d, head, total)  # top absorbs, zero adds nothing, a head at a greater level wins
+        return k.add(head, total)  # top absorbs, zero adds nothing, a head at a greater level wins
     if head is not ZERO and head.level.x > term.level.x:  # the head dominates the tail
         return head
     raise NotSummableError(f"a countable repeat does not evaluate in {d!r}")
@@ -135,10 +134,10 @@ def sup_finite(d, values) -> Value:
     vals = list(values)
     if not vals:
         raise DomainError("sup of an empty set is undefined")
-    best = None
+    k, best = kernel_of(d), None
     for v in vals:
         check_value(d, v)
-        if best is None or _cmp(d, v, best) > 0:
+        if best is None or k.cmp(v, best) > 0:
             best = v
     return best
 

@@ -24,7 +24,6 @@ from collections import deque
 
 from .errors import DomainError
 from .kernel import kernel_of
-from .ops import _add, _cmp
 from .values import Value, check_value, is_zero
 
 
@@ -148,6 +147,7 @@ def verify_metric(t: LTree, triples=None) -> dict:
     pass a sampled list for larger trees.
     """
     d = t.desc
+    add, cmp = kernel_of(d).add, kernel_of(d).cmp
     failures = []
     if not t.has_full_support():
         failures.append("an edge carries value zero (no full support)")
@@ -172,15 +172,15 @@ def verify_metric(t: LTree, triples=None) -> dict:
         triples = [(x, y, z) for x in nodes for y in nodes for z in nodes]
     for x, y, z in triples:
         lhs = dist[(y, z)]
-        rhs = _add(d, dist[(y, x)], dist[(x, z)])
-        if _cmp(d, lhs, rhs) > 0:
+        rhs = add(dist[(y, x)], dist[(x, z)])
+        if cmp(lhs, rhs) > 0:
             failures.append(f"triangle inequality fails at ({x},{y},{z})")
             break
     # segment additivity: points on the path split the distance exactly
     for x in nodes:
         for y in nodes:
             for w in paths[(x, y)]:
-                if dist[(x, y)] != _add(d, dist[(x, w)], dist[(w, y)]):
+                if dist[(x, y)] != add(dist[(x, w)], dist[(w, y)]):
                     failures.append(f"d({x},{y}) != d({x},{w}) + d({w},{y})")
                     break
     # concatenation: segments meeting at exactly one endpoint compose

@@ -12,10 +12,9 @@ stretches).
 
 from __future__ import annotations
 
-from .descriptors import StructDesc
 from .errors import DomainError, ShapeError
 from .kernel import kernel_of
-from .ops import _mul, try_inv
+from .ops import try_inv
 from .values import Value, check_value, format_value, is_zero, level_vector, one, stack_levels, zero
 
 
@@ -51,7 +50,7 @@ class BranchedGraph:
 
 
 class WeightSystem:
-    def __init__(self, desc: StructDesc, weights: dict):
+    def __init__(self, desc, weights: dict):
         self.desc = desc
         self.weights = dict(weights)
         for v in self.weights.values():
@@ -64,7 +63,7 @@ class WeightSystem:
 class Cocycle:
     """Invertible multipliers at sector-end crossings."""
 
-    def __init__(self, desc: StructDesc, crossings: dict):
+    def __init__(self, desc, crossings: dict):
         self.desc = desc
         self.crossings = {}
         for (sec, end), v in crossings.items():
@@ -80,12 +79,12 @@ class Cocycle:
 
 
 def _side_sum(g: BranchedGraph, w: WeightSystem, c: Cocycle, side) -> Value:
-    terms = []
+    k, terms = kernel_of(w.desc), []
     for sec, end in side:
         term = w.weight(sec)
         m = c.multiplier(sec, end) if c is not None else None
-        terms.append(term if m is None else _mul(w.desc, m, term))
-    return kernel_of(w.desc).sum(terms)
+        terms.append(term if m is None else k.mul(m, term))
+    return k.sum(terms)
 
 
 def check_branch_equations(g: BranchedGraph, w: WeightSystem, c: Cocycle = None) -> dict:
@@ -119,7 +118,14 @@ def apply_deck(w: WeightSystem, lam: Value) -> WeightSystem:
     if is_zero(w.desc, lam):
         raise DomainError("deck scalars must be nonzero")
     try_inv(w.desc, lam)
-    return WeightSystem(w.desc, {s: _mul(w.desc, lam, v) for s, v in w.weights.items()})
+    return WeightSystem(w.desc, {s: kernel_of(w.desc).mul(lam, v) for s, v in w.weights.items()})
+
+
+def _cocycle_depth(d) -> int:
+    n = kernel_of(d).prob_depth
+    if n is None:
+        raise ShapeError("cocycle multipliers must live in a probability semifield")
+    return n
 
 
 def cocycle_split(c: Cocycle):
@@ -129,9 +135,7 @@ def cocycle_split(c: Cocycle):
     crossing; nested multipliers give a tuple of integers.  Recombining
     with ``cocycle_join`` reproduces the cocycle.
     """
-    n = kernel_of(c.desc).prob_depth
-    if n is None:
-        raise ShapeError("cocycle multipliers must live in a probability semifield")
+    n = _cocycle_depth(c.desc)
     level_map, stretch = {}, {}
     for key, v in c.crossings.items():
         vec, s = level_vector(v, n)
@@ -140,8 +144,8 @@ def cocycle_split(c: Cocycle):
     return level_map, stretch
 
 
-def cocycle_join(desc: StructDesc, level_map: dict, stretch: dict) -> Cocycle:
-    n = kernel_of(desc).prob_depth
+def cocycle_join(desc, level_map: dict, stretch: dict) -> Cocycle:
+    n = _cocycle_depth(desc)
     crossings = {}
     for key, lev in level_map.items():
         vec = (lev,) if isinstance(lev, int) else tuple(lev)
@@ -161,9 +165,9 @@ def gauge_move(g: BranchedGraph, w: WeightSystem, c: Cocycle, sector, unit: Valu
     check_value(w.desc, unit)
     u_inv = try_inv(w.desc, unit)
     new_weights = dict(w.weights)
-    new_weights[sector] = _mul(w.desc, u_inv, w.weight(sector))
+    new_weights[sector] = kernel_of(w.desc).mul(u_inv, w.weight(sector))
     new_crossings = dict(c.crossings)
     for end in g.ends_of(sector):
         cur = new_crossings.get(end, one(w.desc))
-        new_crossings[end] = _mul(w.desc, unit, cur)
+        new_crossings[end] = kernel_of(w.desc).mul(unit, cur)
     return WeightSystem(w.desc, new_weights), Cocycle(w.desc, new_crossings)

@@ -8,7 +8,7 @@ from lexiring.descriptors import parse_struct
 from lexiring.errors import NotRepresentableError, NotSummableError
 from lexiring.kernel import DENSE, NOTHING_ABOVE, ZERO_P, kernel_of
 from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_sequence
-from lexiring.values import TOP, Scalar, check_value, parse_value, zero
+from lexiring.values import TOP, ZERO, Scalar, check_value, parse_value, zero
 from lexiring.xreal import XReal
 
 
@@ -165,15 +165,17 @@ def test_sup_residue_ramp_refusals(struct, step, message):
         sup_sequence(parse_struct(struct), SeqGen(tail=ResidueRamp(0, pv(*step))))
 
 
-def test_mixed_residues_repeat_and_refuse_to_step_up():
+def test_mixed_residues_repeat_and_step_up():
     d = parse_struct(r"N0 /\ mixed(N0; 0..2; default:Rc)")
     assert sum_sequence(d, SeqGen(tail=Repeat(pv(r"N0 /\ mixed(N0; 0..2; default:Rc)", "(0,(0,1))")))) == \
         pv(r"N0 /\ mixed(N0; 0..2; default:Rc)", "(0,(0,inf))")
-    # above the top of the range the outer level steps up, to a least positive element that
-    # facts(mixed(...)).least_positive does not claim
-    d = parse_struct(r"N0 /\ mixed(N0; 0..2; default:N0)")
-    with pytest.raises(NotRepresentableError, match="residues at the top level have no least upper bound"):
-        sup_sequence(d, SeqGen(tail=ResidueRamp(0, pv("mixed(N0; 0..2; default:N0)", "(2,1)"))))
+    # above the top of the range the outer level steps up, to the least positive element of the
+    # mixed residues: the least positive residue of their least level
+    text = r"N0 /\ mixed(N0; 0..2; default:N0)"
+    d = parse_struct(text)
+    assert sup_sequence(d, SeqGen(tail=ResidueRamp(0, pv("mixed(N0; 0..2; default:N0)", "(2,1)")))) == \
+        pv(text, "(1,(0,1))")
+    assert kernel_of(d).succ(ZERO) == least_positive(d) == pv(text, "(0,(0,1))")
 
 
 # Integer-leveled insertions whose residues have composite, bar, full and mixed levels, greatest

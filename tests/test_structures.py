@@ -8,11 +8,12 @@ import pytest
 from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.descriptors import parse_struct
-from lexiring.errors import CapabilityError, DomainError, NotRepresentableError, ParseError, ShapeError
-from lexiring.kernel import ZERO_P, kernel_of
+from lexiring.errors import CapabilityError, DomainError, LexiringError, NotRepresentableError, ParseError, ShapeError
+from lexiring.integrate import SimpleFunction
+from lexiring.kernel import DENSE, ZERO_P, kernel_of
 from lexiring.laws import nonzero_value
 from lexiring.seq import least_positive
-from lexiring.values import TOP, ZERO, Pair, Scalar, format_value, is_zero, one, parse_value, zero
+from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, format_value, is_zero, one, parse_value, zero
 from lexiring.xreal import XReal
 
 
@@ -161,6 +162,107 @@ def test_kernel_facts_are_the_descriptor_facts():
         k = kernel_of(d)
         assert k.facts == D.facts(d), d
         assert (k.semiring, k.semifield) == (k.facts.semiring, k.facts.semifield)
+
+
+# The isinstance tests that the kernel's kind members replaced, kept as the oracle.
+def _old_int_levels(d):
+    return isinstance(d, (D.Insert, D.BarInsert)) and isinstance(d.a, D.Base) and d.a.name in ("N0", "Z")
+
+
+def _old_require_shiftable(d):
+    if not isinstance(d, (D.Insert, D.BarInsert)):
+        raise CapabilityError(f"{d!r} has no integer level to shift")
+    if not _old_int_levels(d):
+        raise ShapeError("top level is not an integer")
+
+
+def _old_residue_of_zero(d):
+    if isinstance(d, (D.Insert, D.BarInsert, D.SInsert, D.BarSInsert)):
+        return zero(d.b)
+    raise DomainError(f"residue of zero is not defined for {d!r}")
+
+
+def _old_ovector(d, entries):
+    if not isinstance(d, (D.Insert, D.BarInsert)):
+        raise CapabilityError("vectors are defined over insertion structures")
+    return tuple(entries)
+
+
+def _old_signed(d, values):
+    if not isinstance(d, D.DoubleOf):
+        raise ShapeError("signed functions need a double() descriptor")
+    return values
+
+
+def _old_double_add(d, x, y):
+    if not isinstance(d, D.DoubleOf):
+        raise CapabilityError("double_add needs a double() descriptor")
+    return kernel_of(d).add(x, y)
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the library error it raised."""
+    try:
+        return f(*args)
+    except LexiringError as exc:
+        return type(exc), str(exc)
+
+
+def test_kernel_kind_members_match_the_isinstance_predicates():
+    rng = random.Random(4)
+    checked = 0
+    for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::7]:
+        try:
+            D.validate_desc(d)
+        except CapabilityError:
+            continue
+        k = kernel_of(d)
+        insertion = isinstance(d, (D.Insert, D.BarInsert))
+        assert k.base == (d.name if isinstance(d, D.Base) else None), d
+        assert k.parts == ((kernel_of(d.a), kernel_of(d.b)) if insertion else None), d
+        assert k.int_levels == _old_int_levels(d), d
+        assert k.sliceable == (_old_int_levels(d) and isinstance(d.b, D.Base) and d.b.name in ("Rc", "Ro")), d
+        assert k.bar == isinstance(d, (D.BarInsert, D.BarSInsert)), d
+        assert (k.neg is not None) == isinstance(d, D.DoubleOf), d
+
+        want = _outcome(_old_require_shiftable, d)
+        assert _outcome(ops.require_shiftable, d) == (k.parts[0] if want is None else want), d
+        assert _outcome(ops.residue, d, zero(d)) == _outcome(_old_residue_of_zero, d), d
+        x = nonzero_value(rng, d)
+        got = _outcome(ops.OVector, d, [x])
+        assert (got.entries if isinstance(got, ops.OVector) else got) == _outcome(_old_ovector, d, [x]), d
+        got = _outcome(SimpleFunction.signed, d, {"a": x})
+        assert (got.values if isinstance(got, SimpleFunction) else got) == _outcome(_old_signed, d, {"a": x}), d
+        assert _outcome(ops.double_add, d, x, x) == _outcome(_old_double_add, d, x, x), d
+        if k.neg is None:
+            assert _outcome(ops.neg, d, x) == (CapabilityError, "neg needs a double() descriptor"), d
+        else:
+            assert ops.neg(d, x) == Signed(-x.sign, x.mag) and ops.neg(d, ZERO) is ZERO, d
+        checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("text, least", [
+    ("mixed(N0; 0..2; default:N0)", "(0,1)"),
+    ("mixed(N0; 0..2; default:Rc)", None),
+    ("mixed(N0; -2..3; default:Nbar0)", "(0,1)"),  # the range starts at 0 in N0
+    ("mixed(N0; 0..3; 1:Nbar0, 3:Rc)", "(1,1)"),  # without a default, the least listed level
+    ("mixed(N0; 0..3; 1:Rc, 3:N0)", None),
+    ("mixed(Z; -2..3; 0:N0, default:Rc)", None),
+    ("mixed(Z; -1..; 0:Rc, default:N0)", "(-1,1)"),
+    ("mixed(Z; ..3; default:N0)", None),  # no least level
+    (r"mixed(Z; 1..2; 1:(Rc \/ N0), default:Rc)", "(1,(0,1))"),
+])
+def test_mixed_least_positive_lies_at_the_least_level_with_residues(text, least):
+    d = parse_struct(text)
+    k = kernel_of(d)
+    assert D.facts(d).least_positive == (least is not None)
+    assert k.least_positive == (None if least is None else parse_value(d, least))
+    rng = random.Random(3)
+    for _ in range(200):
+        v = k.gen(rng, ZERO_P)
+        assert least is None or k.cmp(v, k.zero) == 0 or k.cmp(k.least_positive, v) <= 0, v
+    assert k.succ(ZERO) == (DENSE if least is None else k.least_positive)
 
 
 def test_mixed_parse():
@@ -390,6 +492,11 @@ def test_double_add_cases():
     a = parse_value(d, "(1,3/4)")
     assert ops.double_add(d, a, parse_value(d, "-(1,1/4)")) == parse_value(d, "(1,1/2)")
     assert ops.double_add(d, a, parse_value(d, "-(1,3/4)")) == ZERO
+
+
+def test_neg_outside_double_is_a_capability_error():
+    with pytest.raises(CapabilityError, match=r"neg needs a double\(\) descriptor"):
+        ops.neg(parse_struct("O"), pv("O", "(1,2)"))
 
 
 def test_double_neg_and_order():

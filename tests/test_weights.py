@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError
+from lexiring.errors import DomainError, ShapeError
 from lexiring.laws import nonzero_value
 from lexiring.values import ZERO, parse_value
 from lexiring.weights import (
@@ -132,6 +132,12 @@ def test_cocycle_split_nested():
     assert levels == {("a", "l"): (-1, 0), ("b", "l"): (0, -1)}
     assert stretches == {("a", "l"): XReal(1), ("b", "l"): XReal(1)}
     assert cocycle_join(d, levels, stretches).crossings == c.crossings
+
+
+@pytest.mark.parametrize("levels", [{("a", "x"): 1}, {}])
+def test_cocycle_join_refuses_a_structure_without_probability_levels(levels):
+    with pytest.raises(ShapeError, match="cocycle multipliers must live in a probability semifield"):
+        cocycle_join(parse_struct("S"), levels, {("a", "x"): XReal(1)})
 
 
 def test_gauge_move_preserves_report():
