@@ -129,7 +129,8 @@ class _ExprEval(TokenStream):
     def series(self, which: str):
         self.expect("(")
         head, tail = [], None
-        while self.peek() != ")":
+        more = self.peek() != ")"
+        while more:  # arguments are separated by commas, with none after the last
             tok = self.peek()
             if tok in _GENS:
                 if tail is not None:
@@ -144,16 +145,17 @@ class _ExprEval(TokenStream):
                     self.expect(",")
                     step = self.int()
                     self.expect(",")
-                    tail = LevelRamp(start, step, self.literal(kernel_of(self.d.b)))
+                    tail = LevelRamp(start, step, self.literal(self.k.parts[1]))
                 else:
                     require_int_levels(self.d)
                     lev = self.int()
                     self.expect(",")
-                    tail = ResidueRamp(lev, self.literal(kernel_of(self.d.b)))
+                    tail = ResidueRamp(lev, self.literal(self.k.parts[1]))
                 self.expect(")")
             else:
                 head.append(self.expr())
-            if self.peek() == ",":
+            more = self.peek() == ","
+            if more:
                 self.next()
         self.expect(")")
         gen = SeqGen(head, tail)
@@ -237,12 +239,10 @@ def _cmd_measure(args, out: _Out) -> int:
         h = total_height(m)
         out.emit({"height": h}, str(h))
         return 0
-    if args.action in ("align", "shift"):
-        new = align_levels(m) if args.action == "align" else shift_levels(m, args.by)
-        doc = scene_to_dict(new)
-        out.emit(doc, " ".join(f"{a['id']}={a['value']}" for a in doc["atoms"]))
-        return 0
-    raise ParseError(f"unknown measure action {args.action!r}")
+    new = align_levels(m) if args.action == "align" else shift_levels(m, args.by)
+    doc = scene_to_dict(new)
+    out.emit(doc, " ".join(f"{a['id']}={a['value']}" for a in doc["atoms"]))
+    return 0
 
 
 def _cmd_prob(args, out: _Out) -> int:
@@ -279,15 +279,13 @@ def _cmd_prob(args, out: _Out) -> int:
         text = "; ".join(f"P({c}|{args.given})={obj['posteriors'][c]}" for c in cells)
         out.emit(obj, f"total={obj['total']}; {text}")
         return 0
-    if args.action == "standardize":
-        pm = standardize(m)
-        atoms = _fmt_map(pm.desc, pm.base.atom_values)
-        out.emit(
-            {"depth": pm.total_depth, "atoms": atoms},
-            f"depth={pm.total_depth} " + " ".join(f"{a}={v}" for a, v in sorted(atoms.items())),
-        )
-        return 0
-    raise ParseError(f"unknown prob action {args.action!r}")
+    pm = standardize(m)
+    atoms = _fmt_map(pm.desc, pm.base.atom_values)
+    out.emit(
+        {"depth": pm.total_depth, "atoms": atoms},
+        f"depth={pm.total_depth} " + " ".join(f"{a}={v}" for a, v in sorted(atoms.items())),
+    )
+    return 0
 
 
 def _cmd_tree(args, out: _Out) -> int:
@@ -301,11 +299,9 @@ def _cmd_tree(args, out: _Out) -> int:
         lit = format_value(t.desc, distance(t, args.x, args.y))
         out.emit({"x": args.x, "y": args.y, "result": lit}, lit)
         return 0
-    if args.action == "verify":
-        report = verify_metric(t)
-        out.emit(report, "ok" if report["ok"] else "FAIL: " + "; ".join(report["failures"]))
-        return 0 if report["ok"] else 1
-    raise ParseError(f"unknown tree action {args.action!r}")
+    report = verify_metric(t)
+    out.emit(report, "ok" if report["ok"] else "FAIL: " + "; ".join(report["failures"]))
+    return 0 if report["ok"] else 1
 
 
 def _cmd_weights(args, out: _Out) -> int:
@@ -321,20 +317,20 @@ def _cmd_weights(args, out: _Out) -> int:
             + "; ".join(f"switch {s['switch']}: {s['side1']} != {s['side2']}" for s in report["switches"] if not s["equal"]),
         )
         return 0 if report["ok"] else 1
-    if args.action == "deck":
-        if not args.scalar:
-            raise ParseError("weights deck needs --scalar")
-        lam = parse_value(w.desc, args.scalar)
-        new = apply_deck(w, lam)
-        weights = _fmt_map(new.desc, new.weights)
-        out.emit({"weights": weights}, " ".join(f"{s}={v}" for s, v in sorted(weights.items())))
-        return 0
-    raise ParseError(f"unknown weights action {args.action!r}")
+    if not args.scalar:
+        raise ParseError("weights deck needs --scalar")
+    lam = parse_value(w.desc, args.scalar)
+    new = apply_deck(w, lam)
+    weights = _fmt_map(new.desc, new.weights)
+    out.emit({"weights": weights}, " ".join(f"{s}={v}" for s, v in sorted(weights.items())))
+    return 0
 
 
 def _cmd_selfcheck(args, out: _Out) -> int:
     from .laws import run_selfcheck
 
+    if args.cases < 1:
+        raise ParseError(f"selfcheck --cases must be at least 1, not {args.cases}")
     ok, results = run_selfcheck(args.seed, args.cases)
     for r in results:
         out.emit(r.as_dict(), r.line())

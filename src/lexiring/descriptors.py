@@ -480,6 +480,7 @@ class _StructParser(TokenStream):
         base = Base(name)
         self.expect(";")
         lo = hi = None
+        lo_at = self.pos  # the range's first token, where an empty range is reported
         if self.peek() != "..":
             lo = self.int()
         self.expect("..")
@@ -502,7 +503,7 @@ class _StructParser(TokenStream):
             self.next()
         self.expect(")")
         if lo is not None and hi is not None and lo > hi:
-            raise ParseError("empty level range", self.text, 0)
+            raise self.error("empty level range", lo_at)
         return MixedInsert(base, lo, hi, table, default)
 
 

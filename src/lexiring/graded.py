@@ -17,23 +17,21 @@ element, hence open in the order topology.
 
 from __future__ import annotations
 
-import functools
-
 from .descriptors import OBAR
 from .errors import DomainError
 from .kernel import kernel_of
-from .values import TOP, ZERO, Pair, Scalar, Value
-from .xreal import XReal
+from .values import TOP, Pair, Scalar, Value
+from .xreal import INF, XReal
 
 GRADED_DESC = OBAR  # values of the canonical graded measure live here
 
 
 class IntervalPiece:
-    """One rational interval inside (0, inf] at one integer level."""
+    """One open rational interval (lo, hi) inside (0, inf] at one integer level."""
 
-    __slots__ = ("level", "lo", "hi", "lo_open", "hi_open")
+    __slots__ = ("level", "lo", "hi")
 
-    def __init__(self, level: int, lo: XReal, hi: XReal, lo_open: bool = True, hi_open: bool = True):
+    def __init__(self, level: int, lo: XReal, hi: XReal):
         if lo.is_inf:
             raise DomainError("interval start cannot be inf")
         if hi < lo:
@@ -41,19 +39,13 @@ class IntervalPiece:
         self.level = level
         self.lo = lo
         self.hi = hi
-        self.lo_open = lo_open
-        self.hi_open = hi_open
 
     @property
     def length(self) -> XReal:
         return self.hi.minus(self.lo)
 
     def contains(self, t: XReal) -> bool:
-        if t < self.lo or (t == self.lo and self.lo_open):
-            return False
-        if t > self.hi or (t == self.hi and self.hi_open):
-            return False
-        return True
+        return self.lo < t < self.hi
 
 
 class GradedIntervalSet:
@@ -64,7 +56,7 @@ class GradedIntervalSet:
         for p in self.pieces:
             by_level.setdefault(p.level, []).append(p)
         for level, ps in by_level.items():
-            ps.sort(key=functools.cmp_to_key(lambda a, b: a.lo._cmp(b.lo)))
+            ps.sort(key=lambda p: p.lo)
             for prev, cur in zip(ps, ps[1:]):
                 if cur.lo < prev.hi:
                     raise DomainError(f"overlapping intervals at level {level}")
@@ -78,34 +70,29 @@ def graded_measure(E: GradedIntervalSet) -> Value:
         [Pair(Scalar(p.level), Scalar(p.length)) for p in E.pieces if not p.length.is_zero])
 
 
-def verify_open_graded(k: int, window: int = 3, grid: int = 4) -> bool:
+def verify_open_graded(k: int) -> bool:
     """Desk-scale openness check of the sub-(k, inf) region.
 
-    Builds the family of open rational intervals at levels in
-    [k - window, k + window], marks every sampled point covered by a
+    Builds the family of open intervals between the quarters 1/4 .. 15/4
+    at levels in [k - 3, k + 3], marks every sampled point covered by a
     family member of measure < (k, inf) or measure 0, and confirms that
     the marked set is exactly the open down-set of points at levels <= k.
     """
-    threshold = Pair(Scalar(k), Scalar(XReal(1, 1)))  # any (k, t); only the level matters
-    samples = [XReal(i, grid) for i in range(1, 4 * grid)]
+    cmp, threshold = kernel_of(GRADED_DESC).cmp, Pair(Scalar(k), Scalar(INF))
+    samples = [XReal(i, 4) for i in range(1, 16)]
     family = []
-    for level in range(k - window, k + window + 1):
+    for level in range(k - 3, k + 4):
         for i, lo in enumerate(samples):
             for hi in samples[i + 1:]:
                 family.append(IntervalPiece(level, lo, hi))
     covered = set()
     for piece in family:
-        v = graded_measure(GradedIntervalSet([piece]))
-        below = v is ZERO or (
-            v is not TOP and (v.level.x < threshold.level.x
-                              or (v.level.x == threshold.level.x and not v.residue.x.is_inf))
-        )
-        if not below:
+        if cmp(graded_measure(GradedIntervalSet([piece])), threshold) >= 0:
             continue
         for t in samples:
             if piece.contains(t):
                 covered.add((piece.level, t))
-    expected = {(lev, t) for lev in range(k - window, k + 1) for t in samples[1:-1]}
+    expected = {(lev, t) for lev in range(k - 3, k + 1) for t in samples[1:-1]}
     # interior sample points at levels <= k must be covered, none above
     for lev, t in expected:
         if (lev, t) not in covered:

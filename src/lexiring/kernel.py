@@ -209,8 +209,8 @@ class Kernel:
             self.prod = prod
 
         if nonzero is None:
-            def nonzero(rng, tries=64):
-                for _ in range(tries):
+            def nonzero(rng):
+                for _ in range(64):
                     v = gen(rng, 0.0)
                     if not is_zero(v):
                         return v
@@ -360,8 +360,8 @@ def _base_draws(name, text):
                 return _XR_INF if r < inf_p else zero
         return table[_below(rng, n)] if table else _FINITE[_below(rng, 12) * 8 + _below(rng, 8)]
 
-    def nonzero(rng, tries=64):
-        for _ in range(tries):
+    def nonzero(rng):
+        for _ in range(64):
             v = gen(rng, 0.0)
             if v is not zero:  # every 0 drawn is this one object
                 return v
@@ -588,10 +588,10 @@ def _compile_pairing(d, text: str) -> Kernel:
             return EQ if y is TOP else GT
         if y is TOP:
             return LT
-        if x is ZERO:
-            return EQ if is_zero(y) else LT
+        if x is ZERO:  # only an insertion's values are ZERO
+            return EQ if y is ZERO else LT
         if y is ZERO:
-            return EQ if is_zero(x) else GT
+            return EQ if x is ZERO else GT
         return cmp_a(x.level, y.level) or cmp_b(x.residue, y.residue)
 
     def add(x, y):
@@ -607,7 +607,7 @@ def _compile_pairing(d, text: str) -> Kernel:
         return Pair(x.level, add_b(x.residue, y.residue))
 
     def mul(x, y):
-        if is_zero(x) or is_zero(y):
+        if x is ZERO or y is ZERO or full and (is_zero(x) or is_zero(y)):
             return zero
         if x is TOP or y is TOP:
             return TOP

@@ -22,19 +22,19 @@ from .errors import LexiringError
 from .descriptors import parse_struct
 from .kernel import ZERO_P, _below, kernel_of, random_xreal
 from .values import TOP, ZERO, Pair, Scalar, Signed, Value, is_zero, one, zero
-from .xreal import INF, XReal
+from .xreal import XReal
 
 
 # ---------------------------------------------------------------------------
 # random elements
 # ---------------------------------------------------------------------------
 
-def random_value(rng: random.Random, d, zero_p: float = ZERO_P) -> Value:
-    return kernel_of(d).gen(rng, zero_p)
+def random_value(rng: random.Random, d) -> Value:
+    return kernel_of(d).gen(rng, ZERO_P)
 
 
-def nonzero_value(rng, d, tries: int = 64) -> Value:
-    return kernel_of(d).nonzero(rng, tries)
+def nonzero_value(rng, d) -> Value:
+    return kernel_of(d).nonzero(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +185,11 @@ LAW_STRUCTURES = ("S", "O", "P", "Obar", "Sn(2)", "On(2)", "Pn(2)")
 # random scenes, trees, weight systems
 # ---------------------------------------------------------------------------
 
-def random_measure(rng, struct_text="O", n_atoms=None, finite=True):
+def random_measure(rng):
+    """A measure over O on 1 to 6 atoms; each atom is 0 with chance 0.2, else a finite value."""
     from .measure import AtomSpace, LMeasure
 
-    d = parse_struct(struct_text)
-    n = n_atoms or 1 + _below(rng, 6)
+    n = 1 + _below(rng, 6)
     atoms = [f"a{i}" for i in range(n)]
     values = {}
     for a in atoms:
@@ -197,30 +197,26 @@ def random_measure(rng, struct_text="O", n_atoms=None, finite=True):
             values[a] = ZERO
         else:
             lev = _below(rng, 7) - 3
-            res = XReal(1 + _below(rng, 11), 1 + _below(rng, 6))
-            if not finite and rng.random() < 0.1:
-                res = INF
-            values[a] = Pair(Scalar(lev), Scalar(res))
-    return LMeasure(d, AtomSpace(atoms), values)
+            values[a] = Pair(Scalar(lev), Scalar(XReal(1 + _below(rng, 11), 1 + _below(rng, 6))))
+    return LMeasure(parse_struct("O"), AtomSpace(atoms), values)
 
 
-def random_prob_scene(rng, n_levels=2, atoms_per_level=3):
-    """A valid probability scene: each level's residues sum to one."""
+def random_prob_scene(rng):
+    """A valid probability scene over P: levels 0 and -1, three atoms each, whose residues sum to one."""
     from .measure import AtomSpace, LMeasure
 
-    d = parse_struct("P")
     values = {}
-    for lev in range(0, -n_levels, -1):
-        cuts = sorted(1 + _below(rng, 23) for _ in range(atoms_per_level - 1))
+    for lev in (0, -1):
+        cuts = sorted(1 + _below(rng, 23) for _ in range(2))
         bounds = [0] + cuts + [24]
-        for i in range(atoms_per_level):
+        for i in range(3):
             num = bounds[i + 1] - bounds[i]
             name = f"L{-lev}_{i}"
             if num == 0:
                 values[name] = ZERO
             else:
                 values[name] = Pair(Scalar(lev), Scalar(XReal(num, 24)))
-    return LMeasure(d, AtomSpace(list(values)), values)
+    return LMeasure(parse_struct("P"), AtomSpace(list(values)), values)
 
 
 def random_tree_edges(rng, n):
@@ -237,10 +233,11 @@ def random_tree_edges(rng, n):
     return nodes, edges
 
 
-def random_weight_system(rng, struct_text="P"):
+def random_weight_system(rng):
+    """A weight system over P on a fixed four-sector graph with two switches, and a cocycle on two of its ends."""
     from .weights import BranchedGraph, Cocycle, WeightSystem
 
-    d = parse_struct(struct_text)
+    d = parse_struct("P")
     g = BranchedGraph(
         ["a", "b", "c", "d"],
         [
@@ -460,12 +457,12 @@ def run_selfcheck(seed: int, cases: int):
     return all(r.ok for r in results), results
 
 
-def assoc_iso_laws(seed: int, cases: int, trios: int = 3):
-    """Order/addition preservation of the s-insertion regrouping map."""
+def assoc_iso_laws(seed: int, cases: int):
+    """Order/addition preservation of the s-insertion regrouping map, on three random nestings of bases."""
     rng = random.Random(seed)
     results = []
     bases = ["N0", "Rc", "Ro", "Nbar0"]
-    for _ in range(trios):
+    for _ in range(3):
         a, b, c = (rng.choice(bases) for _ in range(3))
         text = f"{a} \\/ ({b} \\/ {c})"
         d = parse_struct(text)

@@ -66,7 +66,9 @@ class AtomSpace:
         try:
             ev = frozenset(members)
         except TypeError:  # not iterable, or an unhashable member
-            raise DomainError(f"an event is a list of atom ids, not {members!r}") from None
+            ev = None
+        if ev is None or isinstance(members, dict):  # a dict would read as its keys
+            raise DomainError(f"an event is a list of atom ids, not {members!r}")
         unknown = ev - self._atom_set
         if unknown:
             raise DomainError(f"unknown atoms {sorted(unknown, key=repr)}")  # members may mix kinds

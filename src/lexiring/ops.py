@@ -59,13 +59,9 @@ def mul(d, x: Value, y: Value) -> Value:
 
 def inv(d, x: Value) -> Value:
     """Multiplicative inverse in an ordered semifield."""
-    k = kernel_of(d)
-    if not k.semifield:
+    if not kernel_of(d).semifield:
         raise CapabilityError(f"{d!r} is not a semifield; no inverses")
-    k.check(x)
-    if k.is_zero(x):
-        raise DomainError("zero has no multiplicative inverse")
-    return k.inv(x)
+    return try_inv(d, x)
 
 
 def try_inv(d, x: Value) -> Value:

@@ -142,10 +142,8 @@ def sup_finite(d, values) -> Value:
     return best
 
 
-def sup_sequence(d, s) -> Value:
-    """Least upper bound of a finite set or a SeqGen family."""
-    if not isinstance(s, SeqGen):
-        return sup_finite(d, s)
+def sup_sequence(d, s: SeqGen) -> Value:
+    """Least upper bound of a SeqGen family."""
     candidates = [check_value(d, v) for v in s.head]
     if TOP in candidates:  # top bounds every tail
         return TOP

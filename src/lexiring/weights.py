@@ -78,18 +78,18 @@ class Cocycle:
         return not self.crossings
 
 
-def _side_sum(g: BranchedGraph, w: WeightSystem, c: Cocycle, side) -> Value:
+def _side_sum(w: WeightSystem, c: Cocycle, side) -> Value:
     k, terms = kernel_of(w.desc), []
     for sec, end in side:
         term = w.weight(sec)
-        m = c.multiplier(sec, end) if c is not None else None
+        m = c.multiplier(sec, end)
         terms.append(term if m is None else k.mul(m, term))
     return k.sum(terms)
 
 
-def check_branch_equations(g: BranchedGraph, w: WeightSystem, c: Cocycle = None) -> dict:
+def check_branch_equations(g: BranchedGraph, w: WeightSystem, c: Cocycle) -> dict:
     """Per-switch equality of the two multiplier-weighted side sums."""
-    if c is not None and not c.is_empty() and c.desc != w.desc:
+    if not c.is_empty() and c.desc != w.desc:
         raise ShapeError("cocycle multipliers and weights live in different structures")
     for sec in w.weights:
         if sec not in g.sectors:
@@ -97,8 +97,8 @@ def check_branch_equations(g: BranchedGraph, w: WeightSystem, c: Cocycle = None)
     switches = []
     ok = True
     for idx, (side1, side2) in enumerate(g.switches):
-        s1 = _side_sum(g, w, c, side1)
-        s2 = _side_sum(g, w, c, side2)
+        s1 = _side_sum(w, c, side1)
+        s2 = _side_sum(w, c, side2)
         equal = s1 == s2
         ok = ok and equal
         switches.append(

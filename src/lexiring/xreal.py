@@ -82,14 +82,6 @@ class XReal:
             raise DomainError("difference would be negative")
         return XReal(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def scaled(self, k: int) -> "XReal":
-        """k * self for a nonnegative integer k."""
-        if k < 0:
-            raise DomainError("scaling factor must be nonnegative")
-        if self.den == 0:
-            return ZERO if k == 0 else INF
-        return XReal(self.num * k, self.den)
-
     # -- order -----------------------------------------------------------
 
     def _cmp(self, other: "XReal") -> int:

@@ -104,7 +104,7 @@ def test_criterion_4_algebraic_law_suites():
 
 
 def test_criterion_5_assoc_iso():
-    results = assoc_iso_laws(seed=42, cases=10_000, trios=3)
+    results = assoc_iso_laws(seed=42, cases=10_000)
     assert len(results) == 3
     for r in results:
         assert r.ok, r.line()

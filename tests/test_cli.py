@@ -437,7 +437,7 @@ def test_string_event_is_rejected(tmp_path, capsys):
     f.write_text(json.dumps(scene))
     code, err = _run(capsys, ["measure", "eval", str(f), "--event", "E"])
     assert code == 1 and "not the string 'ab'" in err
-    for members in (1, [["a"]]):
+    for members in (1, [["a"]], {"a": 1}):  # a mapping would read as its keys
         scene["events"]["E"] = members
         f.write_text(json.dumps(scene))
         code, err = _run(capsys, ["measure", "eval", str(f), "--event", "E"])
@@ -493,6 +493,21 @@ def test_tree_and_track_documents_are_schema_checked(tmp_path, capsys, argv, doc
     f.write_text(json.dumps(doc))
     code, err = _run(capsys, [str(f) if a == "FILE" else a for a in argv])
     assert (code, err) == (2, f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "Obar", "sum((0,1) (0,2))"], "expected ')', found '(' (at position 10 in 'sum((0,1) (0,2))')"),
+    (["eval", "Obar", "sup((0,1) (1,2))"], "expected ')', found '(' (at position 10 in 'sup((0,1) (1,2))')"),
+    (["eval", "Obar", "sum(repeat((0,1)) (0,1))"],
+     "expected ')', found '(' (at position 18 in 'sum(repeat((0,1)) (0,1))')"),
+    (["eval", "Obar", "sum((0,1),)"], "expected '(', found ')' (at position 10 in 'sum((0,1),)')"),
+    (["selfcheck", "--cases", "0"], "selfcheck --cases must be at least 1, not 0"),
+    (["selfcheck", "--cases", "-3"], "selfcheck --cases must be at least 1, not -3"),
+    (["eval", "mixed(N0; 3..1; default:Rc)", "0"],
+     "empty level range (at position 10 in 'mixed(N0; 3..1; default:Rc)')"),
+])
+def test_malformed_arguments_are_parse_errors(capsys, argv, message):
+    assert _run(capsys, argv) == (2, f"parse error: {message}\n")
 
 
 def test_sup_of_a_top_residue_ramp(capsys):

@@ -20,7 +20,15 @@ from lexiring import ops
 from lexiring.descriptors import BarInsert, Base, Insert, facts, parse_struct
 from lexiring.errors import LexiringError, ShapeError
 from lexiring.kernel import kernel_of
-from lexiring.laws import LAW_STRUCTURES, nonzero_value, random_value
+from lexiring.laws import (
+    LAW_STRUCTURES,
+    nonzero_value,
+    random_measure,
+    random_prob_scene,
+    random_tree_edges,
+    random_value,
+    random_weight_system,
+)
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, parse_value
 from lexiring.xreal import INF, XReal
 
@@ -43,6 +51,24 @@ def test_seeded_draws_are_pinned():
             v = nonzero_value(rng, d) if j % 3 == 2 else random_value(rng, d)
             h.update(f"{text}|{v!r}\n".encode())
     assert h.hexdigest() == DRAW_DIGEST
+
+
+# SHA-256 of the law suites' documents below and the rng state after them
+DOCUMENT_DIGEST = "638bae0b42025ce22e0ac5a3bf503659f7dfb561263428087052dd15b040edfe"
+
+
+def test_law_suite_documents_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = random_measure(rng)
+        p = random_prob_scene(rng)
+        nodes, edges = random_tree_edges(rng, 2 + seed % 11)
+        g, w, c = random_weight_system(rng)
+        for doc in (list(m.atom_values.items()), list(p.atom_values.items()), nodes, edges,
+                    g.sectors, g.switches, list(w.weights.items()), list(c.crossings.items()), rng.getstate()):
+            h.update(f"{doc!r}\n".encode())
+    assert h.hexdigest() == DOCUMENT_DIGEST
 
 
 def test_gappy_mixed_range_draws_only_levels_with_a_structure():

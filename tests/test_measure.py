@@ -201,7 +201,7 @@ def test_graded_overlap_rejected():
 
 def test_open_graded_window():
     for k in range(-2, 3):
-        assert verify_open_graded(k, window=2, grid=3)
+        assert verify_open_graded(k)
 
 
 @pytest.mark.parametrize("struct", ["S", "O", "P", "Obar", "Sbar"])

@@ -7,7 +7,7 @@ import pytest
 from lexiring.descriptors import parse_struct
 from lexiring.errors import NotRepresentableError, NotSummableError
 from lexiring.kernel import DENSE, NOTHING_ABOVE, ZERO_P, kernel_of
-from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_sequence
+from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_finite, sup_sequence
 from lexiring.values import TOP, ZERO, Scalar, check_value, parse_value, zero
 from lexiring.xreal import XReal
 
@@ -84,7 +84,7 @@ def test_sup_level_ramp():
 def test_sup_finite_set_is_max():
     d = parse_struct(r"(N0 \/ N0) \/ N0")
     vals = [parse_value(d, t) for t in ("((0,1),2)", "((1,0),0)", "((0,4),4)")]
-    assert sup_sequence(d, vals) == parse_value(d, "((1,0),0)")
+    assert sup_finite(d, vals) == parse_value(d, "((1,0),0)")
 
 
 def test_least_positive():

@@ -91,13 +91,10 @@ def test_order_compatibility_random():
             assert a * c <= b * c
 
 
-def test_minus_and_scaled():
+def test_minus():
     assert XReal(3, 4).minus(XReal(1, 4)) == XReal(1, 2)
     assert INF.minus(XReal(5)) == INF
     with pytest.raises(DomainError):
         XReal(1, 4).minus(XReal(1, 2))
     with pytest.raises(DomainError):
         INF.minus(INF)
-    assert XReal(2, 3).scaled(3) == XReal(2)
-    assert INF.scaled(2) == INF
-    assert INF.scaled(0) == ZERO
