@@ -17,17 +17,19 @@ Bases: ``N0`` (naturals), ``Z`` (integers, a group, only usable on the
 level side), ``Rc`` = [0, inf], ``Ro`` = [0, inf), ``Nbar0`` = naturals
 with infinity.
 
-``facts(d)`` says, in one walk, what d is: group, semigroup, semiring,
-semifield, top, least-upper-bound property, summability, and the order
-facts those rest on (a least positive element, least elements, greatest
-elements of bounded sets).  Each is a sufficient condition under which a
+Each descriptor's constructor sets two slots from its parts' slots.
+``d.facts`` says what d is: group, semigroup, semiring, semifield, top,
+least-upper-bound property, summability, and the order facts those rest
+on (a least positive element, least elements, greatest elements of
+bounded sets).  Each is a sufficient condition under which a
 lexicographic product inherits the property from its parts: a five-row
 table for the bases, one rule per fact for the four pairings, a constant
 for ``double(...)`` and one for ``mixed(...)``, whose least positive
-element is that of its least level's residues.  ``capabilities``,
-``validate_desc`` and the kernel read it, validation and the kernel
-compile applying the pairing rule (``pairing_facts``) to the parts' facts
-they already hold; everything else asks the kernel.
+element is that of its least level's residues.  ``d.fault`` is the
+message of the first operand requirement that d or one of its parts
+breaks (a pairing's parts first, then its own operands), or None.
+``facts(d)``, ``capabilities``, ``validate_desc`` and the kernel read
+these slots; everything else asks the kernel.
 """
 
 from __future__ import annotations
@@ -39,145 +41,6 @@ from .errors import CapabilityError, ParseError, ShapeError
 
 BASE_NAMES = ("N0", "Z", "Rc", "Ro", "Nbar0")
 
-
-class StructDesc:
-    # _kernel: the compiled operations (lexiring.kernel), filled on first use
-    __slots__ = ("_kernel", "__weakref__")
-
-
-class Base(StructDesc):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if name not in BASE_NAMES:
-            raise CapabilityError(f"unknown base structure {name!r}")
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, Base) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Base", self.name))
-
-    def __repr__(self):
-        return self.name
-
-
-class _Pairing(StructDesc):
-    __slots__ = ("a", "b")
-    _tag = ""
-    _op = ""
-
-    def __init__(self, a: StructDesc, b: StructDesc):
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self._tag, self.a, self.b))
-
-    def __repr__(self):
-        return f"({self.a!r} {self._op} {self.b!r})"
-
-
-class SInsert(_Pairing):
-    __slots__ = ()
-    _tag = "SInsert"
-    _op = "\\/"
-
-
-class Insert(_Pairing):
-    __slots__ = ()
-    _tag = "Insert"
-    _op = "/\\"
-
-
-class BarSInsert(_Pairing):
-    __slots__ = ()
-    _tag = "BarSInsert"
-    _op = "b\\/"
-
-
-class BarInsert(_Pairing):
-    __slots__ = ()
-    _tag = "BarInsert"
-    _op = "b/\\"
-
-
-class MixedInsert(StructDesc):
-    """Level-dependent residues over an integer level range.
-
-    ``table`` maps explicitly listed levels to descriptors; ``default``
-    covers the rest of the range.  ``lo``/``hi`` may be ``None`` for a
-    half-bounded range (only with base ``Z``); a half-bounded or gappy
-    range requires a default.
-    """
-
-    __slots__ = ("base", "lo", "hi", "table", "default")
-
-    def __init__(self, base, lo, hi, table, default=None):
-        self.base = base
-        self.lo = lo
-        self.hi = hi
-        self.table = tuple(sorted(table))
-        self.default = default
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MixedInsert)
-            and self.base == other.base
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.table == other.table
-            and self.default == other.default
-        )
-
-    def __hash__(self):
-        return hash(("MixedInsert", self.base, self.lo, self.hi, self.table, self.default))
-
-    def __repr__(self):
-        rng = f"{'' if self.lo is None else self.lo}..{'' if self.hi is None else self.hi}"
-        parts = [f"{k}:{d!r}" for k, d in self.table]
-        if self.default is not None:
-            parts.append(f"default:{self.default!r}")
-        return f"mixed({self.base!r}; {rng}; {', '.join(parts)})"
-
-
-class DoubleOf(StructDesc):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: StructDesc):
-        self.inner = inner
-
-    def __eq__(self, other):
-        return isinstance(other, DoubleOf) and self.inner == other.inner
-
-    def __hash__(self):
-        return hash(("DoubleOf", self.inner))
-
-    def __repr__(self):
-        return f"double({self.inner!r})"
-
-
-def regroup_desc(d: StructDesc) -> StructDesc:
-    """A \\/ (B \\/ C)  ->  (A \\/ B) \\/ C"""
-    if not (isinstance(d, SInsert) and isinstance(d.b, SInsert)):
-        raise ShapeError("expected a right-nested s-insertion A \\/ (B \\/ C)")
-    return SInsert(SInsert(d.a, d.b.a), d.b.b)
-
-
-def ungroup_desc(d: StructDesc) -> StructDesc:
-    """(A \\/ B) \\/ C  ->  A \\/ (B \\/ C), the inverse of regroup_desc"""
-    if not (isinstance(d, SInsert) and isinstance(d.a, SInsert)):
-        raise ShapeError("expected a left-nested s-insertion (A \\/ B) \\/ C")
-    return SInsert(d.a.a, SInsert(d.a.b, d.b))
-
-
-# ---------------------------------------------------------------------------
-# structural facts
-# ---------------------------------------------------------------------------
 
 class Facts(NamedTuple):
     """What a structure is, by the sufficient conditions on its parts.
@@ -214,42 +77,206 @@ _MIXED_FACTS = Facts(False, True, False, False, False, False, False, False, Fals
 _DOUBLE_FACTS = Facts(False, False, False, False, False, False, False, False, False, False)
 
 
-def facts(d: StructDesc) -> Facts:
-    """d's structural facts, built bottom-up from its parts' facts in one walk."""
-    if isinstance(d, _Pairing):
-        return pairing_facts(d, facts(d.a), facts(d.b))
-    if isinstance(d, Base):
-        return _BASE_FACTS[d.name]
-    if isinstance(d, MixedInsert):  # the residues of its least level that carries residues decide least_positive
-        first = max(d.lo or 0, 0) if d.base.name == "N0" else d.lo  # the least level of the range
+class StructDesc:
+    # facts: what the structure is (Facts); fault: the first operand requirement it or a part
+    # breaks, or None; both set by the constructor.  _kernel: the compiled operations
+    # (lexiring.kernel), filled on first use
+    __slots__ = ("facts", "fault", "_kernel", "__weakref__")
+
+
+class Base(StructDesc):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        if name not in BASE_NAMES:
+            raise CapabilityError(f"unknown base structure {name!r}")
+        self.name = name
+        self.facts, self.fault = _BASE_FACTS[name], None
+
+    def __eq__(self, other):
+        return isinstance(other, Base) and self.name == other.name
+
+    def __hash__(self):
+        return hash(("Base", self.name))
+
+    def __repr__(self):
+        return self.name
+
+
+class _Pairing(StructDesc):
+    """Level side a and residue side b; ``full`` keeps the pair of zeros, ``bar`` adjoins top."""
+
+    __slots__ = ("a", "b")
+    _tag = ""
+    _op = ""
+    full = bar = False
+
+    def __init__(self, a: StructDesc, b: StructDesc):
+        self.a = a
+        self.b = b
+        fa, fb, full, bar = a.facts, b.facts, self.full, self.bar
+        self.facts = Facts(
+            False,                                                                # group
+            True,                                                                 # semigroup
+            not full and fb.semiring,                                             # semiring
+            not (full or bar) and fa.group and fb.semifield,                      # semifield
+            bar or fa.top and fb.top,                                             # top
+            fa.greatest and fb.lub and (fb.top or fb.least_positive and fa.least),  # lub
+            bar and fb.summable,                                                  # summable
+            (full or fa.semigroup) and fb.least_positive,                         # least_positive
+            fa.least and fb.least,                                                # least
+            fa.greatest and fb.greatest,                                          # greatest
+        )
+        self.fault = a.fault or b.fault
+        if self.fault is None and not (fa.semigroup or fa.group and not full):
+            self.fault = (f"left operand of \\/ must be an ordered abelian semigroup: {a!r}" if full
+                          else f"level operand of /\\ must be a group or semigroup: {a!r}")
+        elif self.fault is None and not fb.semigroup:
+            self.fault = (f"right operand of \\/ must be an ordered abelian semigroup: {b!r}" if full
+                          else f"residue operand of /\\ must be an ordered abelian semigroup: {b!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self._tag, self.a, self.b))
+
+    def __repr__(self):
+        return f"({self.a!r} {self._op} {self.b!r})"
+
+
+class SInsert(_Pairing):
+    __slots__ = ()
+    _tag = "SInsert"
+    _op = "\\/"
+    full = True
+
+
+class Insert(_Pairing):
+    __slots__ = ()
+    _tag = "Insert"
+    _op = "/\\"
+
+
+class BarSInsert(_Pairing):
+    __slots__ = ()
+    _tag = "BarSInsert"
+    _op = "b\\/"
+    full = bar = True
+
+
+class BarInsert(_Pairing):
+    __slots__ = ()
+    _tag = "BarInsert"
+    _op = "b/\\"
+    bar = True
+
+
+class MixedInsert(StructDesc):
+    """Level-dependent residues over an integer level range.
+
+    ``table`` maps explicitly listed levels to descriptors; ``default``
+    covers the rest of the range.  ``lo``/``hi`` may be ``None`` for a
+    half-bounded range (only with base ``Z``); a half-bounded or gappy
+    range requires a default.
+    """
+
+    __slots__ = ("base", "lo", "hi", "table", "default")
+
+    def __init__(self, base, lo, hi, table, default=None):
+        self.base = base
+        self.lo = lo
+        self.hi = hi
+        self.table = tuple(sorted(table))
+        self.default = default
+        # the residues of its least level that carries residues decide least_positive
+        first = max(lo or 0, 0) if base.name == "N0" else lo  # the least level of the range
         least = None if first is None else next(
-            (sub for lev, sub in d.table if lev == first or d.default is None and lev > first), d.default)
-        return _MIXED_FACTS._replace(least_positive=least is not None and facts(least).least_positive)
-    if isinstance(d, DoubleOf):
-        return _DOUBLE_FACTS
-    raise CapabilityError(f"unknown descriptor {d!r}")
+            (sub for lev, sub in self.table if lev == first or default is None and lev > first), default)
+        self.facts = _MIXED_FACTS._replace(least_positive=least is not None and least.facts.least_positive)
+        self.fault = self._first_fault()
+
+    def _first_fault(self):
+        """The first operand requirement this node or a part breaks, or None."""
+        name, lo, hi, default = self.base.name, self.lo, self.hi, self.default
+        if name not in ("N0", "Z"):
+            return "mixed insertion levels must come from N0 or Z"
+        if (lo is None or hi is None) and name == "Z" and default is None:
+            return "half-bounded mixed insertion requires a default residue structure"
+        if name == "N0" and hi is not None and hi < 0:
+            return f"the level range ends at {hi}, below every level of N0"
+        for lev, sub in self.table:
+            if sub.fault or not sub.facts.semigroup:
+                return sub.fault or f"residue structure at level {lev} must be a semigroup: {sub!r}"
+            if lo is not None and lev < lo or hi is not None and lev > hi:
+                return f"level {lev} lies outside the declared range"
+            if name == "N0" and lev < 0:
+                return "negative level with base N0"
+        if default is not None and (default.fault or not default.facts.semigroup):
+            return default.fault or "default residue structure must be a semigroup"
+        return None
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MixedInsert)
+            and self.base == other.base
+            and self.lo == other.lo
+            and self.hi == other.hi
+            and self.table == other.table
+            and self.default == other.default
+        )
+
+    def __hash__(self):
+        return hash(("MixedInsert", self.base, self.lo, self.hi, self.table, self.default))
+
+    def __repr__(self):
+        rng = f"{'' if self.lo is None else self.lo}..{'' if self.hi is None else self.hi}"
+        parts = [f"{k}:{d!r}" for k, d in self.table]
+        if self.default is not None:
+            parts.append(f"default:{self.default!r}")
+        return f"mixed({self.base!r}; {rng}; {', '.join(parts)})"
 
 
-def pairing_facts(d: _Pairing, a: Facts, b: Facts) -> Facts:
-    """A pairing's facts from its level side's (a) and its residue side's (b)."""
-    bar = isinstance(d, (BarSInsert, BarInsert))
-    full = isinstance(d, (SInsert, BarSInsert))
-    return Facts(
-        False,                                                             # group
-        True,                                                              # semigroup
-        not full and b.semiring,                                           # semiring
-        type(d) is Insert and a.group and b.semifield,                     # semifield
-        bar or a.top and b.top,                                            # top
-        a.greatest and b.lub and (b.top or b.least_positive and a.least),  # lub
-        bar and b.summable,                                                # summable
-        (full or a.semigroup) and b.least_positive,                        # least_positive
-        a.least and b.least,                                               # least
-        a.greatest and b.greatest,                                         # greatest
-    )
+class DoubleOf(StructDesc):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: StructDesc):
+        self.inner = inner
+        self.facts = _DOUBLE_FACTS
+        self.fault = inner.fault or (None if inner.facts.semigroup
+                                     else "double() requires an ordered abelian semigroup inside")
+
+    def __eq__(self, other):
+        return isinstance(other, DoubleOf) and self.inner == other.inner
+
+    def __hash__(self):
+        return hash(("DoubleOf", self.inner))
+
+    def __repr__(self):
+        return f"double({self.inner!r})"
+
+
+def regroup_desc(d: StructDesc) -> StructDesc:
+    """A \\/ (B \\/ C)  ->  (A \\/ B) \\/ C"""
+    if not (isinstance(d, SInsert) and isinstance(d.b, SInsert)):
+        raise ShapeError("expected a right-nested s-insertion A \\/ (B \\/ C)")
+    return SInsert(SInsert(d.a, d.b.a), d.b.b)
+
+
+def ungroup_desc(d: StructDesc) -> StructDesc:
+    """(A \\/ B) \\/ C  ->  A \\/ (B \\/ C), the inverse of regroup_desc"""
+    if not (isinstance(d, SInsert) and isinstance(d.a, SInsert)):
+        raise ShapeError("expected a left-nested s-insertion (A \\/ B) \\/ C")
+    return SInsert(d.a.a, SInsert(d.a.b, d.b))
+
+
+def facts(d: StructDesc) -> Facts:
+    """d's structural facts, which its constructor set from its parts' facts."""
+    return d.facts
 
 
 def capabilities(d: StructDesc) -> dict:
-    f = facts(d)
+    f = d.facts
     return {
         "isGroup": f.group,
         "isSemigroup": f.semigroup,
@@ -262,45 +289,10 @@ def capabilities(d: StructDesc) -> dict:
 
 
 def validate_desc(d: StructDesc) -> StructDesc:
-    """Check combinator operand requirements, recursively."""
-    _validated_facts(d)
+    """Check combinator operand requirements: raise the first that d or a part breaks."""
+    if d.fault:
+        raise CapabilityError(d.fault)
     return d
-
-
-def _validated_facts(d: StructDesc) -> Facts:
-    """facts(d), in the same one walk that checks d's operands."""
-    if isinstance(d, _Pairing):
-        a, b = _validated_facts(d.a), _validated_facts(d.b)
-        if isinstance(d, (SInsert, BarSInsert)):
-            if not a.semigroup:
-                raise CapabilityError(f"left operand of \\/ must be an ordered abelian semigroup: {d.a!r}")
-            if not b.semigroup:
-                raise CapabilityError(f"right operand of \\/ must be an ordered abelian semigroup: {d.b!r}")
-        else:
-            if not (a.group or a.semigroup):
-                raise CapabilityError(f"level operand of /\\ must be a group or semigroup: {d.a!r}")
-            if not b.semigroup:
-                raise CapabilityError(f"residue operand of /\\ must be an ordered abelian semigroup: {d.b!r}")
-        return pairing_facts(d, a, b)
-    if isinstance(d, MixedInsert):
-        if d.base.name not in ("N0", "Z"):
-            raise CapabilityError("mixed insertion levels must come from N0 or Z")
-        if (d.lo is None or d.hi is None) and d.base.name == "Z" and d.default is None:
-            raise CapabilityError("half-bounded mixed insertion requires a default residue structure")
-        if d.base.name == "N0" and d.hi is not None and d.hi < 0:
-            raise CapabilityError(f"the level range ends at {d.hi}, below every level of N0")
-        for lev, sub in d.table:
-            if not _validated_facts(sub).semigroup:
-                raise CapabilityError(f"residue structure at level {lev} must be a semigroup: {sub!r}")
-            if d.lo is not None and lev < d.lo or d.hi is not None and lev > d.hi:
-                raise CapabilityError(f"level {lev} lies outside the declared range")
-            if d.base.name == "N0" and lev < 0:
-                raise CapabilityError("negative level with base N0")
-        if d.default is not None and not _validated_facts(d.default).semigroup:
-            raise CapabilityError("default residue structure must be a semigroup")
-    elif isinstance(d, DoubleOf) and not _validated_facts(d.inner).semigroup:
-        raise CapabilityError("double() requires an ordered abelian semigroup inside")
-    return facts(d)  # no pairing: constant facts, but for the least level's residues in mixed(...)
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +304,7 @@ Z = Base("Z")
 RC = Base("Rc")
 RO = Base("Ro")
 NBAR0 = Base("Nbar0")
-
-S = Insert(N0, RC)
-O = Insert(Z, RC)
-P = Insert(Z, RO)
-SBAR = BarInsert(N0, RC)
 OBAR = BarInsert(Z, RC)
-
-
-def s_nested(n: int) -> StructDesc:
-    """n bar-insertions of N0 ending in [0, inf], right-nested."""
-    d: StructDesc = RC
-    for _ in range(n):
-        d = BarInsert(N0, d)
-    return d
-
-
-def o_nested(n: int) -> StructDesc:
-    d: StructDesc = RC
-    for _ in range(n):
-        d = BarInsert(Z, d)
-    return d
-
-
-def p_nested(n: int) -> StructDesc:
-    """n plain insertions of Z ending in [0, inf): an ordered semifield."""
-    d: StructDesc = RO
-    for _ in range(n):
-        d = Insert(Z, d)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +389,7 @@ class TokenStream:
 _INSERTIONS = {"\\/": SInsert, "/\\": Insert, "b\\/": BarSInsert, "b/\\": BarInsert}
 _ALIASES = {"S": (Insert, N0, RC), "O": (Insert, Z, RC), "P": (Insert, Z, RO),
             "Sbar": (BarInsert, N0, RC), "Obar": (BarInsert, Z, RC)}
-_NESTED = {"Sn": s_nested, "On": o_nested, "Pn": p_nested}
+_NESTED = {"Sn": (BarInsert, N0, RC), "On": (BarInsert, Z, RC), "Pn": (Insert, Z, RO)}  # cls(level, ...) n deep
 
 
 class _StructParser(TokenStream):
@@ -469,7 +433,10 @@ class _StructParser(TokenStream):
             if not 1 <= n <= MAX_DEPTH:
                 raise self.error(f"nesting depth must be between 1 and {MAX_DEPTH}")
             self.expect(")")
-            return _NESTED[tok](n)
+            cls, level, d = _NESTED[tok]
+            for _ in range(n):
+                d = cls(level, d)
+            return d
         raise self.error(f"unexpected token {tok!r}")
 
     def mixed(self) -> StructDesc:

@@ -59,8 +59,7 @@ from __future__ import annotations
 from functools import reduce
 from math import gcd, prod as int_prod
 
-from .descriptors import (RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc,
-                          facts, is_digits, pairing_facts)
+from .descriptors import RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, is_digits
 from .errors import CapabilityError, DomainError, ShapeError
 from .xreal import INF, ONE, XReal
 from .xreal import ZERO as XR_ZERO
@@ -151,7 +150,7 @@ class Kernel:
     ``prod`` are None where d has no multiplication, and ``prod`` defaults
     to the ordered left fold of ``mul``; ``prob_depth`` counts the integer
     levels stacked over the finite rationals (None unless d is such a
-    probability structure); ``facts`` equals ``facts(d)``, and
+    probability structure); ``facts`` is ``d.facts``, and
     ``semiring``/``semifield`` are copied from it.
 
     Callers learn what kind of structure d is here: ``base`` names a base;
@@ -161,7 +160,7 @@ class Kernel:
     ``double(...)``.  Each is None or False elsewhere.
 
     ``one`` and ``least_positive`` (the least element above zero) are None
-    where d has none, ``least_positive`` exactly where ``facts(d)`` says;
+    where d has none, ``least_positive`` exactly where ``d.facts`` says;
     ``repeat_limit`` is a countable repeat's sum in a base (``inf`` in
     ``Rc`` and ``Nbar0``), else None; ``residue_kernel(level)`` is the
     kernel of the residues at a level.  ``succ(x)`` is the least element
@@ -502,7 +501,7 @@ def _compile_base(d: Base, text: str) -> Kernel:
         return Scalar(ONE / v.x)
 
     gen, nonzero = _base_draws(name, text)
-    return Kernel(text, facts(d), check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
+    return Kernel(text, d.facts, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
                   _scalar_mul, gen, read, lambda v: str(v.x), None,
                   (_int_sum if integers else _xreal_sum)(zero), _int_prod if integers else _xreal_prod(zero),
                   *_BASE_ORDER[name], inv=inv, nonzero=nonzero, base=name)
@@ -549,8 +548,7 @@ def _compile_pairing(d, text: str) -> Kernel:
     sum_a, prod_b, succ_a = ka.sum, kb.prod, ka.succ
     read_a, read_b, body_b, fmt_a, fmt_b, inv_b = ka.read, kb.read, kb.body, ka.fmt, kb.fmt, kb.inv
     gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
-    bar = isinstance(d, (BarSInsert, BarInsert))
-    full = isinstance(d, (SInsert, BarSInsert))  # the full product keeps the pair of zeros
+    bar, full = d.bar, d.full  # a full product keeps the pair of zeros
     b = d.b
     prob_depth = None
     if not (full or bar) and ka.base == "Z":
@@ -669,8 +667,7 @@ def _compile_pairing(d, text: str) -> Kernel:
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
     one = None if full or kb.one is None else Pair(ka.zero, kb.one)
     int_levels = not full and int_level in ("N0", "Z")
-    # facts from the parts' kernels, so a nest's compile stays linear in its size
-    return Kernel(text, pairing_facts(d, ka.facts, kb.facts), check, is_zero, zero, cmp, add, mul, gen,
+    return Kernel(text, d.facts, check, is_zero, zero, cmp, add, mul, gen,
                   _read_pair(text, bar, zero, body), fmt, prob_depth,
                   _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
@@ -776,7 +773,7 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
 
     first = max(lo or 0, 0) if naturals else lo  # the least level of the range
     least = DENSE if first is None else first_from(first)
-    return Kernel(text, facts(d), check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
+    return Kernel(text, d.facts, check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
                   _read_pair(text, False, ZERO, body), fmt, residue_kernel=residue_kernel, step_up=step_up, body=body,
                   sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
                   succ=_pair_succ(least, residue_kernel, step_up),
@@ -853,5 +850,5 @@ def _compile_double(d: DoubleOf, text: str) -> Kernel:
     def fmt(v):
         return "0" if v is ZERO else fmt_i(v.mag) if v.sign > 0 else "-" + fmt_i(v.mag)
 
-    return Kernel(text, facts(d), check, _is_adjoined_zero, ZERO, cmp, add, None, gen, read, fmt,
+    return Kernel(text, d.facts, check, _is_adjoined_zero, ZERO, cmp, add, None, gen, read, fmt,
                   neg=lambda v: v if v is ZERO else Signed(-v.sign, v.mag))

@@ -29,7 +29,7 @@ from .integrate import SimpleFunction, integrate_lvalued, integrate_real
 from .kernel import kernel_of
 from .measure import LMeasure, align_levels, shift_levels
 from .ops import divide
-from .values import TOP, ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels, zero
+from .values import ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels, zero
 from .xreal import ONE as XR_ONE
 from .xreal import XReal
 
@@ -109,10 +109,7 @@ def standardize(m: LMeasure) -> PMeasure:
     """Shift the top attained level to zero and close interior gaps."""
     n = _require_valid(m)
     if n == 1:
-        levels = m.attained_levels()
-        if not levels:
-            raise DomainError("the zero measure cannot be standardized")
-        shifted = shift_levels(m, -levels[-1])
+        shifted = shift_levels(m, -m.attained_levels()[-1])  # _require_valid refuses an all-zero measure
         aligned = align_levels(shifted)
         d = -aligned.attained_levels()[0]
         return PMeasure(aligned, d)
@@ -120,8 +117,6 @@ def standardize(m: LMeasure) -> PMeasure:
     vecs = [
         level_vector(v, n)[0] for v in m.atom_values.values() if v is not ZERO
     ]
-    if not vecs:
-        raise DomainError("the zero measure cannot be standardized")
     kappa = tuple(-max(vec[i] for vec in vecs) for i in range(n))
     unit = stack_levels(kappa, XR_ONE)
     atom_values = {a: kernel_of(m.desc).mul(unit, v) for a, v in m.atom_values.items()}
@@ -239,8 +234,6 @@ def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> PMeasure:
             v = integrate_lvalued(mu, f, (a,))
         else:
             raise CapabilityError("signed densities do not define probability measures")
-        if v is TOP:
-            raise InfiniteMassError("density integral reached top")
         if v is not ZERO and v.residue.x.is_inf:
             raise InfiniteMassError("density integral has an infinite residue")
         atom_values[a] = v

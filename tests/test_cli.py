@@ -505,9 +505,41 @@ def test_tree_and_track_documents_are_schema_checked(tmp_path, capsys, argv, doc
     (["selfcheck", "--cases", "-3"], "selfcheck --cases must be at least 1, not -3"),
     (["eval", "mixed(N0; 3..1; default:Rc)", "0"],
      "empty level range (at position 10 in 'mixed(N0; 3..1; default:Rc)')"),
+    (["prob", "bayes", "--builtin", "dartboard", "--given", "hline"], "prob bayes needs --partition and --given"),
+    (["eval", "Obar", "sum(repeat((0,1)), levelramp(0,1,1))"],
+     "only one generator per series (at position 19 in 'sum(repeat((0,1)), levelramp(0,1,1))')"),
+    (["eval", "P", "(0,1)+cmp((0,1),(0,1))"],
+     "cmp(...) only makes sense at the top level (at position 6 in '(0,1)+cmp((0,1),(0,1))')"),
 ])
 def test_malformed_arguments_are_parse_errors(capsys, argv, message):
     assert _run(capsys, argv) == (2, f"parse error: {message}\n")
+
+
+STRETCH_TRACK = json.loads((SRC_DIR / "lexiring" / "data" / "track_stretch.json").read_text())
+SEMIGROUP_SCENE = {"structure": r"N0 \/ Rc", "atoms": [{"id": "a", "value": "(1,1)"}, {"id": "b", "value": "(0,2)"}]}
+
+
+@pytest.mark.parametrize("argv, doc, code, out, err", [
+    (["measure", "validate", "--builtin", "dartboard"], None, 0,
+     "ok: 9 atoms, events ['Q1', 'Q2', 'Q3', 'Q4', 'cross', 'hline', 'upper', 'upper_vray']\n", ""),
+    (["--format", "json", "measure", "validate", "--builtin", "dartboard"], None, 0,
+     json.dumps({"atoms": 9, "capabilities": {"hasLubProperty": False, "hasTop": False, "isGroup": False,
+                                              "isSemifield": True, "isSemigroup": True, "isSemiring": True,
+                                              "isSummable": False},
+                 "events": ["Q1", "Q2", "Q3", "Q4", "cross", "hline", "upper", "upper_vray"], "ok": True},
+                sort_keys=True) + "\n", ""),
+    (["weights", "check", "FILE"], {**STRETCH_TRACK, "weights": {**STRETCH_TRACK["weights"], "a": "(5,1)"}}, 1,
+     "FAIL: switch 0: (5,1) != (0,2)\n", ""),
+    (["eval", "double(Rc)", "1+-2"], None, 1, "",
+     "error: signed addition needs (integer level, rational residue) magnitudes\n"),
+    (["measure", "height", "FILE"], SEMIGROUP_SCENE, 1, "", "error: measure values do not have an integer top level\n"),
+    (["measure", "align", "FILE"], SEMIGROUP_SCENE, 1, "", "error: measure values do not have an integer top level\n"),
+])
+def test_front_door_outcomes(tmp_path, capsys, argv, doc, code, out, err):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main([str(f) if a == "FILE" else a for a in argv]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_sup_of_a_top_residue_ramp(capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import CapabilityError, DomainError
+from lexiring.errors import CapabilityError, DomainError, InfiniteMassError
 from lexiring.integrate import SimpleFunction
 from lexiring.measure import AtomSpace, LMeasure, shift_levels
 from lexiring.prob import (
@@ -17,7 +17,7 @@ from lexiring.prob import (
 )
 from lexiring.scenes import builtin_scene
 from lexiring.values import ZERO, parse_value
-from lexiring.xreal import ONE
+from lexiring.xreal import INF, ONE, XReal
 
 
 def pv(struct, text):
@@ -303,6 +303,40 @@ def test_density_renormalizes_levels():
     got_q1 = pm.base.atom_values["q1"]
     assert got_q1 == pv("P", "(0,3/8)")  # 1/2 / (4/3)
     assert pm.base.atom_values["rv_up"] == pv("P", "(-1,1/4)")
+
+
+def test_real_density_renormalizes_each_level():
+    m = builtin_scene("dartboard")
+    f = SimpleFunction.real({a: XReal(3 if a == "q1" else 1) for a in m.space.atoms})
+    got = normalize_from_density(m, f).base.atom_values
+    assert got["q1"] == pv("P", "(0,1/2)")
+    assert got["q2"] == got["q3"] == got["q4"] == pv("P", "(0,1/6)")
+
+
+@pytest.mark.parametrize("scene, density, error, message", [
+    (lambda: builtin_scene("dartboard"),
+     lambda m: SimpleFunction.real({a: INF if a == "q2" else XReal(1) for a in m.space.atoms}),
+     InfiniteMassError, "density integral has an infinite residue"),
+    (lambda: builtin_scene("dartboard"),
+     lambda m: SimpleFunction.signed(parse_struct("double(P)"), {a: ZERO for a in m.space.atoms}),
+     CapabilityError, "signed densities do not define probability measures"),
+    (nested_scene, lambda m: SimpleFunction.real({a: XReal(1) for a in m.space.atoms}),
+     CapabilityError, "densities are supported over single-stack probability scenes"),
+])
+def test_density_refusals(scene, density, error, message):
+    m = scene()
+    with pytest.raises(error, match=message):
+        normalize_from_density(m, density(m))
+
+
+@pytest.mark.parametrize("struct", ["P", "Pn(2)"])
+def test_all_zero_scene_is_not_a_probability_measure(struct):
+    m = LMeasure(parse_struct(struct), AtomSpace(["a", "b"]), {"a": ZERO, "b": ZERO})
+    with pytest.raises(DomainError, match="not a probability measure: the measure is identically zero"):
+        standardize(m)
+    if struct == "P":
+        with pytest.raises(DomainError, match="the measure is identically zero"):
+            depth(m, ("a",))
 
 
 def test_density_with_level_shift():
