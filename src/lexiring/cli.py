@@ -74,16 +74,16 @@ class _ExprEval(TokenStream):
         return "value", v
 
     def expr(self):
-        terms = [self.product()]
-        while self.peek() == "+":
-            self.next()
+        terms, toks = [self.product()], self.toks
+        while self.pos < len(toks) and toks[self.pos] == "+":
+            self.pos += 1
             terms.append(self.product())
         return terms[0] if len(terms) == 1 else self.k.sum(terms)
 
     def product(self):
-        factors = [self.atom()]
-        while self.peek() == "*":
-            self.next()
+        factors, toks = [self.atom()], self.toks
+        while self.pos < len(toks) and toks[self.pos] == "*":
+            self.pos += 1
             factors.append(self.atom())
             if len(factors) == 2:
                 ops.require_semiring(self.d)  # as soon as a second factor is read, before a third
@@ -102,9 +102,13 @@ class _ExprEval(TokenStream):
         if tok == "cmp":
             self.next()
             raise self.error("cmp(...) only makes sense at the top level")
-        v = self.try_literal()
-        if v is not None:
-            return v
+        save, k = self.pos, self.k
+        try:
+            return k.check(k.read(self))
+        except (ParseError, ShapeError) as exc:
+            if self.pos > self.furthest[0]:
+                self.furthest = (self.pos, exc)
+            self.pos = save
         if tok == "(":
             self.next()
             v = self.expr()
@@ -115,16 +119,6 @@ class _ExprEval(TokenStream):
 
     def literal(self, k):
         return k.check(k.read(self))
-
-    def try_literal(self):
-        save = self.pos
-        try:
-            return self.literal(self.k)
-        except (ParseError, ShapeError) as exc:
-            if self.pos > self.furthest[0]:
-                self.furthest = (self.pos, exc)
-            self.pos = save
-            return None
 
     def series(self, which: str):
         self.expect("(")

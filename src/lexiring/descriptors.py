@@ -35,6 +35,9 @@ these slots; everything else asks the kernel.
 from __future__ import annotations
 
 import re
+from functools import cached_property
+from itertools import accumulate, count
+from operator import sub
 from typing import NamedTuple
 
 from .errors import CapabilityError, ParseError, ShapeError
@@ -321,6 +324,7 @@ _TOKEN = re.compile(r"b\\/|b/\\|\\/|/\\|\.\.|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
 # they build, recurse once per level, so this keeps them far from Python's
 # recursion limit.
 MAX_DEPTH = 64
+_PARENS = bytes.maketrans(b"()", b"\x02\x00"), bytes(c for c in range(256) if c not in b"()")  # translate() args
 
 
 def is_digits(tok) -> bool:
@@ -336,25 +340,26 @@ class TokenStream:
         self.toks = _TOKEN.findall(text)
         self.pos = 0
         if text.count("(") > MAX_DEPTH:
-            depth = 0
-            for i, tok in enumerate(self.toks):
-                if tok == "(":
-                    depth += 1
-                    if depth > MAX_DEPTH:
-                        raise self.error(f"parentheses nest deeper than {MAX_DEPTH} levels", i)
-                elif tok == ")":
-                    depth -= 1
+            # each parenthesis is a token: the depth after the kth of the text is the running sum of 2 per
+            # '(' and 0 per ')' less k, taken in C; it moves by one, so the first too deep is MAX_DEPTH + 1
+            steps = text.encode("utf-8", "surrogatepass").translate(*_PARENS)
+            depths = list(map(sub, accumulate(steps), count(1)))
+            if MAX_DEPTH + 1 in depths:
+                parens = [i for i, tok in enumerate(self.toks) if tok == "(" or tok == ")"]
+                at = parens[depths.index(MAX_DEPTH + 1)]
+                raise self.error(f"parentheses nest deeper than {MAX_DEPTH} levels", at)
+
+    @cached_property
+    def _starts(self):
+        """Each token's character position, found on the first error."""
+        return [m.start() for m in _TOKEN.finditer(self.text)]
 
     def error(self, message: str, index=None) -> ParseError:
         """A ParseError at the character position of token ``index`` (default: the last one read)."""
         if index is None:
             index = self.pos - 1
-        at = len(self.text)
-        for i, m in enumerate(_TOKEN.finditer(self.text)):
-            if i == index:
-                at = m.start()
-                break
-        return ParseError(message, self.text, at)
+        starts = self._starts
+        return ParseError(message, self.text, starts[index] if 0 <= index < len(starts) else len(self.text))
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None

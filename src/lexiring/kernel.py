@@ -21,9 +21,9 @@ captures its parts' closures, so no call walks the descriptor again
 (Feeley & Lapalme, "Using closures for code generation", Computer
 Languages 12(1), 1987).  All but ``check`` assume well-shaped operands.
 A pairing of two bases compiles its ``check`` as one inline test of
-exact types and payloads, which accepts a well-shaped pair at once and
-hands anything else to the composed check, so every verdict and every
-error is the composed check's.
+exact types and payloads, and one with an integer level its ``read`` off
+the token list; each takes the common case at once and hands anything
+else to the composed one, so every verdict and every error is its.
 
 Seeded draws take their integers from ``_below(rng, n)``, which draws
 ``getrandbits(n.bit_length())`` until the result is below n, as CPython's
@@ -541,6 +541,37 @@ def _fused_check(a, b, nonzero_b, composed):
     return check
 
 
+def _fused_read(rational, composed):
+    """The read of an integer level paired with a base: "(" [-] digits "," digits [/ digits] ")" off ts.toks.
+
+    It builds what the composed read builds.  At anything else (inf, top, a bare 0, a zero denominator, a
+    third component, the end of the input) it hands over with ts.pos unmoved, so every error is composed's.
+    """
+    def read(ts):
+        toks, i = ts.toks, ts.pos
+        try:
+            if toks[i] == "(":
+                x = toks[i + 1]
+                neg = x == "-"
+                if neg:
+                    i += 1
+                    x = toks[i + 1]
+                y, end = toks[i + 3], toks[i + 4]
+                if "0" <= x[0] <= "9" and toks[i + 2] == "," and "0" <= y[0] <= "9":
+                    level = Scalar(-int(x) if neg else int(x))
+                    if end == ")":
+                        ts.pos = i + 5
+                        return Pair(level, Scalar(XReal(int(y)) if rational else int(y)))
+                    den = toks[i + 5]
+                    if end == "/" and rational and "1" <= den[0] <= "9" and toks[i + 6] == ")":
+                        ts.pos = i + 7
+                        return Pair(level, Scalar(XReal(int(y), int(den))))
+        except IndexError:  # the input ends inside the literal
+            pass
+        return composed(ts)
+    return read
+
+
 def _compile_pairing(d, text: str) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
     check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
@@ -667,8 +698,10 @@ def _compile_pairing(d, text: str) -> Kernel:
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
     one = None if full or kb.one is None else Pair(ka.zero, kb.one)
     int_levels = not full and int_level in ("N0", "Z")
-    return Kernel(text, d.facts, check, is_zero, zero, cmp, add, mul, gen,
-                  _read_pair(text, bar, zero, body), fmt, prob_depth,
+    read = _read_pair(text, bar, zero, body)
+    if int_level in ("N0", "Z") and kb.base:
+        read = _fused_read(_PAYLOADS[kb.base][0] is XReal, read)
+    return Kernel(text, d.facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth,
                   _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
                   one, least_positive, None, residue_kernel, step_up, body, inv, None if full else (ka, kb),

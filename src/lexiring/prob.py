@@ -141,10 +141,11 @@ def cond_prob(m, A, B) -> Value:
     _require_prob_desc(base.desc)
     ev_a = base.space.check_event(A)
     ev_b = base.space.check_event(B)
-    vb = base.value(ev_b)
+    atoms = base.space.atoms  # both events are checked: sum them as value(E) does, not checking again
+    vb = base._sum(filter(ev_b.__contains__, atoms))
     if is_zero(base.desc, vb):
         raise DomainError("conditioning on a zero-measure event")
-    vab = base.value(ev_a & ev_b)
+    vab = base._sum(filter((ev_a & ev_b).__contains__, atoms))
     if is_zero(base.desc, vab):
         return zero(base.desc)
     return divide(base.desc, vab, vb)

@@ -1,6 +1,7 @@
 """Golden-file CLI tests, exit codes, and the selfcheck harness."""
 
 import collections
+import itertools
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -15,8 +17,8 @@ from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.cli import _ExprEval, eval_expression, main
 from lexiring.descriptors import TokenStream, facts, is_digits, parse_struct
-from lexiring.errors import CapabilityError, DomainError, LexiringError, ShapeError
-from lexiring.kernel import kernel_of
+from lexiring.errors import CapabilityError, DomainError, LexiringError, ParseError, ShapeError
+from lexiring.kernel import Kernel, kernel_of
 from lexiring.laws import random_value
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, format_value, is_zero, parse_value, zero
 from lexiring.xreal import INF, XReal
@@ -335,6 +337,12 @@ def _ref_inverse(d, x, semifield):
 class _RefExprEval(_ExprEval, _RefParser):
     """Expressions whose literals the reference parser reads."""
 
+    def __init__(self, desc, text):
+        super().__init__(desc, text)
+        # atoms read through self.k.read: a copy of the kernel whose read is the reference parser's
+        ops_ = {name: getattr(self.k, name) for name in Kernel.__slots__}
+        self.k = types.SimpleNamespace(**{**ops_, "read": lambda ts: ts.value(desc)})
+
     def literal(self, k):
         d = self.d if k is self.k else self.d.b  # series ramps read residues of an insertion
         return check_value(d, self.value(d))
@@ -383,6 +391,22 @@ def test_kernel_literals_and_inverses_match_the_reference():
     assert min(counts[f"{kind} {c}"] for kind, c in [("parse", "value"), ("parse", "ParseError"),
                                                      ("parse", "ShapeError"), ("eval", "value"),
                                                      ("inv", "value"), ("inv", "DomainError")]) >= 20, counts
+
+
+# literals at the edges of the fused reader of a pairing of two bases: each must end as the composed reader ends
+_PAIR_EDGES = ["(-0,1)", "(00,01/02)", "(1,2/0)", "(0,0)", "(0,0/5)", "(0,inf)", "(1,2,3)", "(-1,2", "(1,2/",
+               "(1,", "(", "((0,1))", "top", "0", "0/1", "1", "(1,2))", "(1,2/3)", "(-3,4/6)", "(inf,1)", "(1/2,3)"]
+
+
+def test_fused_pair_reader_matches_the_reference_at_its_edges():
+    for a, op, b in itertools.product(D.BASE_NAMES, ("/\\", "\\/", "b/\\", "b\\/"), D.BASE_NAMES):
+        text = f"{a} {op} {b}"
+        for lit in _PAIR_EDGES:
+            for expr in (lit, f"{lit}*(1,1)", f"(1,1)+{lit}"):
+                assert _outcome(eval_expression, text, expr) == _outcome(_ref_eval, text, expr), (text, expr)
+            kind, d = _outcome(parse_struct, text)
+            if kind == "value":
+                assert _outcome(parse_value, d, lit) == _outcome(_ref_parse, d, lit), (text, lit)
 
 
 def _run(capsys, argv):
@@ -583,6 +607,65 @@ def test_nesting_depth_is_limited(capsys):
     assert main(["eval", "P", "(" * (MAX_DEPTH - 1) + "(0,1)" + ")" * (MAX_DEPTH - 1)]) == 0
     assert main(["eval", f"Sn({MAX_DEPTH})", "(0," * MAX_DEPTH + "1" + ")" * MAX_DEPTH]) == 0
     assert capsys.readouterr().out.split("\n")[:2] == ["top", "(0,1)"]
+    # many parentheses in all, none deep: a flat 200-literal product evaluates
+    flat = "*".join(["(1,2/3)"] * 200)
+    assert main(["eval", "P", flat]) == 0
+    assert capsys.readouterr().out == f"(200,{2 ** 200}/{3 ** 200})\n"
+    # a nest one too deep after 100 flat literals is reported at its 65th '(', 100 * 8 + 64 characters in
+    code, err = _run(capsys, ["eval", "P", "*".join(["(1,2/3)"] * 100) + "*" + "(" * (MAX_DEPTH + 1) + "(0,1)"
+                              + ")" * (MAX_DEPTH + 1)])
+    assert code == 2 and f"parentheses nest deeper than {MAX_DEPTH} levels (at position 864 in " in err
+
+
+class _CountingLexer:
+    """The lexer's pattern, counting its scans for character positions."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scans = pattern, 0
+
+    def findall(self, text):
+        return self.pattern.findall(text)
+
+    def finditer(self, text):
+        self.scans += 1
+        return self.pattern.finditer(text)
+
+
+@pytest.mark.parametrize("tail, error", [
+    ("", None),
+    ("+((0,x))", "expected a rational or 'inf', found 'x'"),
+    ("+((0,1)", "unexpected end of input"),
+])
+def test_error_positions_are_found_in_one_scan_per_text(monkeypatch, tail, error):
+    # each ((0,1)) is first tried as a literal of P, whose error is thrown away
+    lexer = _CountingLexer(D._TOKEN)
+    monkeypatch.setattr(D, "_TOKEN", lexer)
+    text = "+".join(["((0,1))"] * 4000) + tail
+    got = _outcome(eval_expression, "P", text)
+    assert lexer.scans <= 1
+    if error is None:
+        assert got == ("value", "(0,4000)")
+    else:
+        at = text.find("x") if "x" in tail else len(text)
+        assert got == ("ParseError", f"{error} (at position {at} in {text!r})")
+
+
+def test_nesting_limit_is_found_where_a_walk_over_the_text_finds_it():
+    # a parenthesis is always a token of its own, also between non-ASCII text and lone surrogates
+    rng, outcomes = random.Random(61), collections.Counter()
+    for _ in range(300):
+        text = "".join(rng.choice("((()x é\udcff") for _ in range(rng.randrange(60, 400)))
+        depths = itertools.accumulate(1 if c == "(" else -1 if c == ")" else 0 for c in text)
+        at = next((i for i, depth in enumerate(depths) if depth > D.MAX_DEPTH), None)
+        try:
+            TokenStream(text)
+            got = None
+        except ParseError as exc:
+            assert str(exc).startswith(f"parentheses nest deeper than {D.MAX_DEPTH} levels (at position {exc.pos} ")
+            got = exc.pos
+        assert got == at, text
+        outcomes[at is None] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_selfcheck_deterministic(capsys):

@@ -72,6 +72,19 @@ def test_conditioning_on_zero_event_fails():
         cond_prob(m, m.space.event("cross"), ("center",))
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (("zz", "q1"), ("q1",), "unknown atoms ['zz']"),
+    (("q1",), ("q1", "yy"), "unknown atoms ['yy']"),
+    (("zz",), ("yy",), "unknown atoms ['zz']"),  # A is checked before B
+    ("q1", ("yy",), "an event is a list of atom ids, not the string 'q1'"),
+])
+def test_cond_prob_reports_an_unknown_atom_of_a_before_b(a, b, message):
+    m = builtin_scene("dartboard")
+    with pytest.raises(DomainError) as info:
+        cond_prob(m, a, b)
+    assert str(info.value) == message
+
+
 def test_cond_prob_shift_invariant():
     m = builtin_scene("dartboard")
     a, b = m.space.event("upper_vray"), m.space.event("upper")
