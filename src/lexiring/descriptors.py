@@ -29,7 +29,9 @@ element is that of its least level's residues.  ``d.fault`` is the
 message of the first operand requirement that d or one of its parts
 breaks (a pairing's parts first, then its own operands), or None.
 ``facts(d)``, ``capabilities``, ``validate_desc`` and the kernel read
-these slots; everything else asks the kernel.
+these slots; everything else asks the kernel.  Two descriptors are equal,
+and hash alike, when they are of one class and their ``_key()`` parts are
+equal.
 """
 
 from __future__ import annotations
@@ -86,6 +88,12 @@ class StructDesc:
     # (lexiring.kernel), filled on first use
     __slots__ = ("facts", "fault", "_kernel", "__weakref__")
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
+
 
 class Base(StructDesc):
     __slots__ = ("name",)
@@ -96,11 +104,8 @@ class Base(StructDesc):
         self.name = name
         self.facts, self.fault = _BASE_FACTS[name], None
 
-    def __eq__(self, other):
-        return isinstance(other, Base) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Base", self.name))
+    def _key(self):
+        return self.name
 
     def __repr__(self):
         return self.name
@@ -110,7 +115,6 @@ class _Pairing(StructDesc):
     """Level side a and residue side b; ``full`` keeps the pair of zeros, ``bar`` adjoins top."""
 
     __slots__ = ("a", "b")
-    _tag = ""
     _op = ""
     full = bar = False
 
@@ -138,11 +142,8 @@ class _Pairing(StructDesc):
             self.fault = (f"right operand of \\/ must be an ordered abelian semigroup: {b!r}" if full
                           else f"residue operand of /\\ must be an ordered abelian semigroup: {b!r}")
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self._tag, self.a, self.b))
+    def _key(self):
+        return self.a, self.b
 
     def __repr__(self):
         return f"({self.a!r} {self._op} {self.b!r})"
@@ -150,27 +151,23 @@ class _Pairing(StructDesc):
 
 class SInsert(_Pairing):
     __slots__ = ()
-    _tag = "SInsert"
     _op = "\\/"
     full = True
 
 
 class Insert(_Pairing):
     __slots__ = ()
-    _tag = "Insert"
     _op = "/\\"
 
 
 class BarSInsert(_Pairing):
     __slots__ = ()
-    _tag = "BarSInsert"
     _op = "b\\/"
     full = bar = True
 
 
 class BarInsert(_Pairing):
     __slots__ = ()
-    _tag = "BarInsert"
     _op = "b/\\"
     bar = True
 
@@ -219,18 +216,8 @@ class MixedInsert(StructDesc):
             return default.fault or "default residue structure must be a semigroup"
         return None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MixedInsert)
-            and self.base == other.base
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.table == other.table
-            and self.default == other.default
-        )
-
-    def __hash__(self):
-        return hash(("MixedInsert", self.base, self.lo, self.hi, self.table, self.default))
+    def _key(self):
+        return self.base, self.lo, self.hi, self.table, self.default
 
     def __repr__(self):
         rng = f"{'' if self.lo is None else self.lo}..{'' if self.hi is None else self.hi}"
@@ -249,11 +236,8 @@ class DoubleOf(StructDesc):
         self.fault = inner.fault or (None if inner.facts.semigroup
                                      else "double() requires an ordered abelian semigroup inside")
 
-    def __eq__(self, other):
-        return isinstance(other, DoubleOf) and self.inner == other.inner
-
-    def __hash__(self):
-        return hash(("DoubleOf", self.inner))
+    def _key(self):
+        return self.inner
 
     def __repr__(self):
         return f"double({self.inner!r})"

@@ -12,15 +12,19 @@ class LexiringError(Exception):
 class ParseError(LexiringError):
     """Malformed structure grammar or element literal.
 
-    Carries the offending text and a 0-based position when known.
+    Carries the offending text and a 0-based position when known; the message
+    names them only when read, as the expression reader drops most literal errors.
     """
 
     def __init__(self, message, text=None, pos=None):
-        if text is not None and pos is not None:
-            message = f"{message} (at position {pos} in {text!r})"
         super().__init__(message)
         self.text = text
         self.pos = pos
+
+    def __str__(self):
+        if self.text is None or self.pos is None:
+            return super().__str__()
+        return f"{super().__str__()} (at position {self.pos} in {self.text!r})"
 
 
 class ShapeError(LexiringError):

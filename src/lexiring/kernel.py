@@ -50,13 +50,12 @@ is, otherwise the level structure's ``sum`` of the levels paired with the
 residue structure's ``prod`` of the residues.  That needs the level
 structure's zero to be a left identity of its addition; it is in every
 structure ``validate_desc`` admits, because the operands of ``\\/`` are
-semigroups, whose zero is least.  Structures that are not semirings
-keep the ordered fold, and kinds without ``mul`` have no ``prod``.
+semigroups, whose zero is least.  ``mul``, ``prod``, ``inv`` and ``one``
+exist exactly in semirings.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd, prod as int_prod
 
 from .descriptors import RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, is_digits
@@ -146,9 +145,9 @@ class Kernel:
     """One descriptor's compiled operations and capability flags.
 
     ``zero`` is the additive identity itself, and the empty ``sum``;
-    ``sum`` defaults to the ordered left fold of ``add``; ``mul`` and
-    ``prod`` are None where d has no multiplication, and ``prod`` defaults
-    to the ordered left fold of ``mul``; ``prob_depth`` counts the integer
+    ``sum`` defaults to the ordered left fold of ``add``; ``mul``,
+    ``prod``, ``inv`` and ``one`` exist exactly where ``facts.semiring``
+    holds, and are None elsewhere; ``prob_depth`` counts the integer
     levels stacked over the finite rationals (None unless d is such a
     probability structure); ``facts`` is ``d.facts``, and
     ``semiring``/``semifield`` are copied from it.
@@ -159,8 +158,8 @@ class Kernel:
     ``Rc`` or ``Ro``; ``bar`` marks a bar pairing; ``neg`` flips the sign in
     ``double(...)``.  Each is None or False elsewhere.
 
-    ``one`` and ``least_positive`` (the least element above zero) are None
-    where d has none, ``least_positive`` exactly where ``d.facts`` says;
+    ``least_positive`` (the least element above zero) is None where d has
+    none, exactly where ``d.facts`` says;
     ``repeat_limit`` is a countable repeat's sum in a base (``inf`` in
     ``Rc`` and ``Nbar0``), else None; ``residue_kernel(level)`` is the
     kernel of the residues at a level.  ``succ(x)`` is the least element
@@ -192,20 +191,15 @@ class Kernel:
                  step_up=None, body=None, inv=None, parts=None, int_levels=False, sliceable=False, bar=False,
                  nonzero=None, base=None, neg=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
-        self.add, self.mul, self.gen, self.prob_depth = add, mul, gen, prob_depth
-        self.read, self.body, self.fmt, self.inv = read, body, fmt, inv
-        self.one, self.least_positive, self.repeat_limit = one, least_positive, repeat_limit
+        self.add, self.gen, self.prob_depth = add, gen, prob_depth
+        self.read, self.body, self.fmt = read, body, fmt
+        self.least_positive, self.repeat_limit = least_positive, repeat_limit
         self.residue_kernel, self.succ, self.step_up = residue_kernel, succ, step_up
         self.base, self.parts, self.int_levels, self.sliceable, self.bar, self.neg = (
             base, parts, int_levels, sliceable, bar, neg)
         self.sum = sum or _ordered_fold(zero, add)
         self.facts, self.semiring, self.semifield = facts, facts.semiring, facts.semifield
-        if mul is None:
-            self.prod = None
-        elif prod is None or not self.semiring:
-            self.prod = _fold_from_first(mul)
-        else:
-            self.prod = prod
+        self.mul, self.prod, self.inv, self.one = (mul, prod, inv, one) if self.semiring else (None,) * 4
 
         if nonzero is None:
             def nonzero(rng):
@@ -252,11 +246,6 @@ def _ordered_fold(zero, add):
             acc = add(acc, v)
         return acc
     return sum_
-
-
-def _fold_from_first(mul):
-    """The left fold of mul over one or more values, in the order given."""
-    return lambda values: reduce(mul, values)
 
 
 def _dominant_sum(zero, cmp_level, residue_sum):
@@ -636,8 +625,8 @@ def _compile_pairing(d, text: str) -> Kernel:
         return Pair(x.level, add_b(x.residue, y.residue))
 
     def mul(x, y):
-        if x is ZERO or y is ZERO or full and (is_zero(x) or is_zero(y)):
-            return zero
+        if x is ZERO or y is ZERO:
+            return ZERO
         if x is TOP or y is TOP:
             return TOP
         return Pair(add_a(x.level, y.level), mul_b(x.residue, y.residue))
@@ -696,7 +685,7 @@ def _compile_pairing(d, text: str) -> Kernel:
         return Pair(level, inv_b(v.residue))
 
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
-    one = None if full or kb.one is None else Pair(ka.zero, kb.one)
+    one = None if kb.one is None else Pair(ka.zero, kb.one)
     int_levels = not full and int_level in ("N0", "Z")
     read = _read_pair(text, bar, zero, body)
     if int_level in ("N0", "Z") and kb.base:

@@ -159,9 +159,9 @@ def bayes(m, partition, B) -> dict:
     cross-checked against direct conditioning, P(A_i and B) / P(B).
 
     Each atom is mapped to its cell once; one pass over the atoms groups
-    them by cell, in atom order, and each cell's prior and its part inside
-    B are one ``Kernel.sum`` each, so a call costs O(atoms + cells) plus
-    the fold of P(B), not a scan of the atoms per event.
+    them by cell, in atom order; each cell's prior and its part inside B
+    are one ``Kernel.sum`` each, and P(B) sums those disjoint parts, so a
+    call costs O(atoms + cells), not a scan of the atoms per event.
     """
     base = m.base if isinstance(m, PMeasure) else m
     d = base.desc
@@ -197,11 +197,11 @@ def bayes(m, partition, B) -> dict:
     if seen != frozenset(base.space.atoms):
         raise DomainError("partition does not cover the atom space")
     ev_b = base.space.event(B) if isinstance(B, str) else base.space.check_event(B)
-    vb = base.value(ev_b)
+    joint_of = [base._sum(filter(ev_b.__contains__, cell)) for cell in members]
+    vb = k.sum(joint_of)
     if k.is_zero(vb):
         raise DomainError("conditioning on a zero-measure event")
 
-    joint_of = [base._sum(filter(ev_b.__contains__, cell)) for cell in members]
     conditionals, priors, terms = {}, {}, []
     for (name, _), prior, joint in zip(cells, prior_of, joint_of):
         cond = k.zero if k.is_zero(joint) else divide(d, joint, prior)

@@ -14,8 +14,9 @@ import types
 import pytest
 
 from lexiring import descriptors as D
-from lexiring import ops
-from lexiring.cli import _ExprEval, eval_expression, main
+from lexiring import ops, scenes
+from lexiring.cli import _ExprEval, _build_parser, eval_expression, main
+from lexiring.dartboard import BUILTIN_SCENES
 from lexiring.descriptors import TokenStream, facts, is_digits, parse_struct
 from lexiring.errors import CapabilityError, DomainError, LexiringError, ParseError, ShapeError
 from lexiring.kernel import Kernel, kernel_of
@@ -511,6 +512,8 @@ TWO_SECTOR_TRACK = {
      "field switches[0].side1[0] must be a [sector, end] pair of strings"),
     (["weights", "check", "FILE"], {**TWO_SECTOR_TRACK, "crossings": [{"sector": "a", "end": "r"}]},
      "missing field crossings[0].multiplier"),
+    (["tree", "dist", "FILE", "a"], {"structure": "O", "nodes": ["a", "b"], "edges": [{"a": "a", "b": "b", "value": "(0,1)"}]},
+     "tree dist needs two node names"),
 ])
 def test_tree_and_track_documents_are_schema_checked(tmp_path, capsys, argv, doc, message):
     f = tmp_path / "doc.json"
@@ -534,6 +537,8 @@ def test_tree_and_track_documents_are_schema_checked(tmp_path, capsys, argv, doc
      "only one generator per series (at position 19 in 'sum(repeat((0,1)), levelramp(0,1,1))')"),
     (["eval", "P", "(0,1)+cmp((0,1),(0,1))"],
      "cmp(...) only makes sense at the top level (at position 6 in '(0,1)+cmp((0,1),(0,1))')"),
+    (["eval", "mixed(Rc; 0..1; default:Rc)", "0"],
+     "mixed base must be N0 or Z (at position 6 in 'mixed(Rc; 0..1; default:Rc)')"),
 ])
 def test_malformed_arguments_are_parse_errors(capsys, argv, message):
     assert _run(capsys, argv) == (2, f"parse error: {message}\n")
@@ -558,6 +563,9 @@ SEMIGROUP_SCENE = {"structure": r"N0 \/ Rc", "atoms": [{"id": "a", "value": "(1,
      "error: signed addition needs (integer level, rational residue) magnitudes\n"),
     (["measure", "height", "FILE"], SEMIGROUP_SCENE, 1, "", "error: measure values do not have an integer top level\n"),
     (["measure", "align", "FILE"], SEMIGROUP_SCENE, 1, "", "error: measure values do not have an integer top level\n"),
+    (["prob", "validate", "FILE"], {"structure": "Pn(2)", "atoms": [{"id": "a", "value": "(0,(0,1))"},
+                                                                    {"id": "b", "value": "(0,(0,1))"}]}, 1,
+     "FAIL: level vector (0, 0) has mass 2 > 1 level masses {'(0, 0)': '2'}\n", ""),
 ])
 def test_front_door_outcomes(tmp_path, capsys, argv, doc, code, out, err):
     f = tmp_path / "doc.json"
@@ -648,6 +656,29 @@ def test_error_positions_are_found_in_one_scan_per_text(monkeypatch, tail, error
     else:
         at = text.find("x") if "x" in tail else len(text)
         assert got == ("ParseError", f"{error} (at position {at} in {text!r})")
+
+
+class _CountingText(str):
+    """A text that counts how often repr() formats it."""
+
+    reprs = 0
+
+    def __repr__(self):
+        self.reprs += 1
+        return super().__repr__()
+
+
+def test_parse_errors_format_their_text_only_when_read():
+    # each ((0,1)) is first tried as a literal of P, whose error is thrown away unread
+    text = _CountingText("+".join(["((0,1))"] * 1000))
+    assert eval_expression("P", text) == "(0,1000)"
+    assert text.reprs == 0
+    text = _CountingText(text + "+((0,x))")
+    with pytest.raises(ParseError) as info:
+        eval_expression("P", text)
+    assert text.reprs == 0
+    assert str(info.value) == f"expected a rational or 'inf', found 'x' (at position {len(text) - 3} in {str(text)!r})"
+    assert text.reprs == 1
 
 
 def test_nesting_limit_is_found_where_a_walk_over_the_text_finds_it():
@@ -801,3 +832,140 @@ def test_importing_the_cli_loads_no_subcommand_modules():
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# a seeded mutation fuzz of command lines and documents
+# ---------------------------------------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+FUZZ_ALPHABET = "()0123456789,;:./\\-+* abcdefilmnoprstuvxNZRSOP_"
+FUZZ_PLACEHOLDERS = {"SCENE.json": "scene", "TREE.json": "tree", "TRACK.json": "track"}
+FUZZ_DOCS = {
+    "scene": list(BUILTIN_SCENES.values()),
+    "tree": [{"structure": "O", "nodes": ["x", "y", "z", "w"], "edges": [
+        {"a": "x", "b": "y", "value": "(0,1)"}, {"a": "y", "b": "z", "value": "(1,1/2)"},
+        {"a": "y", "b": "w", "value": "(-1,inf)"}]}],
+    "track": [json.loads(p.read_text()) for p in sorted((SRC_DIR / "lexiring" / "data").glob("track_*.json"))],
+    "function": [{"kind": "real", "values": {"q1": "6/8", "q2": "inf"}},
+                 {"kind": "lvalued", "structure": "P", "values": {"q1": "(0,3)", "q2": "(-1,1/2)"}},
+                 {"kind": "signed", "structure": "double(P)", "values": {"q1": "-(0,1)", "q2": "(0,2)"}}],
+}
+# commands whose output is a report: a failed check prints FAIL on stdout and exits 1 with nothing on stderr
+FUZZ_REPORTS = {("weights", "check"), ("prob", "validate"), ("tree", "verify")}
+
+
+def _readme_command_lines():
+    """Each `lexiring ...` line of the README's shell blocks but selfcheck, as argv with its placeholders."""
+    import shlex
+
+    lines = []
+    for line in README.read_text().splitlines():
+        if line.startswith("lexiring ") and not line.startswith("lexiring ["):
+            argv = shlex.split(line, comments=True)[1:]
+            if argv[0] != "selfcheck":
+                lines.append(argv)
+    return lines
+
+
+def _mutate_text(rng, text):
+    """text with one or two characters of the alphabet inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 2)):
+        op, i = rng.randrange(3), rng.randrange(len(chars) + 1)
+        if op == 0 or not chars:
+            chars.insert(i, rng.choice(FUZZ_ALPHABET))
+        elif op == 1:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def _mutate_doc(rng, doc):
+    """A copy of doc with one key deleted, one value's JSON kind changed, or one string (key or value) mutated."""
+    doc = json.loads(json.dumps(doc))
+    slots = []
+
+    def walk(node):
+        for key in (list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()):
+            slots.append((node, key))
+            walk(node[key])
+    walk(doc)
+    node, key = rng.choice(slots)
+    value, op = node[key], rng.randrange(4)
+    if op == 0:
+        del node[key]
+    elif op == 1 or not isinstance(value, str) and op == 2:
+        node[key] = rng.choice([v for v in (0, 2.5, None, True, "0", [], {}, [value], {"value": value})
+                                if type(v) is not type(value)])
+    elif op == 2:
+        node[key] = _mutate_text(rng, value)
+    elif isinstance(node, dict):
+        node[_mutate_text(rng, key)] = node.pop(key)
+    return doc
+
+
+def _check_exit(capsys, argv):
+    """Run main on argv; the exit code is 0, 1 or 2 and a failure says so in one stderr line or a FAIL report."""
+    try:
+        code = main(argv)
+    except Exception as exc:  # any exception that escapes main is a finding
+        pytest.fail(f"{argv!r} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    elif not err.startswith("usage:"):
+        args = _build_parser().parse_args(argv)
+        if err == "":
+            assert code == 1 and (args.command, getattr(args, "action", None)) in FUZZ_REPORTS and out, argv
+        else:
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    return code, out
+
+
+def test_mutated_command_lines_and_documents_end_in_a_result_or_one_error_line(tmp_path, capsys):
+    rng = random.Random(18)
+    readme, files, counts = _readme_command_lines(), {}, collections.Counter()
+    on_documents = [argv for argv in readme if "--builtin" in argv or set(argv) & set(FUZZ_PLACEHOLDERS)]
+    evals = [argv for argv in readme if argv[0] == "eval"]  # drawn more often, for more values to read back
+    for kind, docs in FUZZ_DOCS.items():
+        if kind != "function":
+            files[kind] = tmp_path / f"{kind}.json"
+            files[kind].write_text(json.dumps(docs[0]))
+    doc_file = tmp_path / "doc.json"
+    dartboard = scenes.builtin_scene("dartboard")
+    for case in range(2000):
+        argv = list(rng.choice(on_documents if case % 2 else evals if rng.random() < 0.5 else readme))
+        fmt = ["--format", "json"] if rng.random() < 0.3 else []
+        if case % 2 == 0:  # a mutated command line over the unmutated documents
+            # an eval line's expression is mutated most often: what evaluates is printed and read back
+            i = rng.choice([i for i, a in enumerate(argv) if a not in FUZZ_PLACEHOLDERS] + [2] * 4 * (argv[0] == "eval"))
+            argv[i] = _mutate_text(rng, argv[i])
+            argv = fmt + [str(files[FUZZ_PLACEHOLDERS[a]]) if a in FUZZ_PLACEHOLDERS else a for a in argv]
+        else:  # an unmutated command line over a mutated document
+            kind = next((FUZZ_PLACEHOLDERS[a] for a in argv if a in FUZZ_PLACEHOLDERS), "scene")
+            doc = _mutate_doc(rng, rng.choice(FUZZ_DOCS["function" if case % 10 == 1 else kind]))
+            if case % 10 == 1:  # function documents have no command
+                try:
+                    scenes.function_from_dict(doc, dartboard)
+                    counts["function ok"] += 1
+                except LexiringError:
+                    counts["function refused"] += 1
+                continue
+            doc_file.write_text(json.dumps(doc))
+            if "--builtin" in argv:  # a builtin scene's command runs on the mutated scene document
+                at = argv.index("--builtin")
+                argv[at:at + 2] = ["SCENE.json"]
+            argv = fmt + [str(doc_file) if a in FUZZ_PLACEHOLDERS else a for a in argv]
+        code, out = _check_exit(capsys, argv)
+        counts[code] += 1
+        if code == 0 and argv[len(fmt)] == "eval":
+            result = json.loads(out)["result"] if fmt else out[:-1]
+            if result not in ("LT", "EQ", "GT"):
+                structure = _build_parser().parse_args(argv).structure
+                assert eval_expression(structure, result) == result, argv
+                counts["eval round trip"] += 1
+    assert min(counts[0], counts[1], counts[2], counts["function refused"], counts["eval round trip"]) >= 20, counts
+    assert counts["function ok"] >= 3, counts

@@ -9,13 +9,13 @@ import sys
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import DomainError
+from lexiring.errors import CapabilityError, DomainError, ShapeError
 from lexiring.integrate import SimpleFunction, integrate_lvalued, integrate_real, integrate_signed
 from lexiring.measure import AtomSpace, LMeasure
 from lexiring.ops import add, neg
 from lexiring.scenes import builtin_scene
-from lexiring.values import ZERO, Pair, Scalar, parse_value
-from lexiring.xreal import XReal
+from lexiring.values import TOP, ZERO, Pair, Scalar, parse_value
+from lexiring.xreal import ONE, XReal
 from lexiring.xreal import ZERO as XR_ZERO
 
 
@@ -206,3 +206,37 @@ def test_missing_atom_errors_do_not_depend_on_the_hash_seed():
         out = subprocess.run([sys.executable, "-c", MISSING_ATOM_SCRIPT], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
         assert out.splitlines() == ["DomainError: function has no value at atom 'c'"] * 3, seed
+
+
+def _dartboard_integral(integrate, f):
+    m = builtin_scene("dartboard")
+    return lambda: integrate(m, f(m.space.atoms), m.space.atoms)
+
+
+def _one_atom_integral(struct, value, integrate, f):
+    d = parse_struct(struct)
+    return lambda: integrate(LMeasure(d, AtomSpace(["a"]), {"a": parse_value(d, value)}), f, ["a"])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SimpleFunction.real({"a": 1}), ShapeError, "real-valued functions take extended rationals, got 1"),
+    (_one_atom_integral(r"N0 \/ Rc", "(1,1)", integrate_real, SimpleFunction.real({"a": ONE})),
+     CapabilityError, "integration needs an (integer level, rational residue) measure"),
+    (_dartboard_integral(integrate_real, lambda atoms: SimpleFunction.lvalued(parse_struct("P"), {})),
+     ShapeError, "expected a real-valued function"),
+    (_dartboard_integral(integrate_lvalued, lambda atoms: SimpleFunction.real({})),
+     ShapeError, "expected a structure-valued function"),
+    (_dartboard_integral(integrate_lvalued, lambda atoms: SimpleFunction.lvalued(parse_struct("N0"), {a: Scalar(1) for a in atoms})),
+     CapabilityError, "cannot integrate values of N0"),
+    (_dartboard_integral(integrate_lvalued, lambda atoms: SimpleFunction.lvalued(parse_struct(r"Rc /\ Rc"), {a: ZERO for a in atoms})),
+     CapabilityError, "integrand must be a right-nested integer-leveled structure"),
+    (_dartboard_integral(integrate_lvalued, lambda atoms: SimpleFunction.lvalued(parse_struct("Obar"), {a: TOP for a in atoms})),
+     DomainError, "a top-valued integrand has no level partition"),
+    (_dartboard_integral(integrate_signed, lambda atoms: SimpleFunction.real({})), ShapeError, "expected a signed function"),
+    (_one_atom_integral("Obar", "top", integrate_signed, SimpleFunction.signed(parse_struct("double(O)"), {"a": pv("double(O)", "(0,1)")})),
+     DomainError, "signed integral with an unbounded part is undefined"),
+])
+def test_integration_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -120,6 +120,7 @@ SHAPE_FAULTS = [
     (DOUBLE, OK_MAG, "expected a signed value or 0, got (1,1)"),
     (DOUBLE, Signed(2, OK_MAG), "bad sign 2"),
     (DOUBLE, Signed(-1, ZERO), "signed magnitude must be nonzero"),
+    (MIXED, Scalar(1), "expected a pair or 0, got 1"),
 ]
 
 

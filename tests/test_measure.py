@@ -382,3 +382,21 @@ def test_the_checking_constructor_still_rejects_ill_shaped_values():
         LMeasure(d, AtomSpace(["a"]), {"a": Pair(Scalar(0), Scalar(INF))})
     with pytest.raises(ShapeError, match="insertion removes it"):
         LMeasure(d, AtomSpace(["a"]), {"a": Pair(Scalar(0), Scalar(XR_ZERO))})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: builtin_scene("dartboard").space.event("nope"), DomainError, "unknown event 'nope'"),
+    (lambda: LMeasure(parse_struct("P"), AtomSpace(["a", "b"]), {"a": ZERO}), DomainError, "atoms without values: ['b']"),
+    (lambda: LMeasure(parse_struct("P"), AtomSpace(["a"]), {"a": ZERO, "z": ZERO}), DomainError,
+     "values for unknown atoms: ['z']"),
+    (lambda: slice_at(LMeasure(parse_struct(r"N0 \/ Rc"), AtomSpace(["a"]), {"a": pv(r"N0 \/ Rc", "(1,1)")}), 0, ["a"]),
+     ShapeError, "slices need an (integer level, rational residue) structure"),
+    (lambda: recover_from_slices(parse_struct(r"N0 \/ Rc"), AtomSpace(["a"]), {}), ShapeError,
+     "slices need an (integer level, rational residue) structure"),
+    (lambda: IntervalPiece(0, INF, INF), DomainError, "interval start cannot be inf"),
+    (lambda: IntervalPiece(0, XReal(2), XReal(1)), DomainError, "interval endpoints out of order"),
+])
+def test_measure_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -149,6 +149,17 @@ def test_bayes_total_is_event_mass():
     assert out["total"] == m.value(m.space.event("hline"))
 
 
+@pytest.mark.parametrize("given, checks", [("hline", 0), (sorted(builtin_scene("dartboard").space.event("hline")), 1)])
+def test_bayes_reads_p_of_b_off_the_joints(monkeypatch, given, checks):
+    # the cells are disjoint and cover the atoms, so P(B) is the sum of the joints, with no event checked again
+    m, calls = builtin_scene("dartboard"), []
+    check_event = AtomSpace.check_event
+    monkeypatch.setattr(AtomSpace, "check_event", lambda space, ev: calls.append(ev) or check_event(space, ev))
+    out = bayes(m, ["Q1", "Q2", "Q3", "Q4"], given)
+    assert len(calls) == checks
+    assert out["total"] == pv("P", "(-1,1/2)")
+
+
 def test_bayes_two_cell_symmetry():
     d = parse_struct("P")
     space = AtomSpace(["l", "r"], {"L": ["l"], "R": ["r"], "all": ["l", "r"]})

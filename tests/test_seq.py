@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lexiring.descriptors import parse_struct
-from lexiring.errors import NotRepresentableError, NotSummableError
+from lexiring.errors import DomainError, NotRepresentableError, NotSummableError
 from lexiring.kernel import DENSE, NOTHING_ABOVE, ZERO_P, kernel_of
 from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive, sum_sequence, sup_finite, sup_sequence
 from lexiring.values import TOP, ZERO, Scalar, check_value, parse_value, zero
@@ -231,3 +231,13 @@ def test_sup_of_a_residue_ramp_is_its_least_upper_bound(struct):
         assert all(k.cmp(y, lub) >= 0 or k.cmp(y, multiple) <= 0 for y in ys), (step, lub)
         bounds += 1
     assert bounds
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LevelRamp(0, 0, Scalar(XReal(1))), "level ramp step must be a positive integer"),
+    (lambda: sup_finite(parse_struct("S"), []), "sup of an empty set is undefined"),
+])
+def test_series_refusals(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

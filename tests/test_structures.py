@@ -194,6 +194,25 @@ def test_one_exists_exactly_in_the_semirings():
     assert built > 50
 
 
+def test_only_semirings_multiply_and_a_descriptor_is_its_class_and_parts():
+    checked = semirings = 0
+    for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::7]:
+        try:
+            D.validate_desc(d)
+        except CapabilityError:
+            continue
+        k = kernel_of(d)
+        assert [f is None for f in (k.mul, k.prod, k.inv, k.one)] == [not d.facts.semiring] * 4, d
+        again = parse_struct(repr(d))
+        assert again == d and again is not d and hash(again) == hash(d) and {d: 1}[again] == 1, d
+        checked += 1
+        semirings += d.facts.semiring
+    assert checked > 3000 and semirings > 1000
+    for a, b in ((D.N0, D.RC), (D.Z, D.RO)):
+        pairings = [cls(a, b) for cls in PAIRINGS]
+        assert [x == y for x in pairings for y in pairings] == [x is y for x in pairings for y in pairings]
+
+
 def test_kernel_facts_are_the_descriptor_facts():
     for d in DESCRIPTOR_POOL + PAIRS_OF_POOL[::41] + [parse_struct("Sn(64)"), parse_struct("Pn(3)")]:
         try:
@@ -672,3 +691,31 @@ def test_literal_shape_errors():
         pv("O", "(1,2") and None
     with pytest.raises(ParseError):
         pv("O", "(1,2) junk")
+
+
+class _UnknownDesc(D.StructDesc):
+    """A descriptor of no kind the kernel compiles."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "unknown()"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: D.Base("Q"), CapabilityError, "unknown base structure 'Q'"),
+    (lambda: D.regroup_desc(parse_struct("P")), ShapeError, r"expected a right-nested s-insertion A \/ (B \/ C)"),
+    (lambda: D.ungroup_desc(parse_struct("P")), ShapeError, r"expected a left-nested s-insertion (A \/ B) \/ C"),
+    (lambda: kernel_of(_UnknownDesc()), ShapeError, "unknown descriptor unknown()"),
+    (lambda: ops.level(D.N0, Scalar(1)), DomainError, "N0 elements have no level part"),
+    (lambda: ops.residue(parse_struct("Obar"), TOP), DomainError, "residue of top is undefined"),
+    (lambda: ops.residue(D.N0, Scalar(1)), DomainError, "N0 elements have no residue part"),
+    (lambda: ops.OVector(parse_struct("P"), []), ShapeError, "vectors have length >= 1"),
+    (lambda: ops.scalar_mul_vec(pv(r"N0 /\ (N0 \/ N0)", "(0,(0,1))"),
+                                ops.OVector(parse_struct(r"N0 /\ (N0 \/ N0)"), [pv(r"N0 /\ (N0 \/ N0)", "(0,(0,1))")])),
+     CapabilityError, r"(N0 /\ (N0 \/ N0)) is not a semiring"),
+])
+def test_structure_and_operation_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -270,3 +270,17 @@ def test_tree_laws_catch_a_wrong_climb_or_edge_record(monkeypatch):
     monkeypatch.setattr(tree.LTree, "__init__", record_one_edge_value)
     [r] = tree_laws(seed=5, cases=20)
     assert not r.ok and r.detail == "distance disagrees with the fold along the BFS path"
+
+
+ONE_O = parse_value(parse_struct("O"), "(0,1)")
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    (["a", "a"], [("a", "a", ONE_O)], "node identifiers must be distinct"),
+    (["a", "b"], [("a", "z", ONE_O)], "edge ('a','z') uses unknown nodes"),
+    (["a", "b", "c", "d"], [("a", "b", ONE_O), ("b", "c", ONE_O), ("c", "a", ONE_O)], "the edge set is not connected"),
+])
+def test_tree_refusals(nodes, edges, message):
+    with pytest.raises(DomainError) as exc:
+        LTree(parse_struct("O"), nodes, edges)
+    assert str(exc.value) == message

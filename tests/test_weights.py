@@ -175,3 +175,25 @@ def test_duplicate_sector_end_rejected():
             ["a", "b"],
             [([("a", "r")], [("b", "l")]), ([("a", "r")], [("b", "r")])],
         )
+
+
+def _check(sectors, weights, cocycle):
+    p = parse_struct("P")
+    return lambda: check_branch_equations(BranchedGraph(sectors, []), WeightSystem(p, weights), cocycle)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BranchedGraph(["a", "a"], []), DomainError, "sector identifiers must be distinct"),
+    (lambda: BranchedGraph(["a"], [([], [("a", "r")])]), DomainError, "every switch side needs at least one sector-end"),
+    (lambda: BranchedGraph(["a"], [([("z", "r")], [("a", "r")])]), DomainError, "unknown sector 'z' in a switch"),
+    (_check(["a"], {}, Cocycle(parse_struct("Pn(2)"), {("a", "r"): parse_value(parse_struct("Pn(2)"), "(0,(0,1))")})),
+     ShapeError, "cocycle multipliers and weights live in different structures"),
+    (_check(["a"], {"z": parse_value(parse_struct("P"), "(0,1)")}, Cocycle(parse_struct("P"), {})),
+     DomainError, "weight on unknown sector 'z'"),
+    (lambda: cocycle_join(parse_struct("Pn(2)"), {("a", "r"): (1,)}, {("a", "r"): XReal(1)}), ShapeError,
+     "level vector (1,) does not match nesting depth 2"),
+])
+def test_weight_system_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
