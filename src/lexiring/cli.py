@@ -20,8 +20,7 @@ from .dartboard import BUILTIN_SCENES
 from .descriptors import TokenStream, capabilities, parse_struct
 from .errors import LexiringError, ParseError, ShapeError
 from .kernel import kernel_of
-from .seq import (LevelRamp, Repeat, ResidueRamp, SeqGen, require_int_levels, sum_sequence, sup_finite,
-                  sup_sequence)
+from .seq import LevelRamp, Repeat, ResidueRamp, SeqGen, require_int_levels, sum_sequence, sup_sequence
 from .values import format_value, parse_value
 
 
@@ -152,12 +151,7 @@ class _ExprEval(TokenStream):
             if more:
                 self.next()
         self.expect(")")
-        gen = SeqGen(head, tail)
-        if which == "sum":
-            return sum_sequence(self.d, gen)
-        if tail is None:
-            return sup_finite(self.d, head)
-        return sup_sequence(self.d, gen)
+        return (sum_sequence if which == "sum" else sup_sequence)(self.d, SeqGen(head, tail))
 
 
 def eval_expression(struct_text: str, expr_text: str) -> str:

@@ -272,6 +272,11 @@ def _dominant_sum(zero, cmp_level, residue_sum):
     return sum_
 
 
+def _at_bare_zero(ts) -> bool:
+    """Whether ts is at a bare 0, the additive identity of any structure: a "0" token with no "/" after it."""
+    return ts.peek() == "0" and ts.toks[ts.pos + 1:ts.pos + 2] != ["/"]
+
+
 def _read_pair(text, bar, zero, body):
     """read over a bare 0, top and a parenthesised pair body."""
     def read(ts):
@@ -281,9 +286,9 @@ def _read_pair(text, bar, zero, body):
                 raise ShapeError(f"'top' is not an element of {text}")
             ts.pos += 1
             return TOP
-        if tok == "0" and ts.toks[ts.pos + 1:ts.pos + 2] != ["/"]:
+        if _at_bare_zero(ts):
             ts.pos += 1
-            return zero  # a bare 0 denotes the additive identity of any structure
+            return zero
         ts.expect("(")
         v = body(ts)
         ts.expect(")")
@@ -295,8 +300,8 @@ def _read_residue(read, body, ts):
     """A residue, where flat-tuple sugar "(a,b,c)" continues a pair body without its parentheses."""
     if body is not None:
         tok = ts.peek()
-        if tok != "(" and tok != "top" and (tok != "0" or ts.toks[ts.pos + 1:ts.pos + 2] == [","]):
-            return body(ts)  # a bare 0 that no ',' follows is the residue structure's zero
+        if tok != "(" and tok != "top" and (not _at_bare_zero(ts) or ts.toks[ts.pos + 1:ts.pos + 2] == [","]):
+            return body(ts)  # a bare 0 is the residue structure's zero unless a ',' makes it a body's level
     return read(ts)
 
 
@@ -864,7 +869,7 @@ def _compile_double(d: DoubleOf, text: str) -> Kernel:
         sign = 1
         if ts.peek() in ("+", "-"):
             sign = -1 if ts.next() == "-" else 1
-        if sign == 1 and ts.peek() == "0":
+        if sign == 1 and _at_bare_zero(ts):
             ts.pos += 1
             return ZERO
         return Signed(sign, read_i(ts))

@@ -239,11 +239,7 @@ def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> PMeasure:
             raise InfiniteMassError("density integral has an infinite residue")
         atom_values[a] = v
     totals = level_masses(LMeasure._built(mu.desc, mu.space, atom_values))
-    normalized = {}
-    for a, v in atom_values.items():
-        if v is ZERO:
-            normalized[a] = ZERO
-        else:
-            normalized[a] = Pair(v.level, Scalar(v.residue.x / totals[v.level.x]))
-    out = LMeasure(mu.desc, mu.space, normalized)
-    return standardize(out)
+    # quotients of checked integrals by positive finite masses are well-shaped; standardize validates the result
+    normalized = {a: v if v is ZERO else Pair(v.level, Scalar(v.residue.x / totals[v.level.x]))
+                  for a, v in atom_values.items()}
+    return standardize(LMeasure._built(mu.desc, mu.space, normalized))

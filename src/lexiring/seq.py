@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .errors import CapabilityError, DomainError, NotRepresentableError, NotSummableError
 from .kernel import DENSE, NOTHING_ABOVE, kernel_of
-from .values import TOP, ZERO, Pair, Scalar, Value, check_value, zero
+from .values import TOP, ZERO, Pair, Scalar, Value, check_value
 
 
 class Repeat:
@@ -151,4 +151,4 @@ def sup_sequence(d, s: SeqGen) -> Value:
         term = _tail_term(d, s.tail, NotRepresentableError("the level set is unbounded and the structure has no top"))
         # an integer level has a successor, so the bound of a residue ramp is never NOTHING_ABOVE
         candidates.append(term if isinstance(s.tail, Repeat) else _limit(kernel_of(d), term, True))
-    return sup_finite(d, candidates) if candidates else zero(d)
+    return sup_finite(d, candidates)

@@ -14,8 +14,8 @@ comparison per edge and one residue sum at the dominant level, and under
 ``double()``, whose addition does not associate, the ordered left fold of
 ``add``.  A tree loaded by ``scenes`` shares one value object among the
 edges spelled alike, and ``LTree`` checks each distinct value object
-once.  ``verify_metric`` stays O(n^3) over all node triples, on BFS
-paths.
+once.  ``verify_metric`` checks the segments these queries return,
+O(n^3) over all node triples.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def distance(t: LTree, x, y) -> Value:
 
 
 def bfs_paths(adj, src) -> dict:
-    """Every node's path from src, in a tree given as an adjacency mapping."""
+    """Every node's path from src, in a tree given as an adjacency mapping (the law suite's oracle for segment)."""
     paths, work = {src: [src]}, [src]
     for cur in work:
         for nxt in adj[cur]:
@@ -129,15 +129,6 @@ def bfs_paths(adj, src) -> dict:
                 paths[nxt] = paths[cur] + [nxt]
                 work.append(nxt)
     return paths
-
-
-def all_segments(t: LTree) -> dict:
-    """Every ordered node pair's path, from one BFS per source."""
-    adj = {n: [] for n in t.nodes}
-    for n, p in t.parent.items():
-        adj[n].append(p)
-        adj[p].append(n)
-    return {(src, dst): path for src in t.nodes for dst, path in bfs_paths(adj, src).items()}
 
 
 def verify_metric(t: LTree) -> dict:
@@ -148,7 +139,7 @@ def verify_metric(t: LTree) -> dict:
     if not t.has_full_support():
         failures.append("an edge carries value zero (no full support)")
     nodes = t.nodes
-    paths = all_segments(t)
+    paths = {(x, y): segment(t, x, y) for x in nodes for y in nodes}
     dist = {pair: _path_sum(t, path) for pair, path in paths.items()}
     for x in nodes:
         if not is_zero(d, dist[(x, x)]):

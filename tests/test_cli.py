@@ -223,7 +223,7 @@ class _RefParser(TokenStream):
             if tok in ("+", "-"):
                 self.next()
                 sign = -1 if tok == "-" else 1
-            if self.peek() == "0" and sign == 1:
+            if self.peek() == "0" and sign == 1 and self.toks[self.pos + 1:self.pos + 2] != ["/"]:
                 self.next()
                 return ZERO
             return Signed(sign, self.value(d.inner))
@@ -256,7 +256,7 @@ class _RefParser(TokenStream):
 
     def component(self, d):
         if isinstance(d, _REF_PAIRS) and self.peek() not in ("(", "top"):
-            if self.peek() == "0" and self.toks[self.pos + 1:self.pos + 2] != [","]:
+            if self.peek() == "0" and self.toks[self.pos + 1:self.pos + 2] not in ([","], ["/"]):
                 return self.value(d)
             return self.pair_body(d)
         return self.value(d)
@@ -396,7 +396,8 @@ def test_kernel_literals_and_inverses_match_the_reference():
 
 # literals at the edges of the fused reader of a pairing of two bases: each must end as the composed reader ends
 _PAIR_EDGES = ["(-0,1)", "(00,01/02)", "(1,2/0)", "(0,0)", "(0,0/5)", "(0,inf)", "(1,2,3)", "(-1,2", "(1,2/",
-               "(1,", "(", "((0,1))", "top", "0", "0/1", "1", "(1,2))", "(1,2/3)", "(-3,4/6)", "(inf,1)", "(1/2,3)"]
+               "(1,", "(", "((0,1))", "top", "0", "0/1", "1", "(1,2))", "(1,2/3)", "(-3,4/6)", "(inf,1)", "(1/2,3)",
+               "-0/1", "(1,0/1,2)"]
 
 
 def test_fused_pair_reader_matches_the_reference_at_its_edges():
@@ -408,6 +409,17 @@ def test_fused_pair_reader_matches_the_reference_at_its_edges():
             kind, d = _outcome(parse_struct, text)
             if kind == "value":
                 assert _outcome(parse_value, d, lit) == _outcome(_ref_parse, d, lit), (text, lit)
+
+
+def test_a_bare_zero_reads_as_the_reference_reads_it():
+    # a 0 is a structure's zero only where no '/' follows; in a residue, a ',' after it starts a flat body
+    structs = ["double(Rc)", "double(Nbar0)", "double(P)", r"N0 /\ (Rc /\ Rc)", r"Z /\ (Rc \/ N0)",
+               r"mixed(N0; 0..2; 1:Rc /\ Rc, default:Rc)"]
+    for text in structs:
+        d = parse_struct(text)
+        for lit in ("0", "-0", "0/1", "-0/1", "(1,0)", "(1,0/1)", "(1,0,2)", "(1,0/1,2)", "(1,(0/1,2))", "(0/1,1)"):
+            assert _outcome(eval_expression, text, lit) == _outcome(_ref_eval, text, lit), (text, lit)
+            assert _outcome(parse_value, d, lit) == _outcome(_ref_parse, d, lit), (text, lit)
 
 
 def _run(capsys, argv):
@@ -566,6 +578,12 @@ SEMIGROUP_SCENE = {"structure": r"N0 \/ Rc", "atoms": [{"id": "a", "value": "(1,
     (["prob", "validate", "FILE"], {"structure": "Pn(2)", "atoms": [{"id": "a", "value": "(0,(0,1))"},
                                                                     {"id": "b", "value": "(0,(0,1))"}]}, 1,
      "FAIL: level vector (0, 0) has mass 2 > 1 level masses {'(0, 0)': '2'}\n", ""),
+    # a 0 that a '/' follows is a rational, so a signed magnitude, not the zero
+    (["eval", "double(Rc)", "0/1"], None, 1, "", "error: signed magnitude must be nonzero\n"),
+    (["eval", "double(Nbar0)", "0/1"], None, 1, "", "error: signed magnitude must be nonzero\n"),
+    (["eval", r"N0 /\ (Rc /\ Rc)", "(1,0/1,2)"], None, 0, "(1,(0,2))\n", ""),
+    # an expression starting with '-' follows '--', else argparse reads it as an option
+    (["eval", "double(O)", "--", "-(1,1/4)"], None, 0, "-(1,1/4)\n", ""),
 ])
 def test_front_door_outcomes(tmp_path, capsys, argv, doc, code, out, err):
     f = tmp_path / "doc.json"

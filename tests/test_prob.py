@@ -363,6 +363,17 @@ def test_all_zero_scene_is_not_a_probability_measure(struct):
             depth(m, ("a",))
 
 
+def test_a_normalized_density_builds_its_measure_unchecked(monkeypatch):
+    # the quotients of checked integrals by positive finite masses are well-shaped; standardize validates them
+    m, calls = builtin_scene("dartboard"), []
+    f = SimpleFunction.real({a: XReal(3 if a == "q1" else 1) for a in m.space.atoms})
+    init = LMeasure.__init__
+    monkeypatch.setattr(LMeasure, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    pm = normalize_from_density(m, f)
+    assert len(calls) == 0
+    assert pm.base.atom_values["q1"] == pv("P", "(0,1/2)")
+
+
 def test_density_with_level_shift():
     d = parse_struct("P")
     space = AtomSpace(["a", "b"])

@@ -236,6 +236,8 @@ def test_sup_of_a_residue_ramp_is_its_least_upper_bound(struct):
 @pytest.mark.parametrize("call, message", [
     (lambda: LevelRamp(0, 0, Scalar(XReal(1))), "level ramp step must be a positive integer"),
     (lambda: sup_finite(parse_struct("S"), []), "sup of an empty set is undefined"),
+    pytest.param(lambda: sup_sequence(parse_struct("S"), SeqGen()), "sup of an empty set is undefined",
+                 id="sup_sequence-empty"),
 ])
 def test_series_refusals(call, message):
     with pytest.raises(DomainError) as exc:

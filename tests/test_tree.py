@@ -251,6 +251,18 @@ def test_zero_edge_fails_full_support():
         assert not LTree(d, nodes, with_zero).has_full_support()
 
 
+def test_verify_metric_certifies_the_segments_the_queries_return(monkeypatch):
+    import lexiring.tree as tree
+    from lexiring.laws import random_tree_edges
+
+    t = LTree(parse_struct("O"), *random_tree_edges(random.Random(8), 8))
+    assert verify_metric(t)["ok"]
+    monkeypatch.setattr(tree, "_lca", lambda t, x, y: t.nodes[0])  # every climb goes to the root
+    failures = verify_metric(t)["failures"]
+    assert failures[0] == "d(n1,n1) != 0"
+    assert "d(n0,n5) != d(n0,n3) + d(n3,n5)" in failures
+
+
 def test_tree_laws_catch_a_wrong_climb_or_edge_record(monkeypatch):
     import lexiring.tree as tree
     from lexiring.laws import tree_laws
@@ -270,6 +282,14 @@ def test_tree_laws_catch_a_wrong_climb_or_edge_record(monkeypatch):
     monkeypatch.setattr(tree.LTree, "__init__", record_one_edge_value)
     [r] = tree_laws(seed=5, cases=20)
     assert not r.ok and r.detail == "distance disagrees with the fold along the BFS path"
+
+
+def test_tree_laws_report_what_only_the_metric_check_sees(monkeypatch):
+    from lexiring.laws import tree_laws
+
+    monkeypatch.setattr(LTree, "has_full_support", lambda self: False)  # the BFS oracle never asks
+    [r] = tree_laws(seed=5, cases=20)
+    assert not r.ok and r.detail == "metric axioms failed"
 
 
 ONE_O = parse_value(parse_struct("O"), "(0,1)")
