@@ -402,6 +402,10 @@ def main(argv=None) -> int:
         # argparse exits itself (help, usage errors); fold into our contract
         return 0 if not exc.code else 2
     out = _Out(args.format)
+    # results print at any length (inputs stop at MAX_DIGITS): lift the int-to-str limit, 0 where there is none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args, out)
     except ParseError as exc:
@@ -410,6 +414,9 @@ def main(argv=None) -> int:
     except LexiringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -308,6 +308,9 @@ _TOKEN = re.compile(r"b\\/|b/\\|\\/|/\\|\.\.|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
 # they build, recurse once per level, so this keeps them far from Python's
 # recursion limit.
 MAX_DEPTH = 64
+# The longest digit run any grammar reads: CPython refuses to convert longer ints to or from text.
+MAX_DIGITS = 4300
+_LONG_DIGITS = re.compile("[0-9]{%d}" % (MAX_DIGITS + 1))
 _PARENS = bytes.maketrans(b"()", b"\x02\x00"), bytes(c for c in range(256) if c not in b"()")  # translate() args
 
 
@@ -332,6 +335,10 @@ class TokenStream:
                 parens = [i for i, tok in enumerate(self.toks) if tok == "(" or tok == ")"]
                 at = parens[depths.index(MAX_DEPTH + 1)]
                 raise self.error(f"parentheses nest deeper than {MAX_DEPTH} levels", at)
+        if len(text) > MAX_DIGITS and _LONG_DIGITS.search(text):  # found in C; a token walk places it
+            for i, tok in enumerate(self.toks):
+                if len(tok) > MAX_DIGITS and is_digits(tok):
+                    raise self.error(f"a number longer than {MAX_DIGITS} digits", i)
 
     @cached_property
     def _starts(self):

@@ -13,13 +13,11 @@ shift-only, because closing lexicographic gaps is not meaningful on a
 finite scene.
 
 Cost, for N atoms: ``cond_prob`` evaluates two events, one scan of the
-atoms each; ``bayes`` groups the atoms by cell in one pass and sums each
-cell's prior and its part inside B once, so it takes a few scans of the
-atoms whatever the number of cells.  Each of these sums folds the
-values the measure was built with and relabels only the dominant level
-of its result, so a measure written by ``shift_levels`` or
-``align_levels`` (an O(levels) write, as in ``standardize``) reads as
-fast as the one it came from.
+atoms each; ``bayes`` sums each cell and its part inside B as sets.
+Each of these sums folds the values the measure was built with and
+relabels only the dominant level of its result, so a measure written by
+``shift_levels`` or ``align_levels`` (an O(levels) write, as in
+``standardize``) reads as fast as the one it came from.
 """
 
 from __future__ import annotations
@@ -158,10 +156,10 @@ def bayes(m, partition, B) -> dict:
     P(B) = sum_i P(B|A_i) P(A_i), and posteriors P(A_i|B); posteriors are
     cross-checked against direct conditioning, P(A_i and B) / P(B).
 
-    Each atom is mapped to its cell once; one pass over the atoms groups
-    them by cell, in atom order; each cell's prior and its part inside B
-    are one ``Kernel.sum`` each, and P(B) sums those disjoint parts, so a
-    call costs O(atoms + cells), not a scan of the atoms per event.
+    The cells are checked and summed one at a time, in partition order.
+    A cell's prior and its part inside B are sums over sets: a probability
+    structure is never ``double(...)``, so no sum depends on the order of
+    its terms.  P(B) sums those disjoint parts.
     """
     base = m.base if isinstance(m, PMeasure) else m
     d = base.desc
@@ -175,29 +173,18 @@ def bayes(m, partition, B) -> dict:
             cells.append((f"cell{len(cells) + 1}", base.space.check_event(name_or_set)))
     if len({name for name, _ in cells}) != len(cells):
         raise DomainError("partition cell names repeat")
-    # the cells before the first one that overlaps an earlier one are disjoint
-    seen, disjoint = frozenset(), len(cells)
-    for i, (name, ev) in enumerate(cells):
+    seen, prior_of = frozenset(), []
+    for name, ev in cells:
         if seen & ev:
-            disjoint = i
-            break
+            raise DomainError(f"partition cells overlap at {sorted(seen & ev)}")
         seen |= ev
-    cell_of = {a: i for i in range(disjoint) for a in cells[i][1]}
-    members = [[] for _ in range(disjoint)]
-    for a in base.space.atoms:
-        i = cell_of.get(a)
-        if i is not None:
-            members[i].append(a)
-    prior_of = [base._sum(cell) for cell in members]
-    for (name, _), prior in zip(cells, prior_of):
-        if k.is_zero(prior):
+        prior_of.append(base._sum(ev))
+        if k.is_zero(prior_of[-1]):
             raise DomainError(f"partition cell {name!r} has zero measure")
-    if disjoint < len(cells):
-        raise DomainError(f"partition cells overlap at {sorted(seen & cells[disjoint][1])}")
     if seen != frozenset(base.space.atoms):
         raise DomainError("partition does not cover the atom space")
     ev_b = base.space.event(B) if isinstance(B, str) else base.space.check_event(B)
-    joint_of = [base._sum(filter(ev_b.__contains__, cell)) for cell in members]
+    joint_of = [base._sum(ev & ev_b) for _, ev in cells]
     vb = k.sum(joint_of)
     if k.is_zero(vb):
         raise DomainError("conditioning on a zero-measure event")

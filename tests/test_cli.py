@@ -643,6 +643,46 @@ def test_nesting_depth_is_limited(capsys):
     assert code == 2 and f"parentheses nest deeper than {MAX_DEPTH} levels (at position 864 in " in err
 
 
+LONG = "7" * (D.MAX_DIGITS + 700)
+
+
+@pytest.mark.parametrize("argv, doc, text", [
+    (["eval", "Rc", LONG], None, LONG),  # a base's reader
+    (["eval", "Rc", "1+" + "7" * (D.MAX_DIGITS + 1)], None, "1+" + "7" * (D.MAX_DIGITS + 1)),
+    (["eval", "P", f"({LONG},1)"], None, f"({LONG},1)"),  # the fused pair reader
+    (["eval", f"Pn({LONG})", "0"], None, f"Pn({LONG})"),  # TokenStream.int
+    (["eval", f"mixed(Z; 0..{LONG}; default:Rc)", "0"], None, f"mixed(Z; 0..{LONG}; default:Rc)"),
+    (["measure", "validate", "FILE"], {"structure": "P", "atoms": [{"id": "a", "value": f"(0,{LONG})"}]},
+     f"(0,{LONG})"),  # a scene atom value
+])
+def test_a_number_longer_than_max_digits_is_a_parse_error(tmp_path, capsys, argv, doc, text):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    at = re.search("7{%d}" % (D.MAX_DIGITS + 1), text).start()
+    limit = sys.get_int_max_str_digits()
+    assert _run(capsys, argv) == (2, f"parse error: a number longer than {D.MAX_DIGITS} digits "
+                                     f"(at position {at} in {text!r})\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_results_print_at_any_length(capsys, fmt):
+    import decimal
+
+    longest = "7" * D.MAX_DIGITS
+    factor = "7" * 4000
+    product = str(decimal.Context(prec=9000).multiply(decimal.Decimal(factor), decimal.Decimal(factor)))
+    limit = sys.get_int_max_str_digits()
+    assert limit and len(product) > limit  # the interpreter could not print it unaided
+    for expr, want in ((longest, longest), (f"{factor}*{factor}", product)):
+        assert main(fmt + ["eval", "Rc", expr]) == 0
+        out = capsys.readouterr().out
+        assert out == (json.dumps({"result": want}) if fmt else want) + "\n"
+        assert sys.get_int_max_str_digits() == limit
+
+
 class _CountingLexer:
     """The lexer's pattern, counting its scans for character positions."""
 

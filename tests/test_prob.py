@@ -421,18 +421,20 @@ def _bayes_per_cell(m, cells, b_atoms):
     return {"conditionals": conditionals, "priors": priors, "total": total, "posteriors": posteriors}
 
 
-def _random_p_scene(rng, n_atoms):
+def _random_p_scene(rng, n_atoms, n_zero=0, events=None):
+    """A valid P scene over levels 0, -1 and -3 whose last n_zero atoms are 0."""
     from lexiring.values import format_value, stack_levels
     from lexiring.xreal import XReal
 
     d = parse_struct("P")
     atoms = [f"a{i}" for i in range(n_atoms)]
-    weights = {a: (rng.choice((0, 0, -1, -3)), rng.randrange(1, 50)) for a in atoms}
+    weights = {a: (rng.choice((0, 0, -1, -3)), rng.randrange(1, 50)) for a in atoms[:n_atoms - n_zero]}
     totals = {}
     for lev, w in weights.values():
         totals[lev] = totals.get(lev, 0) + w
     values = {a: stack_levels((lev,), XReal(w, totals[lev])) for a, (lev, w) in weights.items()}
-    m = LMeasure(d, AtomSpace(atoms), values)
+    values.update((a, ZERO) for a in atoms[n_atoms - n_zero:])
+    m = LMeasure(d, AtomSpace(atoms, events), values)
     assert validate_probability(m)["ok"], format_value(d, m.total())
     return m
 
@@ -497,3 +499,100 @@ def test_bayes_partition_errors_keep_their_messages():
         bayes(m, ["AB", "CZ"], "Z")
     with pytest.raises(DomainError, match=r"^partition cell names repeat$"):
         bayes(m, ["AB", "AB", "CZ"], "X")
+
+
+def _bayes_cell_by_cell(m, partition, B):
+    """Bayes as the paper states it: each cell in partition order is checked against the cells before it
+    and must have nonzero measure, the cells must cover the atoms, and the table is read per cell."""
+    space, cells = m.space, {}
+    for i, c in enumerate(partition):
+        name, ev = (c, space.event(c)) if isinstance(c, str) else (f"cell{i + 1}", space.check_event(c))
+        if name in cells:
+            raise DomainError("partition cell names repeat")
+        cells[name] = ev
+    seen = frozenset()
+    for name, ev in cells.items():
+        if seen & ev:
+            raise DomainError(f"partition cells overlap at {sorted(seen & ev)}")
+        seen |= ev
+        if m.value(ev) is ZERO:
+            raise DomainError(f"partition cell {name!r} has zero measure")
+    if seen != frozenset(space.atoms):
+        raise DomainError("partition does not cover the atom space")
+    b_atoms = space.event(B) if isinstance(B, str) else space.check_event(B)
+    if m.value(b_atoms) is ZERO:
+        raise DomainError("conditioning on a zero-measure event")
+    return _bayes_per_cell(m, cells, b_atoms)
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+def test_bayes_matches_a_cell_by_cell_reference_on_random_partitions():
+    import random
+
+    rng = random.Random(2020)
+    seen = {}
+    for case in range(400):
+        n_atoms, n_zero = rng.randrange(4, 40), rng.randrange(0, 4)
+        atoms = [f"a{i}" for i in range(n_atoms)]
+        k = rng.randrange(1, 8)
+        cells = [set() for _ in range(k)]
+        for i, a in enumerate(atoms):
+            cells[i if i < k else rng.randrange(k)].add(a)
+        cells = [sorted(c) for c in cells if c]
+        kind = rng.choice(("partition", "overlap", "uncover", "zero"))
+        if kind == "overlap":  # a cell that meets those before it, anywhere in the order
+            cells.insert(rng.randrange(len(cells) + 1), rng.sample(atoms, rng.randrange(1, 4)))
+        elif kind == "uncover" and len(cells) > 1:
+            cells.pop(rng.randrange(len(cells)))
+        elif kind == "zero" and n_zero:  # the 0 atoms as a cell of their own
+            zeros = set(atoms[n_atoms - n_zero:])
+            cells = [sorted(set(c) - zeros) for c in cells if set(c) - zeros]
+            cells.insert(rng.randrange(len(cells) + 1), sorted(zeros))
+        events = {f"E{j}": c for j, c in enumerate(cells)}
+        events["B"] = [a for a in atoms if rng.random() < rng.choice((0.1, 0.5, 0.9))]
+        m = _random_p_scene(rng, n_atoms, n_zero, events)
+        # each cell is named or set-valued; B is named, a set, an atom or everything
+        partition = [f"E{j}" if rng.random() < 0.5 else frozenset(c) for j, c in enumerate(cells)]
+        given = rng.choice(("B", frozenset(events["B"]), atoms[0], "X", frozenset(atoms[n_atoms - n_zero:])))
+        got, want = _outcome(bayes, m, partition, given), _outcome(_bayes_cell_by_cell, m, partition, given)
+        assert got == want, (case, partition, given)
+        seen_as = "ok" if got[0] == "ok" else got[1].split(" '")[0].split(" at [")[0]  # the message, no names
+        seen[seen_as] = seen.get(seen_as, 0) + 1
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+
+def test_bayes_output_does_not_depend_on_the_hash_seed(tmp_path):
+    import json
+    import os
+    import pathlib
+    import random
+    import subprocess
+    import sys
+
+    from lexiring.scenes import scene_to_dict
+
+    # a P scene of 200 atoms with eight named cells and an event B
+    rng = random.Random(31)
+    events = {f"C{j}": [f"a{i}" for i in range(j, 200, 8)] for j in range(8)}
+    events["B"] = [f"a{i}" for i in range(200) if rng.random() < 0.4]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(scene_to_dict(_random_p_scene(rng, 200, 0, events))))
+    calls = [["prob", "bayes", "--builtin", "dartboard", "--partition", "Q1,Q2,Q3,Q4", "--given", "hline"],
+             ["prob", "bayes", str(scene), "--partition", ",".join(f"C{j}" for j in range(8)), "--given", "B"]]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = {}
+    for seed in (0, 1):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        for fmt in ([], ["--format", "json"]):
+            for argv in calls:
+                proc = subprocess.run([sys.executable, "-m", "lexiring", *fmt, *argv], env=env, capture_output=True,
+                                      timeout=60)
+                assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+                outputs.setdefault((tuple(fmt), tuple(argv)), set()).add(proc.stdout)
+    assert all(len(seen) == 1 for seen in outputs.values()), outputs

@@ -325,6 +325,18 @@ def test_mixed_least_positive_lies_at_the_least_level_with_residues(text, least)
     assert k.succ(ZERO) == (DENSE if least is None else k.least_positive)
 
 
+@pytest.mark.parametrize("default", [D.N0, D.NBAR0])
+def test_an_empty_mixed_range_has_no_least_positive_element(default):
+    # the parser refuses an empty range, but a descriptor built directly validates; its only element is 0,
+    # though its facts claim a least positive element, so a kernel must not take that element on the facts' word
+    empty = D.MixedInsert(D.Z, 1, -1, [], default)
+    for d in (empty, D.Insert(D.N0, empty)):
+        D.validate_desc(d)
+        assert kernel_of(d).least_positive is None, d
+        with pytest.raises(NotRepresentableError):
+            least_positive(d)
+
+
 def test_mixed_parse():
     d = parse_struct("mixed(N0; 0..2; 0:Rc, 1:Rc, 2:Nbar0)")
     assert isinstance(d, D.MixedInsert)
