@@ -155,6 +155,7 @@ class _ExprEval(TokenStream):
 
 
 def eval_expression(struct_text: str, expr_text: str) -> str:
+    """``lexiring eval``'s result: a literal or LT/EQ/GT; ``ValueError`` past the int-to-str limit (see ``errors``)."""
     d = parse_struct(struct_text)
     kind, out = _ExprEval(d, expr_text).run()
     if kind == "cmp":

@@ -25,13 +25,14 @@ bounded sets).  Each is a sufficient condition under which a
 lexicographic product inherits the property from its parts: a five-row
 table for the bases, one rule per fact for the four pairings, a constant
 for ``double(...)`` and one for ``mixed(...)``, whose least positive
-element is that of its least level's residues.  ``d.fault`` is the
-message of the first operand requirement that d or one of its parts
-breaks (a pairing's parts first, then its own operands), or None.
-``facts(d)``, ``capabilities``, ``validate_desc`` and the kernel read
-these slots; everything else asks the kernel.  Two descriptors are equal,
-and hash alike, when they are of one class and their ``_key()`` parts are
-equal.
+element is that of its least level's residues (none over a range that
+holds no level).  ``d.fault`` is the message of the first operand
+requirement that d or one of its parts breaks (a pairing's parts first,
+then its own operands), or None.  ``facts(d)``, ``capabilities``,
+``validate_desc`` and the kernel read these slots (the facts alone decide
+where ``one``, ``least_positive`` and ``repeat_limit`` exist); everything
+else asks the kernel.  Two descriptors are equal, and hash alike, when
+they are of one class and their ``_key()`` parts are equal.
 """
 
 from __future__ import annotations
@@ -178,10 +179,11 @@ class MixedInsert(StructDesc):
     ``table`` maps explicitly listed levels to descriptors; ``default``
     covers the rest of the range.  ``lo``/``hi`` may be ``None`` for a
     half-bounded range (only with base ``Z``); a half-bounded or gappy
-    range requires a default.
+    range requires a default.  ``first`` is the range's least level, None
+    if it is unbounded below.
     """
 
-    __slots__ = ("base", "lo", "hi", "table", "default")
+    __slots__ = ("base", "lo", "hi", "table", "default", "first")
 
     def __init__(self, base, lo, hi, table, default=None):
         self.base = base
@@ -189,9 +191,9 @@ class MixedInsert(StructDesc):
         self.hi = hi
         self.table = tuple(sorted(table))
         self.default = default
-        # the residues of its least level that carries residues decide least_positive
-        first = max(lo or 0, 0) if base.name == "N0" else lo  # the least level of the range
-        least = None if first is None else next(
+        # the residues of its least level that carries residues decide least_positive; an empty range has only 0
+        self.first = first = max(lo or 0, 0) if base.name == "N0" else lo
+        least = None if first is None or hi is not None and first > hi else next(
             (sub for lev, sub in self.table if lev == first or default is None and lev > first), default)
         self.facts = _MIXED_FACTS._replace(least_positive=least is not None and least.facts.least_positive)
         self.fault = self._first_fault()

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by every module.
 
 All failures raised by the library derive from :class:`LexiringError` so
-callers (and the CLI) can distinguish library errors from bugs.
+callers (and the CLI) can distinguish library errors from bugs, but one:
+printing a number longer than ``sys.get_int_max_str_digits()`` digits
+raises ``ValueError`` unless the caller lifts that limit, as ``cli.main`` does.
 """
 
 

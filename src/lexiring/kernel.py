@@ -158,10 +158,10 @@ class Kernel:
     ``Rc`` or ``Ro``; ``bar`` marks a bar pairing; ``neg`` flips the sign in
     ``double(...)``.  Each is None or False elsewhere.
 
-    ``least_positive`` (the least element above zero) is None where d has
-    none, exactly where ``d.facts`` says;
-    ``repeat_limit`` is a countable repeat's sum in a base (``inf`` in
-    ``Rc`` and ``Nbar0``), else None; ``residue_kernel(level)`` is the
+    Where ``d.facts`` says they exist, the kernel builds ``least_positive``
+    (the least element above zero) and, in a summable base (``Rc``,
+    ``Nbar0``), ``repeat_limit``, the sum ``inf`` of a countable repeat;
+    each is None elsewhere.  ``residue_kernel(level)`` is the
     kernel of the residues at a level.  ``succ(x)`` is the least element
     above x, ``DENSE`` where elements lie above x but none is least, or
     ``NOTHING_ABOVE``.  In these lexicographic orders a pair steps up its
@@ -200,16 +200,7 @@ class Kernel:
         self.sum = sum or _ordered_fold(zero, add)
         self.facts, self.semiring, self.semifield = facts, facts.semiring, facts.semifield
         self.mul, self.prod, self.inv, self.one = (mul, prod, inv, one) if self.semiring else (None,) * 4
-
-        if nonzero is None:
-            def nonzero(rng):
-                for _ in range(64):
-                    v = gen(rng, 0.0)
-                    if not is_zero(v):
-                        return v
-                raise AssertionError(f"could not generate a nonzero value of {text}")
-
-        self.nonzero = nonzero
+        self.nonzero = nonzero or _nonzero(text, gen, is_zero)
 
 
 def kernel_of(d: StructDesc) -> Kernel:
@@ -236,6 +227,17 @@ def _compile(d: StructDesc) -> Kernel:
 
 def _is_adjoined_zero(v) -> bool:
     return v is ZERO
+
+
+def _nonzero(text, gen, is_zero):
+    """nonzero(rng): the first of at most 64 draws ``gen(rng, 0.0)`` that is_zero refuses."""
+    def nonzero(rng):
+        for _ in range(64):
+            v = gen(rng, 0.0)
+            if not is_zero(v):
+                return v
+        raise AssertionError(f"could not generate a nonzero value of {text}")
+    return nonzero
 
 
 def _ordered_fold(zero, add):
@@ -342,7 +344,7 @@ _BASE_DRAWS = {  # name: (table, random() cut below which inf or 0 is drawn, inf
 
 
 def _base_draws(name, text):
-    """gen and nonzero of a base, which draws through gen and tells a drawn 0 by identity."""
+    """gen and nonzero of a base, which tells a drawn 0 by identity: every 0 drawn is one object."""
     table, cut, inf_p = _BASE_DRAWS[name]
     n, zero = (len(table), table[7 if name == "Z" else 0]) if table else (0, _XR_ZERO)
 
@@ -353,14 +355,7 @@ def _base_draws(name, text):
                 return _XR_INF if r < inf_p else zero
         return table[_below(rng, n)] if table else _FINITE[_below(rng, 12) * 8 + _below(rng, 8)]
 
-    def nonzero(rng):
-        for _ in range(64):
-            v = gen(rng, 0.0)
-            if v is not zero:  # every 0 drawn is this one object
-                return v
-        raise AssertionError(f"could not generate a nonzero value of {text}")
-
-    return gen, nonzero
+    return gen, _nonzero(text, gen, lambda v: v is zero)
 
 
 def random_xreal(rng):
@@ -368,18 +363,16 @@ def random_xreal(rng):
     return kernel_of(RC).gen(rng, 0.0).x
 
 
-_BASE_ORDER = {  # succ, one, least_positive, repeat_limit
-    "N0": (lambda x: Scalar(x.x + 1), _INT_ONE, _INT_ONE, None),
-    "Z": (lambda x: Scalar(x.x + 1), None, _INT_ONE, None),
-    "Rc": (lambda x: NOTHING_ABOVE if x.x.is_inf else DENSE, _XR_ONE, None, _XR_INF),
-    "Ro": (lambda x: DENSE, _XR_ONE, None, None),
-    "Nbar0": (lambda x: NOTHING_ABOVE if x.x.is_inf else Scalar(x.x + ONE), _XR_ONE, _XR_ONE, _XR_INF),
+_BASE_SUCC = {
+    "N0": lambda x: Scalar(x.x + 1),
+    "Z": lambda x: Scalar(x.x + 1),
+    "Rc": lambda x: NOTHING_ABOVE if x.x.is_inf else DENSE,
+    "Ro": lambda x: DENSE,
+    "Nbar0": lambda x: NOTHING_ABOVE if x.x.is_inf else Scalar(x.x + ONE),
 }
 
 
 def _scalar_is_zero(v) -> bool:
-    if not isinstance(v, Scalar):
-        return v is ZERO
     return v.x.is_zero if isinstance(v.x, XReal) else v.x == 0
 
 
@@ -495,10 +488,12 @@ def _compile_base(d: Base, text: str) -> Kernel:
         return Scalar(ONE / v.x)
 
     gen, nonzero = _base_draws(name, text)
-    return Kernel(text, d.facts, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
+    unit, f = _INT_ONE if integers else _XR_ONE, d.facts
+    return Kernel(text, f, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
                   _scalar_mul, gen, read, lambda v: str(v.x), None,
                   (_int_sum if integers else _xreal_sum)(zero), _int_prod if integers else _xreal_prod(zero),
-                  *_BASE_ORDER[name], inv=inv, nonzero=nonzero, base=name)
+                  _BASE_SUCC[name], unit, unit if f.least_positive else None, _XR_INF if f.summable else None,
+                  inv=inv, nonzero=nonzero, base=name)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +651,8 @@ def _compile_pairing(d, text: str) -> Kernel:
                 residues.append(v.residue)
         return TOP if top else Pair(sum_a(levels), prod_b(residues))
 
-    lp_b = kb.least_positive
-    least_positive = None if lp_b is None or not (full or ka.facts.semigroup) else Pair(ka.zero, lp_b)
-    least_b = kb.zero if full else lp_b  # the least residue a level carries
+    least_positive = Pair(ka.zero, kb.least_positive) if d.facts.least_positive else None
+    least_b = kb.zero if full else kb.least_positive  # the least residue a level carries
 
     def step_up(level):
         s = succ_a(level)
@@ -690,7 +684,7 @@ def _compile_pairing(d, text: str) -> Kernel:
         return Pair(level, inv_b(v.residue))
 
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
-    one = None if kb.one is None else Pair(ka.zero, kb.one)
+    one = Pair(ka.zero, kb.one)  # dropped outside semirings
     int_levels = not full and int_level in ("N0", "Z")
     read = _read_pair(text, bar, zero, body)
     if int_level in ("N0", "Z") and kb.base:
@@ -754,7 +748,7 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
     glo = (0 if naturals else -3 if hi is None else hi - 4) if lo is None else lo
     ghi = glo + 4 if hi is None else hi
     if default is not None:
-        start = max(glo, 0) if naturals else glo
+        start = glo if d.first is None else d.first
         width = ghi + 1 - start
 
         def level(rng):
@@ -798,13 +792,12 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
     def fmt(v):
         return "0" if v is ZERO else f"({v.level.x},{sub(v.level.x).fmt(v.residue)})"
 
-    first = max(lo or 0, 0) if naturals else lo  # the least level of the range
-    least = DENSE if first is None else first_from(first)
+    least = DENSE if d.first is None else first_from(d.first)
     return Kernel(text, d.facts, check, _is_adjoined_zero, ZERO, cmp, add, None, gen,
                   _read_pair(text, False, ZERO, body), fmt, residue_kernel=residue_kernel, step_up=step_up, body=body,
                   sum=_dominant_sum(ZERO, _int_cmp, lambda level, residues: sub(level.x).sum(residues)),
                   succ=_pair_succ(least, residue_kernel, step_up),
-                  least_positive=least if type(least) is Pair else None)
+                  least_positive=least if d.facts.least_positive else None)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def require_int_levels(d):
 
 
 def least_positive(d) -> Value:
-    """The least element greater than zero, which exists where ``facts(d).least_positive`` holds."""
+    """The least element above zero, which the kernel builds where ``facts(d).least_positive`` holds."""
     lp = kernel_of(d).least_positive
     if lp is None:
         raise NotRepresentableError(f"{d!r} has no least positive element")

@@ -81,5 +81,5 @@ def parse_value(d, text: str) -> Value:
 
 
 def format_value(d, v: Value) -> str:
-    """Canonical literal: nested tuples, '0' for any additive identity."""
+    """Canonical literal: nested tuples, '0' for any additive identity; ``ValueError`` past the int-to-str limit."""
     return kernel_of(d).fmt(v)

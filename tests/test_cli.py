@@ -683,6 +683,29 @@ def test_results_print_at_any_length(capsys, fmt):
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_the_library_keeps_the_interpreters_int_to_str_limit():
+    # outside main, printing a result longer than the limit is the interpreter's ValueError, the one library
+    # failure that is not a LexiringError; a caller that lifts the limit gets the exact result
+    import decimal
+
+    factor = "7" * 4000
+    product = str(decimal.Context(prec=9000).multiply(decimal.Decimal(factor), decimal.Decimal(factor)))
+    limit = sys.get_int_max_str_digits()
+    assert limit and len(product) > limit
+    too_long = r"Exceeds the limit \(\d+ digits\) for integer string conversion"
+    with pytest.raises(ValueError, match=too_long):
+        eval_expression("Rc", f"{factor}*{factor}")
+    with pytest.raises(ValueError, match=too_long):
+        format_value(parse_struct("N0"), Scalar(int(factor) ** 2))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert eval_expression("Rc", f"{factor}*{factor}") == product
+        assert format_value(parse_struct("N0"), Scalar(int(factor) ** 2)) == product
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
 class _CountingLexer:
     """The lexer's pattern, counting its scans for character positions."""
 

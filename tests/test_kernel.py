@@ -347,6 +347,25 @@ def test_below_draws_as_randrange(seed):
         assert ours.getstate() == theirs.getstate(), n
 
 
+def test_a_gen_that_draws_only_zero_has_no_nonzero_value():
+    from lexiring.kernel import _nonzero
+
+    draws = []
+    nonzero = _nonzero("Zeros", lambda rng, zero_p: draws.append(zero_p) or ZERO, lambda v: v is ZERO)
+    with pytest.raises(AssertionError, match="could not generate a nonzero value of Zeros"):
+        nonzero(random.Random(1))
+    assert draws == [0.0] * 64
+
+
+@pytest.mark.parametrize("text, a, b", [("Rc", "1/2", "2/4"), ("P", "(0,1/2)", "(0,2/4)"),
+                                        ("double(P)", "-(0,1/2)", "-(0,2/4)")])
+def test_equal_values_hash_alike(text, a, b):
+    d = parse_struct(text)
+    x, y = parse_value(d, a), parse_value(d, b)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1 and len({x, y, parse_value(d, "0")}) == 2
+
+
 @pytest.mark.parametrize("module", ["kernel", "laws"])
 def test_draws_do_not_go_through_randrange(module):
     """randrange re-checks its arguments on every draw; the kernel and the law suites draw through _below."""

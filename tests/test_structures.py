@@ -10,7 +10,7 @@ from lexiring import ops
 from lexiring.descriptors import parse_struct
 from lexiring.errors import CapabilityError, DomainError, LexiringError, NotRepresentableError, ParseError, ShapeError
 from lexiring.integrate import SimpleFunction
-from lexiring.kernel import DENSE, ZERO_P, kernel_of
+from lexiring.kernel import DENSE, NOTHING_ABOVE, ZERO_P, kernel_of
 from lexiring.laws import nonzero_value
 from lexiring.seq import least_positive
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, format_value, is_zero, one, parse_value, zero
@@ -129,8 +129,10 @@ def _random_desc(rng, depth):
 
 
 # SHA-256 of one line per descriptor (its text, validation outcome and ten facts) of 10,000 drawn by
-# _random_desc, as recorded while validation still walked each descriptor
-VALIDATION_DIGEST = "12787a44bb42fb4a24b14bf3b92b3909fcc2932328a975f7c7817d7fa245eaae"
+# _random_desc, as recorded while validation still walked each descriptor, then re-recorded when a mixed(...)
+# range that holds no level (lo > hi, or an N0 range that ends below 0) stopped claiming a least positive
+# element: 132 lines changed, each only in least_positive, from True to False
+VALIDATION_DIGEST = "86a8ecbce443fded0798342789f63eb010bf1ccae312817beca23b2058f1a4e3"
 
 
 def test_validation_outcomes_match_the_pinned_digest():
@@ -327,14 +329,33 @@ def test_mixed_least_positive_lies_at_the_least_level_with_residues(text, least)
 
 @pytest.mark.parametrize("default", [D.N0, D.NBAR0])
 def test_an_empty_mixed_range_has_no_least_positive_element(default):
-    # the parser refuses an empty range, but a descriptor built directly validates; its only element is 0,
-    # though its facts claim a least positive element, so a kernel must not take that element on the facts' word
-    empty = D.MixedInsert(D.Z, 1, -1, [], default)
-    for d in (empty, D.Insert(D.N0, empty)):
-        D.validate_desc(d)
-        assert kernel_of(d).least_positive is None, d
-        with pytest.raises(NotRepresentableError):
-            least_positive(d)
+    # the parser refuses an empty range, but a descriptor built directly validates: its only element is 0, so
+    # neither its facts nor its kernel give it, or N0 /\ it, a least positive element
+    for empty in (D.MixedInsert(D.Z, 1, -1, [], default), D.MixedInsert(D.N0, 3, 2, [], default)):
+        assert kernel_of(empty).succ(ZERO) is NOTHING_ABOVE, empty
+        for d in (empty, D.Insert(D.N0, empty)):
+            D.validate_desc(d)
+            assert not d.facts.least_positive and kernel_of(d).least_positive is None, d
+            with pytest.raises(NotRepresentableError):
+                least_positive(d)
+
+
+def test_the_kernel_builds_exactly_the_elements_the_facts_say_exist():
+    # the kernel reads d.facts for one, least_positive and a base's repeat_limit; this holds it to them over
+    # the distinct valid descriptors _random_desc draws
+    rng = random.Random(21)
+    seen = set()
+    for depth in (3, 4):
+        for _ in range(12000):
+            d = _random_desc(rng, depth)
+            if d.fault is not None or d in seen:
+                continue
+            seen.add(d)
+            f, k = d.facts, kernel_of(d)
+            assert (k.least_positive is not None) == f.least_positive, d
+            assert (k.one is not None) == f.semiring, d
+            assert k.base is None or (k.repeat_limit is not None) == f.summable, d
+    assert len(seen) > 1000
 
 
 def test_mixed_parse():
