@@ -183,10 +183,10 @@ def _fmt_map(desc, mapping):
 
 
 def _scene_arg(args):
-    from .scenes import load_scene
+    from .scenes import builtin_scene, load_scene
 
     if args.builtin:
-        return load_scene(args.builtin)
+        return builtin_scene(args.builtin)
     if not args.scene:
         raise ParseError("a scene file or --builtin name is required")
     return load_scene(args.scene)
@@ -268,12 +268,10 @@ def _cmd_prob(args, out: _Out) -> int:
         text = "; ".join(f"P({c}|{args.given})={obj['posteriors'][c]}" for c in cells)
         out.emit(obj, f"total={obj['total']}; {text}")
         return 0
-    pm = standardize(m)
-    atoms = _fmt_map(pm.desc, pm.base.atom_values)
-    out.emit(
-        {"depth": pm.total_depth, "atoms": atoms},
-        f"depth={pm.total_depth} " + " ".join(f"{a}={v}" for a, v in sorted(atoms.items())),
-    )
+    m = standardize(m)
+    depth, atoms = -m.attained_levels()[0], _fmt_map(m.desc, m.atom_values)
+    out.emit({"depth": depth, "atoms": atoms},
+             f"depth={depth} " + " ".join(f"{a}={v}" for a, v in sorted(atoms.items())))
     return 0
 
 

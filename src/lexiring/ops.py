@@ -17,7 +17,7 @@ from __future__ import annotations
 from .descriptors import regroup_desc, ungroup_desc
 from .errors import CapabilityError, DomainError, ShapeError
 from .kernel import EQ, GT, LT, TOP, ZERO, Pair, Scalar, Value, kernel_of
-from .values import check_value, is_zero, one, zero
+from .values import check_value, one, zero
 from .xreal import XReal
 
 

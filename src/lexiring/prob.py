@@ -1,11 +1,11 @@
 """Depth-valued probability on finite scenes.
 
-A probability measure here takes values in the semifield of pairs
-(integer level, finite positive rational); each attained level must
-carry total mass one.  Events whose classical probability vanishes keep
-a nonzero value at a negative level; ``depth`` is minus that level on a
-standard measure.  Division makes conditional probability and Bayes
-inference exact.
+A probability measure here is an ``LMeasure`` over the semifield of
+pairs (integer level, finite positive rational) whose attained levels
+each carry total mass one; ``standardize`` returns one in standard form.
+Events whose classical probability vanishes keep a nonzero value at a
+negative level; ``depth`` is minus that level on the standard measure.
+Division makes conditional probability and Bayes inference exact.
 
 Nested variants (levels that are themselves leveled, up to three deep)
 support validation, conditioning and Bayes; standardization for them is
@@ -27,7 +27,7 @@ from .integrate import SimpleFunction, integrate_lvalued, integrate_real
 from .kernel import kernel_of
 from .measure import LMeasure, align_levels, shift_levels
 from .ops import divide
-from .values import ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels, zero
+from .values import ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels
 from .xreal import ONE as XR_ONE
 from .xreal import XReal
 
@@ -39,21 +39,6 @@ def _require_prob_desc(d) -> int:
     if n > 3:
         raise CapabilityError("probability levels deeper than 3 are not supported")
     return n
-
-
-class PMeasure:
-    """A validated probability scene."""
-
-    def __init__(self, base: LMeasure, total_depth):
-        self.base = base
-        self.total_depth = total_depth
-
-    @property
-    def desc(self):
-        return self.base.desc
-
-    def value(self, E) -> Value:
-        return self.base.value(E)
 
 
 def level_masses(m: LMeasure) -> dict:
@@ -103,14 +88,12 @@ def _require_valid(m: LMeasure) -> int:
     return report["depth_levels"]
 
 
-def standardize(m: LMeasure) -> PMeasure:
-    """Shift the top attained level to zero and close interior gaps."""
+def standardize(m: LMeasure) -> LMeasure:
+    """m in standard form: top attained level 0, interior gaps closed; its depth is minus its least level."""
     n = _require_valid(m)
     if n == 1:
         shifted = shift_levels(m, -m.attained_levels()[-1])  # _require_valid refuses an all-zero measure
-        aligned = align_levels(shifted)
-        d = -aligned.attained_levels()[0]
-        return PMeasure(aligned, d)
+        return align_levels(shifted)
     # nested levels: shift so the componentwise maximum becomes the zero vector
     vecs = [
         level_vector(v, n)[0] for v in m.atom_values.values() if v is not ZERO
@@ -118,16 +101,15 @@ def standardize(m: LMeasure) -> PMeasure:
     kappa = tuple(-max(vec[i] for vec in vecs) for i in range(n))
     unit = stack_levels(kappa, XR_ONE)
     atom_values = {a: kernel_of(m.desc).mul(unit, v) for a, v in m.atom_values.items()}
-    out = LMeasure._built(m.desc, m.space, atom_values)
-    return PMeasure(out, -min(level_vector(v, n)[0][0] for v in out.atom_values.values() if v is not ZERO))
+    return LMeasure._built(m.desc, m.space, atom_values)
 
 
-def depth(m, E) -> int:
-    """Depth of an event under a standard single-level-stack measure."""
-    pm = m if isinstance(m, PMeasure) else standardize(m)
-    if kernel_of(pm.desc).prob_depth != 1:
+def depth(m: LMeasure, E) -> int:
+    """Depth of an event: minus its level under the standard form of a single-level-stack measure m."""
+    std = standardize(m)
+    if kernel_of(std.desc).prob_depth != 1:
         raise CapabilityError("depth is defined for single-stack probability measures")
-    v = pm.value(E)
+    v = std.value(E)
     if v is ZERO:
         raise DomainError("zero-measure events have no depth")
     return -v.level.x
@@ -135,42 +117,42 @@ def depth(m, E) -> int:
 
 def cond_prob(m, A, B) -> Value:
     """P(A | B) = value(A and B) / value(B), exactly."""
-    base = m.base if isinstance(m, PMeasure) else m
-    _require_prob_desc(base.desc)
-    ev_a = base.space.check_event(A)
-    ev_b = base.space.check_event(B)
-    atoms = base.space.atoms  # both events are checked: sum them as value(E) does, not checking again
-    vb = base._sum(filter(ev_b.__contains__, atoms))
-    if is_zero(base.desc, vb):
+    _require_prob_desc(m.desc)
+    ev_a = m.space.check_event(A)
+    ev_b = m.space.check_event(B)
+    atoms = m.space.atoms  # both events are checked: sum them as value(E) does, not checking again
+    vb = m._sum(filter(ev_b.__contains__, atoms))
+    k = kernel_of(m.desc)
+    if k.is_zero(vb):
         raise DomainError("conditioning on a zero-measure event")
-    vab = base._sum(filter((ev_a & ev_b).__contains__, atoms))
-    if is_zero(base.desc, vab):
-        return zero(base.desc)
-    return divide(base.desc, vab, vb)
+    vab = m._sum(filter((ev_a & ev_b).__contains__, atoms))
+    if k.is_zero(vab):
+        return k.zero
+    return divide(m.desc, vab, vb)
 
 
 def bayes(m, partition, B) -> dict:
     """Posterior table over a partition given the event B.
 
-    Returns conditionals P(B|A_i), priors P(A_i), the total
-    P(B) = sum_i P(B|A_i) P(A_i), and posteriors P(A_i|B); posteriors are
-    cross-checked against direct conditioning, P(A_i and B) / P(B).
+    Returns conditionals P(B|A_i) = P(A_i and B) / P(A_i), priors P(A_i),
+    the total P(B) and posteriors P(A_i|B) = P(A_i and B) / P(B), each
+    computed once; ``laws.prob_laws`` checks that they obey the law of
+    total probability and Bayes' rule.
 
     The cells are checked and summed one at a time, in partition order.
     A cell's prior and its part inside B are sums over sets: a probability
     structure is never ``double(...)``, so no sum depends on the order of
     its terms.  P(B) sums those disjoint parts.
     """
-    base = m.base if isinstance(m, PMeasure) else m
-    d = base.desc
+    d = m.desc
     _require_prob_desc(d)
     k = kernel_of(d)
     cells = []
     for name_or_set in partition:
         if isinstance(name_or_set, str):
-            cells.append((name_or_set, base.space.event(name_or_set)))
+            cells.append((name_or_set, m.space.event(name_or_set)))
         else:
-            cells.append((f"cell{len(cells) + 1}", base.space.check_event(name_or_set)))
+            cells.append((f"cell{len(cells) + 1}", m.space.check_event(name_or_set)))
     if len({name for name, _ in cells}) != len(cells):
         raise DomainError("partition cell names repeat")
     seen, prior_of = frozenset(), []
@@ -178,40 +160,33 @@ def bayes(m, partition, B) -> dict:
         if seen & ev:
             raise DomainError(f"partition cells overlap at {sorted(seen & ev)}")
         seen |= ev
-        prior_of.append(base._sum(ev))
+        prior_of.append(m._sum(ev))
         if k.is_zero(prior_of[-1]):
             raise DomainError(f"partition cell {name!r} has zero measure")
-    if seen != frozenset(base.space.atoms):
+    if seen != frozenset(m.space.atoms):
         raise DomainError("partition does not cover the atom space")
-    ev_b = base.space.event(B) if isinstance(B, str) else base.space.check_event(B)
-    joint_of = [base._sum(ev & ev_b) for _, ev in cells]
+    ev_b = m.space.event(B) if isinstance(B, str) else m.space.check_event(B)
+    joint_of = [m._sum(ev & ev_b) for _, ev in cells]
     vb = k.sum(joint_of)
     if k.is_zero(vb):
         raise DomainError("conditioning on a zero-measure event")
 
-    conditionals, priors, terms = {}, {}, []
+    conditionals, priors, posteriors = {}, {}, {}
     for (name, _), prior, joint in zip(cells, prior_of, joint_of):
-        cond = k.zero if k.is_zero(joint) else divide(d, joint, prior)
-        conditionals[name] = cond
+        null = k.is_zero(joint)
+        conditionals[name] = k.zero if null else divide(d, joint, prior)
         priors[name] = prior
-        terms.append(k.mul(cond, prior))
-    total = k.sum(terms)
-    posteriors = {}
-    for (name, _), term, joint in zip(cells, terms, joint_of):
-        posteriors[name] = k.zero if k.is_zero(term) else divide(d, term, total)
-        direct = k.zero if k.is_zero(joint) else divide(d, joint, vb)
-        if posteriors[name] != direct:
-            raise AssertionError(f"posterior for {name!r} disagrees with direct conditioning")
+        posteriors[name] = k.zero if null else divide(d, joint, vb)
     return {
         "conditionals": conditionals,
         "priors": priors,
-        "total": total,
+        "total": vb,
         "posteriors": posteriors,
     }
 
 
-def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> PMeasure:
-    """Integrate a density against a scene, then renormalize each level to mass one."""
+def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> LMeasure:
+    """Integrate a density against a scene, renormalize each level to mass one, and standardize."""
     if kernel_of(mu.desc).prob_depth != 1:
         raise CapabilityError("densities are supported over single-stack probability scenes")
     atom_values = {}

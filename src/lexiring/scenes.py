@@ -121,10 +121,9 @@ def _read_json(path):
         raise ParseError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_scene(path_or_builtin: str) -> LMeasure:
-    if path_or_builtin in BUILTIN_SCENES:
-        return scene_from_dict(BUILTIN_SCENES[path_or_builtin])
-    return scene_from_dict(_read_json(path_or_builtin))
+def load_scene(path: str) -> LMeasure:
+    """The scene document in the file at path, even one named like a built-in scene."""
+    return scene_from_dict(_read_json(path))
 
 
 def builtin_scene(name: str) -> LMeasure:

@@ -30,7 +30,9 @@ def zero(d) -> Value:
 
 
 def is_zero(d, v: Value) -> bool:
-    return kernel_of(d).is_zero(v)
+    """Whether v is the additive identity of d; ShapeError unless v is well-shaped for d."""
+    k = kernel_of(d)
+    return k.is_zero(k.check(v))
 
 
 def one(d) -> Value:

@@ -107,6 +107,18 @@ def test_scene_files_roundtrip(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+def test_a_scene_file_named_like_a_builtin_scene_is_read_as_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dartboard").write_text(json.dumps({"structure": "P", "atoms": [{"id": "a", "value": "(0,1)"}]}))
+    assert main(["measure", "validate", "dartboard"]) == 0
+    assert capsys.readouterr().out == "ok: 1 atoms, events []\n"
+    assert main(["measure", "validate", "--builtin", "dartboard"]) == 0
+    assert capsys.readouterr().out.startswith("ok: 9 atoms")
+    (tmp_path / "dartboard").unlink()
+    assert main(["measure", "validate", "dartboard"]) == 2
+    assert capsys.readouterr().err == "parse error: cannot read 'dartboard': No such file or directory\n"
+
+
 def test_tree_cli(tmp_path, capsys):
     doc = {
         "structure": "O",
@@ -947,6 +959,43 @@ def _readme_command_lines():
             if argv[0] != "selfcheck":
                 lines.append(argv)
     return lines
+
+
+def test_readme_command_lines_do_not_depend_on_the_hash_seed(tmp_path):
+    from test_prob import _random_p_scene
+
+    # every README command line over one document per placeholder, and Bayes on a P scene of 200 atoms and 8 cells
+    files = {}
+    for placeholder, kind in FUZZ_PLACEHOLDERS.items():
+        files[placeholder] = tmp_path / f"{kind}.json"
+        files[placeholder].write_text(json.dumps(FUZZ_DOCS[kind][0]))
+    rng = random.Random(31)
+    events = {f"C{j}": [f"a{i}" for i in range(j, 200, 8)] for j in range(8)}
+    events["B"] = [f"a{i}" for i in range(200) if rng.random() < 0.4]
+    scene = tmp_path / "bayes.json"
+    scene.write_text(json.dumps(scenes.scene_to_dict(_random_p_scene(rng, 200, 0, events))))
+    lines = [[str(files.get(a, a)) for a in argv] for argv in _readme_command_lines()]
+    lines.append(["prob", "bayes", str(scene), "--partition", ",".join(f"C{j}" for j in range(8)), "--given", "B"])
+    calls = [fmt + argv for fmt in ([], ["--format", "json"]) for argv in lines]
+    # one process per hash seed runs every call; each call's exit code, stdout and stderr become one JSON line
+    script = ("import contextlib, io, json, sys\n"
+              "from lexiring.cli import main\n"
+              "for argv in json.load(sys.stdin):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n")
+    runs = []
+    for seed in (0, 1):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(SRC_DIR)}
+        proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(calls).encode(), env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    results = [json.loads(line) for line in runs[0].splitlines()]
+    assert len(results) == len(calls) == 2 * 21
+    assert all(code == 0 and err == "" for code, _, err in results), [(c, r) for c, r in zip(calls, results) if r[0]]
 
 
 def _mutate_text(rng, text):

@@ -320,7 +320,7 @@ def _outcome(f, *args):
 
 def _standard_form(m):
     pm = standardize(m)
-    return pm.total_depth, dict(pm.base.atom_values)
+    return -pm.attained_levels()[0], dict(pm.atom_values)
 
 
 def _random_measure(rng, struct):

@@ -100,29 +100,29 @@ def test_cond_prob_shift_invariant():
 def test_standardize_shifted_scene():
     m = shift_levels(builtin_scene("dartboard"), 3)  # levels {3, 2}
     pm = standardize(m)
-    assert pm.base.attained_levels() == [-1, 0]
-    assert pm.total_depth == 1
-    assert pm.base.atom_values == builtin_scene("dartboard").atom_values
+    assert pm.attained_levels() == [-1, 0]
+    assert -pm.attained_levels()[0] == 1
+    assert pm.atom_values == builtin_scene("dartboard").atom_values
 
 
 def test_standardize_already_standard():
     pm = standardize(builtin_scene("dartboard"))
-    assert pm.base.atom_values == builtin_scene("dartboard").atom_values
-    assert pm.total_depth == 1
+    assert pm.atom_values == builtin_scene("dartboard").atom_values
+    assert -pm.attained_levels()[0] == 1
 
 
 def test_depth2_scene():
     pm = standardize(builtin_scene("dartboard-depth2"))
-    assert pm.total_depth == 2
+    assert -pm.attained_levels()[0] == 2
     assert depth(pm, ("center",)) == 2
-    assert depth(pm, pm.base.space.event("cross")) == 1
-    assert depth(pm, pm.base.space.event("upper")) == 0
+    assert depth(pm, pm.space.event("cross")) == 1
+    assert depth(pm, pm.space.event("upper")) == 0
 
 
 def test_depth_examples():
     pm = standardize(builtin_scene("dartboard"))
-    assert depth(pm, pm.base.space.event("cross")) == 1
-    assert depth(pm, pm.base.space.event("upper")) == 0
+    assert depth(pm, pm.space.event("cross")) == 1
+    assert depth(pm, pm.space.event("upper")) == 0
     with pytest.raises(DomainError):
         depth(pm, ("center",))
 
@@ -158,6 +158,34 @@ def test_bayes_reads_p_of_b_off_the_joints(monkeypatch, given, checks):
     out = bayes(m, ["Q1", "Q2", "Q3", "Q4"], given)
     assert len(calls) == checks
     assert out["total"] == pv("P", "(-1,1/2)")
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("posteriors are the conditionals", "Bayes' rule failed for 'cell1'"),
+    ("total doubled", "total probability law failed"),
+    ("conditionals doubled", "total probability law failed"),
+])
+def test_prob_laws_catch_a_broken_bayes(monkeypatch, fault, detail):
+    # bayes computes each quantity once; the law suite checks the law of total probability and Bayes' rule
+    import lexiring.prob as prob_mod
+    from lexiring.kernel import kernel_of
+    from lexiring.laws import prob_laws
+
+    real_bayes = prob_mod.bayes
+
+    def planted(m, partition, B):
+        out, k = real_bayes(m, partition, B), kernel_of(m.desc)
+        if fault == "posteriors are the conditionals":
+            out["posteriors"] = out["conditionals"]
+        elif fault == "total doubled":
+            out["total"] = k.add(out["total"], out["total"])
+        else:
+            out["conditionals"] = {name: k.add(c, c) for name, c in out["conditionals"].items()}
+        return out
+
+    assert [r.line() for r in prob_laws(0, 20)] == ["PASS prob: total_probability_and_shift (cases=20)"]
+    monkeypatch.setattr(prob_mod, "bayes", planted)
+    assert [r.line() for r in prob_laws(0, 20)] == [f"FAIL prob: total_probability_and_shift (cases=1) -- {detail}"]
 
 
 def test_bayes_two_cell_symmetry():
@@ -236,12 +264,12 @@ def test_law_of_total_probability_exhaustive_small():
 
 def test_depth_range_invariant():
     pm = standardize(builtin_scene("dartboard-depth2"))
-    atoms = pm.base.space.atoms
+    atoms = pm.space.atoms
     for mask in range(1, 2 ** len(atoms)):
         ev = [a for i, a in enumerate(atoms) if mask >> i & 1]
         v = pm.value(ev)
         if v is not ZERO:
-            assert 0 <= depth(pm, ev) <= pm.total_depth
+            assert 0 <= depth(pm, ev) <= -pm.attained_levels()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +312,7 @@ def test_nested_standardize_shifts_to_zero_vector():
     m = LMeasure(d, space, {"a": pv("Pn(2)", "(-1,-2,1)"), "b": pv("Pn(2)", "(-2,-1,1)")})
     pm = standardize(m)
     vecs = sorted(
-        (v.level.x, v.residue.level.x) for v in pm.base.atom_values.values()
+        (v.level.x, v.residue.level.x) for v in pm.atom_values.values()
     )
     assert vecs == [(-1, 0), (0, -1)]
 
@@ -310,7 +338,7 @@ def test_unit_density_reproduces_scene():
     m = builtin_scene("dartboard")
     f = SimpleFunction.lvalued(m.desc, {a: pv("P", "(0,1)") for a in m.space.atoms})
     pm = normalize_from_density(m, f)
-    assert pm.base.atom_values == m.atom_values
+    assert pm.atom_values == m.atom_values
 
 
 def test_density_renormalizes_levels():
@@ -321,18 +349,18 @@ def test_density_renormalizes_levels():
     vals["center"] = pv("P", "(0,1)")
     f = SimpleFunction.lvalued(m.desc, vals)
     pm = normalize_from_density(m, f)
-    report = validate_probability(pm.base)
+    report = validate_probability(pm)
     assert report["ok"]
     # direct level-wise normalization oracle
-    got_q1 = pm.base.atom_values["q1"]
+    got_q1 = pm.atom_values["q1"]
     assert got_q1 == pv("P", "(0,3/8)")  # 1/2 / (4/3)
-    assert pm.base.atom_values["rv_up"] == pv("P", "(-1,1/4)")
+    assert pm.atom_values["rv_up"] == pv("P", "(-1,1/4)")
 
 
 def test_real_density_renormalizes_each_level():
     m = builtin_scene("dartboard")
     f = SimpleFunction.real({a: XReal(3 if a == "q1" else 1) for a in m.space.atoms})
-    got = normalize_from_density(m, f).base.atom_values
+    got = normalize_from_density(m, f).atom_values
     assert got["q1"] == pv("P", "(0,1/2)")
     assert got["q2"] == got["q3"] == got["q4"] == pv("P", "(0,1/6)")
 
@@ -371,7 +399,7 @@ def test_a_normalized_density_builds_its_measure_unchecked(monkeypatch):
     monkeypatch.setattr(LMeasure, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
     pm = normalize_from_density(m, f)
     assert len(calls) == 0
-    assert pm.base.atom_values["q1"] == pv("P", "(0,1/2)")
+    assert pm.atom_values["q1"] == pv("P", "(0,1/2)")
 
 
 def test_density_with_level_shift():
@@ -380,9 +408,9 @@ def test_density_with_level_shift():
     m = LMeasure(d, space, {"a": pv("P", "(0,1/2)"), "b": pv("P", "(0,1/2)")})
     f = SimpleFunction.lvalued(d, {"a": pv("P", "(1,1)"), "b": pv("P", "(0,1)")})
     pm = normalize_from_density(m, f)
-    assert validate_probability(pm.base)["ok"]
-    assert pm.base.atom_values["a"] == pv("P", "(0,1)")
-    assert pm.base.atom_values["b"] == pv("P", "(-1,1)")
+    assert validate_probability(pm)["ok"]
+    assert pm.atom_values["a"] == pv("P", "(0,1)")
+    assert pm.atom_values["b"] == pv("P", "(-1,1)")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +430,8 @@ def _fold(m, atoms):
 
 def _bayes_per_cell(m, cells, b_atoms):
     """Bayes the way it was computed before the one-pass version: per cell, value() and cond_prob()."""
-    from lexiring.ops import add, divide, is_zero, mul, zero
+    from lexiring.ops import add, divide, mul, zero
+    from lexiring.values import is_zero
 
     d = m.desc
     conditionals, priors, terms, direct = {}, {}, {}, {}
@@ -565,34 +594,3 @@ def test_bayes_matches_a_cell_by_cell_reference_on_random_partitions():
         seen_as = "ok" if got[0] == "ok" else got[1].split(" '")[0].split(" at [")[0]  # the message, no names
         seen[seen_as] = seen.get(seen_as, 0) + 1
     assert len(seen) == 5 and min(seen.values()) >= 10, seen
-
-
-def test_bayes_output_does_not_depend_on_the_hash_seed(tmp_path):
-    import json
-    import os
-    import pathlib
-    import random
-    import subprocess
-    import sys
-
-    from lexiring.scenes import scene_to_dict
-
-    # a P scene of 200 atoms with eight named cells and an event B
-    rng = random.Random(31)
-    events = {f"C{j}": [f"a{i}" for i in range(j, 200, 8)] for j in range(8)}
-    events["B"] = [f"a{i}" for i in range(200) if rng.random() < 0.4]
-    scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(scene_to_dict(_random_p_scene(rng, 200, 0, events))))
-    calls = [["prob", "bayes", "--builtin", "dartboard", "--partition", "Q1,Q2,Q3,Q4", "--given", "hline"],
-             ["prob", "bayes", str(scene), "--partition", ",".join(f"C{j}" for j in range(8)), "--given", "B"]]
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    outputs = {}
-    for seed in (0, 1):
-        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
-        for fmt in ([], ["--format", "json"]):
-            for argv in calls:
-                proc = subprocess.run([sys.executable, "-m", "lexiring", *fmt, *argv], env=env, capture_output=True,
-                                      timeout=60)
-                assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
-                outputs.setdefault((tuple(fmt), tuple(argv)), set()).add(proc.stdout)
-    assert all(len(seen) == 1 for seen in outputs.values()), outputs

@@ -566,6 +566,13 @@ def test_residue_of_zero_is_zero():
     assert is_zero(D.RC, ops.residue(d, ZERO))
 
 
+@pytest.mark.parametrize("v", [ZERO, TOP], ids=["ZERO", "TOP"])
+def test_is_zero_refuses_a_value_outside_the_structure(v):
+    # Rc has no adjoined zero and no top: the public test checks its operand, as every public operation does
+    with pytest.raises(ShapeError):
+        is_zero(D.RC, v)
+
+
 def test_level_undefined_cases():
     with pytest.raises(DomainError):
         ops.level(parse_struct("Obar"), TOP)
