@@ -34,7 +34,8 @@ _GENS = ("repeat", "levelramp", "resramp")
 class _ExprEval(TokenStream):
     """Expressions over literals, parsed on one token stream.
 
-    The kernel's ``read`` reads each literal on this cursor; it is checked whole.
+    The kernel's ``parse`` reads and checks each literal on this cursor, and
+    where a term or factor starts its ``run`` may read a run of them whole.
 
     Where an atom may be a literal or a parenthesised expression, the
     literal is tried first.  When every route fails, the error raised is
@@ -73,20 +74,22 @@ class _ExprEval(TokenStream):
         return "value", v
 
     def expr(self):
-        terms, toks = [self.product()], self.toks
-        while self.pos < len(toks) and toks[self.pos] == "+":
+        terms, toks, run = [], self.toks, self.k.run
+        while True:  # where a term starts, a run of plain literals is read whole if the kernel reads one
+            terms.append(run and run(self, "+") or self.product())  # a run value, a Pair, is true
+            if self.pos >= len(toks) or toks[self.pos] != "+":
+                return terms[0] if len(terms) == 1 else self.k.sum(terms)
             self.pos += 1
-            terms.append(self.product())
-        return terms[0] if len(terms) == 1 else self.k.sum(terms)
 
     def product(self):
-        factors, toks = [self.atom()], self.toks
-        while self.pos < len(toks) and toks[self.pos] == "*":
-            self.pos += 1
-            factors.append(self.atom())
+        factors, toks, run = [], self.toks, self.k.run
+        while True:
+            factors.append(run and run(self, "*") or self.atom())
             if len(factors) == 2:
                 ops.require_semiring(self.d)  # as soon as a second factor is read, before a third
-        return factors[0] if len(factors) == 1 else self.k.prod(factors)
+            if self.pos >= len(toks) or toks[self.pos] != "*":
+                return factors[0] if len(factors) == 1 else self.k.prod(factors)
+            self.pos += 1
 
     def atom(self):
         tok = self.peek()
@@ -103,7 +106,7 @@ class _ExprEval(TokenStream):
             raise self.error("cmp(...) only makes sense at the top level")
         save, k = self.pos, self.k
         try:
-            return k.check(k.read(self))
+            return k.parse(self)
         except (ParseError, ShapeError) as exc:
             if self.pos > self.furthest[0]:
                 self.furthest = (self.pos, exc)
@@ -115,9 +118,6 @@ class _ExprEval(TokenStream):
             return v
         tok = self.next()
         raise self.error(f"unexpected token {tok!r}")
-
-    def literal(self, k):
-        return k.check(k.read(self))
 
     def series(self, which: str):
         self.expect("(")
@@ -131,19 +131,19 @@ class _ExprEval(TokenStream):
                 self.next()
                 self.expect("(")
                 if tok == "repeat":
-                    tail = Repeat(self.literal(self.k))
+                    tail = Repeat(self.k.parse(self))
                 elif tok == "levelramp":
                     require_int_levels(self.d)
                     start = self.int()
                     self.expect(",")
                     step = self.int()
                     self.expect(",")
-                    tail = LevelRamp(start, step, self.literal(self.k.parts[1]))
+                    tail = LevelRamp(start, step, self.k.parts[1].parse(self))
                 else:
                     require_int_levels(self.d)
                     lev = self.int()
                     self.expect(",")
-                    tail = ResidueRamp(lev, self.literal(self.k.parts[1]))
+                    tail = ResidueRamp(lev, self.k.parts[1].parse(self))
                 self.expect(")")
             else:
                 head.append(self.expr())
@@ -416,7 +416,3 @@ def main(argv=None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,9 +21,9 @@ captures its parts' closures, so no call walks the descriptor again
 (Feeley & Lapalme, "Using closures for code generation", Computer
 Languages 12(1), 1987).  All but ``check`` assume well-shaped operands.
 A pairing of two bases compiles its ``check`` as one inline test of
-exact types and payloads, and one with an integer level its ``read`` off
-the token list; each takes the common case at once and hands anything
-else to the composed one, so every verdict and every error is its.
+exact types and payloads, and one with an integer level its ``read``,
+``parse`` and ``run`` off the tokens; each takes the common case and
+hands anything else to the composed one: every verdict and error is its.
 
 Seeded draws take their integers from ``_below(rng, n)``, which draws
 ``getrandbits(n.bit_length())`` until the result is below n, as CPython's
@@ -174,9 +174,14 @@ class Kernel:
 
     ``read(ts)`` reads one literal from a ``TokenStream`` and leaves it
     unchecked: callers check it whole, so a literal cut short is a parse
-    error before any shape error.  ``body(ts)`` reads a pair without its
-    parentheses, which flat-tuple sugar continues; it is None for bases
-    and ``double(...)``.  ``fmt(v)`` is v's canonical literal.  ``inv(v)``
+    error before any shape error; ``parse(ts)`` reads one and checks it.
+    ``run(ts, op)``, None unless d pairs an ``N0``/``Z`` level with a base,
+    folds the longest run of plain literals joined by op ("+" or "*"; in a
+    semifield also ``inv`` of one; a "+" run stops before one a "*" follows)
+    in n int parses and one XReal, where n reads build n Pairs and XReals.
+    It returns None if it reads none.  ``body(ts)`` reads a pair without its
+    parentheses, which flat-tuple sugar continues; it is None for bases and
+    ``double(...)``.  ``fmt(v)`` is v's canonical literal.  ``inv(v)``
     inverts a nonzero v of a semiring: a pairing negates its level (in
     ``Z``, or ``N0`` at 0), then inverts its residue.
     """
@@ -184,15 +189,15 @@ class Kernel:
     __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
                  "facts", "semiring", "semifield", "int_levels", "prob_depth", "read", "body", "fmt", "inv",
                  "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up",
-                 "base", "parts", "sliceable", "bar", "neg")
+                 "base", "parts", "sliceable", "bar", "neg", "run", "parse")
 
     def __init__(self, text, facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
                  prod=None, succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
                  step_up=None, body=None, inv=None, parts=None, int_levels=False, sliceable=False, bar=False,
-                 nonzero=None, base=None, neg=None):
+                 nonzero=None, base=None, neg=None, run=None, parse=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
-        self.add, self.gen, self.prob_depth = add, gen, prob_depth
-        self.read, self.body, self.fmt = read, body, fmt
+        self.add, self.gen, self.prob_depth, self.parse = add, gen, prob_depth, parse or (lambda ts: check(read(ts)))
+        self.read, self.body, self.fmt, self.run = read, body, fmt, run
         self.least_positive, self.repeat_limit = least_positive, repeat_limit
         self.residue_kernel, self.succ, self.step_up = residue_kernel, succ, step_up
         self.base, self.parts, self.int_levels, self.sliceable, self.bar, self.neg = (
@@ -530,35 +535,65 @@ def _fused_check(a, b, nonzero_b, composed):
     return check
 
 
-def _fused_read(rational, composed):
-    """The read of an integer level paired with a base: "(" [-] digits "," digits [/ digits] ")" off ts.toks.
+def _fused_run(level, base, full, facts, composed, check):
+    """``read``, ``parse`` and ``run`` of an integer level paired with a base, off ts.toks (see ``Kernel``).
 
-    It builds what the composed read builds.  At anything else (inf, top, a bare 0, a zero denominator, a
-    third component, the end of the input) it hands over with ts.pos unmoved, so every error is composed's.
+    ``scan`` tells a plain literal the check takes by its tokens.  At anything else (inf, top, a bare 0, a zero
+    or 0-led residue, a 0-led denominator, a "/" in ``Nbar0``, a third component, the input's end) the reads
+    hand over with ts.pos unmoved, so every error is composed's, and a run stops.
     """
-    def read(ts):
-        toks, i = ts.toks, ts.pos
+    signed, rational, slash, lo = level == "Z", base != "N0", base in ("Rc", "Ro"), "0" if full else "1"
+
+    def scan(toks, k):
+        # the plain literal whose "(" is toks[k]: (level negated, level, numerator, denominator or None, end)
         try:
-            if toks[i] == "(":
-                x = toks[i + 1]
-                neg = x == "-"
-                if neg:
-                    i += 1
-                    x = toks[i + 1]
-                y, end = toks[i + 3], toks[i + 4]
-                if "0" <= x[0] <= "9" and toks[i + 2] == "," and "0" <= y[0] <= "9":
-                    level = Scalar(-int(x) if neg else int(x))
-                    if end == ")":
-                        ts.pos = i + 5
-                        return Pair(level, Scalar(XReal(int(y)) if rational else int(y)))
-                    den = toks[i + 5]
-                    if end == "/" and rational and "1" <= den[0] <= "9" and toks[i + 6] == ")":
-                        ts.pos = i + 7
-                        return Pair(level, Scalar(XReal(int(y), int(den))))
+            neg = signed and toks[k + 1] == "-"
+            j = k + neg
+            x, y, end = toks[j + 1], toks[j + 3], toks[j + 4]
+            if toks[k] == "(" and "0" <= x[0] <= "9" and toks[j + 2] == "," and lo <= y[0] <= "9":
+                if end == ")":
+                    return neg, x, y, None, j + 5
+                if end == "/" and slash and "1" <= toks[j + 5][0] <= "9" and toks[j + 6] == ")":
+                    return neg, x, y, toks[j + 5], j + 7
         except IndexError:  # the input ends inside the literal
             pass
-        return composed(ts)
-    return read
+        return None
+
+    def reader(hand_over):
+        def read(ts):
+            r = scan(ts.toks, ts.pos)
+            if r is None:
+                return hand_over(ts)
+            neg, x, y, den, ts.pos = r
+            residue = XReal(int(y), int(den)) if den else XReal(int(y)) if rational else int(y)
+            return Pair(Scalar(-int(x) if neg else int(x)), Scalar(residue))
+        return read
+
+    def run(ts, op):
+        toks, at, lev, last = ts.toks, ts.pos, None, len(ts.toks) - 1
+        while op == "+" or facts.semiring:  # a "*" run outside a semiring reads nothing
+            inv = facts.semifield and at < last and toks[at] == "inv" and toks[at + 1] == "("
+            r = scan(toks, at + 2 if inv else at)
+            if r is None:
+                break
+            neg, x, y, den, k = r
+            k += inv  # past the ")" of an inv
+            follow = toks[k] if k <= last else None
+            if inv and toks[k - 1:k] != [")"] or op == "+" and follow == "*":
+                break
+            x, num, den = -int(x) if neg != inv else int(x), int(y), int(den) if den else 1
+            num, den = (den, num) if inv else (num, den)  # inv negates the level and turns the residue over
+            if lev is None or op == "+" and x > lev:
+                lev, n, d = x, num, den
+            elif op == "*":
+                lev, n, d = lev + x, n * num, d * den
+            elif x == lev:
+                n, d = n * den + num * d, d * den
+            ts.pos, at = k, k + 1  # the next literal starts past op
+            if follow != op:
+                break
+        return None if lev is None else Pair(Scalar(lev), Scalar(XReal(n, d) if rational else n))
+    return reader(composed), reader(lambda ts: check(composed(ts))), run
 
 
 def _compile_pairing(d, text: str) -> Kernel:
@@ -686,14 +721,14 @@ def _compile_pairing(d, text: str) -> Kernel:
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
     one = Pair(ka.zero, kb.one)  # dropped outside semirings
     int_levels = not full and int_level in ("N0", "Z")
-    read = _read_pair(text, bar, zero, body)
+    read, parse, run = _read_pair(text, bar, zero, body), None, None
     if int_level in ("N0", "Z") and kb.base:
-        read = _fused_read(_PAYLOADS[kb.base][0] is XReal, read)
+        read, parse, run = _fused_run(int_level, kb.base, full, d.facts, read, check)
     return Kernel(text, d.facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth,
                   _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
                   one, least_positive, None, residue_kernel, step_up, body, inv, None if full else (ka, kb),
-                  int_levels, int_levels and kb.base in ("Rc", "Ro"), bar)
+                  int_levels, int_levels and kb.base in ("Rc", "Ro"), bar, run=run, parse=parse)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,7 @@ def check_value(d, v: Value) -> Value:
 def parse_value(d, text: str) -> Value:
     """The literal text, read and checked whole by d's kernel."""
     ts = TokenStream(text)
-    k = kernel_of(d)
-    v = k.check(k.read(ts))
+    v = kernel_of(d).parse(ts)
     ts.done()
     return v
 

@@ -352,13 +352,12 @@ class _RefExprEval(_ExprEval, _RefParser):
 
     def __init__(self, desc, text):
         super().__init__(desc, text)
-        # atoms read through self.k.read: a copy of the kernel whose read is the reference parser's
+        # literals read through self.k.parse: a copy of the kernel whose parse is the reference parser's and
+        # check_value, and whose residue part's is too (series ramps read residues of an insertion), with no run
         ops_ = {name: getattr(self.k, name) for name in Kernel.__slots__}
-        self.k = types.SimpleNamespace(**{**ops_, "read": lambda ts: ts.value(desc)})
-
-    def literal(self, k):
-        d = self.d if k is self.k else self.d.b  # series ramps read residues of an insertion
-        return check_value(d, self.value(d))
+        residue = types.SimpleNamespace(parse=lambda ts: check_value(desc.b, ts.value(desc.b)))
+        self.k = types.SimpleNamespace(**{**ops_, "parse": lambda ts: check_value(desc, ts.value(desc)), "run": None,
+                                          "parts": ops_["parts"] and (None, residue)})
 
 
 def _ref_eval(struct_text, expr_text):
@@ -434,6 +433,117 @@ def test_a_bare_zero_reads_as_the_reference_reads_it():
             assert _outcome(parse_value, d, lit) == _outcome(_ref_parse, d, lit), (text, lit)
 
 
+# ---------------------------------------------------------------------------
+# the kernel's run reader: a flat chain of plain literals read and folded at once
+# ---------------------------------------------------------------------------
+
+def _run_exprs(lit):
+    """Expressions with lit first, in the middle and last of "*" and "+" runs, bare and inverted, and in
+    products, sums, parentheses and the arguments of cmp(...) and sum(...) next to plain literals."""
+    a, b = "(1,1)", "(2,3)"
+    exprs = []
+    for x in (lit, f"inv({lit})"):
+        for op in "*+":
+            exprs += [op.join((x, a, b)), op.join((a, x, b)), op.join((a, b, x))]
+        exprs += [f"{a}+{x}*{b}+{a}", f"{x}*{a}+{b}*{a}", f"{a}*{b}+{a}*{x}", f"({a}+{x})*{b}", f"{a}*({x}+{b})",
+                  f"cmp({a}*{x},{b}+{a})", f"sum({a}+{x},{b}*{a})"]
+    return exprs
+
+
+def test_run_reader_matches_the_reference_at_the_pair_edges():
+    # every pairing of two bases that compiles a run reader: an N0 or Z level (the others read as before)
+    outcomes, runs = collections.Counter(), 0
+    for a, op, b in itertools.product(D.BASE_NAMES, ("/\\", "\\/", "b/\\", "b\\/"), D.BASE_NAMES):
+        text = f"{a} {op} {b}"
+        kind, d = _outcome(parse_struct, text)
+        if kind != "value" or kernel_of(d).run is None:
+            continue
+        runs += 1
+        for lit in _PAIR_EDGES:
+            for expr in _run_exprs(lit):
+                got = _outcome(eval_expression, text, expr)
+                assert got == _outcome(_ref_eval, text, expr), (text, expr)
+                outcomes[got[0]] += 1
+    assert runs == 24
+    assert min(outcomes[kind] for kind in ("value", "ParseError", "ShapeError", "CapabilityError",
+                                           "DomainError")) >= 10, outcomes
+
+
+def _random_chain(rng, d):
+    """1 to 40 literals of d joined by "*", "+" or both; in a semifield about a quarter inverted (elsewhere,
+    where inv is an error, few), and a few of them pair edges, where a run reader stops."""
+    f = facts(d)
+    joiners, inverted = rng.choice(("*", "+", "*+") if f.semiring else ("+", "+", "*+")), 0.25 if f.semifield else 0.01
+    parts = []
+    for _ in range(rng.randint(1, 40)):
+        lit = rng.choice(_PAIR_EDGES) if rng.random() < 0.02 else format_value(d, random_value(rng, d))
+        parts += [rng.choice(joiners), f"inv({lit})" if rng.random() < inverted else lit]
+    return "".join(parts[1:])
+
+
+def test_run_reader_matches_the_reference_on_random_chains():
+    rng, outcomes = random.Random(23), collections.Counter()
+    structs = [(text, parse_struct(text)) for text in ORACLE_STRUCTS]
+    for _ in range(2000):
+        text, d = rng.choice(structs)
+        expr = _random_chain(rng, d)
+        got = _outcome(eval_expression, text, expr)
+        assert got == _outcome(_ref_eval, text, expr), (text, expr)
+        outcomes[got[0], kernel_of(d).run is not None] += 1
+    # the run reader's structures give values and each kind of error; the others stay in the comparison
+    kinds = ("value", "ParseError", "ShapeError", "CapabilityError", "DomainError")
+    assert min(outcomes[kind, True] for kind in kinds) >= 10 and outcomes["value", False] >= 100, outcomes
+
+
+def test_run_reader_returns_none_where_it_reads_nothing_and_stops_before_what_it_does_not_take():
+    k = kernel_of(parse_struct("P"))
+    for text, op, value, pos in [
+        ("(0,inf)*(1,1)", "*", None, 0), ("inv((0,1)+(0,1))", "*", None, 0), ("(1,1)*(2,3)", "+", None, 0),
+        ("(1,1)*(0,inf)", "*", "(1,1)", 5), ("(1,1)+(2,3)*(3,3)", "+", "(1,1)", 5),
+        ("(1,1/2)*inv((-2,3/4))*(0,5)", "*", "(3,10/3)", 25), ("(1,1/2)+(1,1/3)+(0,9)+", "+", "(1,5/6)", 21),
+        ("(1,1)*(0,07)", "*", "(1,1)", 5), ("(1,1)+inv((0,1)", "+", "(1,1)", 5),
+    ]:
+        ts = TokenStream(text)
+        v = k.run(ts, op)
+        assert (v if v is None else k.fmt(v), ts.pos) == (value, pos), text
+    assert [kernel_of(parse_struct(t)).run for t in ("Rc", "Sn(2)", "double(P)", "mixed(Z; 0..1; 0:Rc)")] == [None] * 4
+    # read and parse take one literal on the run's scanner, and no inv(...), which is no literal; a literal
+    # the scanner does not take (a 0-led residue, a zero residue) the composed read reads and the check judges
+    for text, want, pos in [("(0,1/2)*(1,1)", "(0,1/2)", 7), ("(0,07)", "(0,7)", 5)]:
+        for f in (k.read, k.parse):
+            ts = TokenStream(text)
+            assert (k.fmt(f(ts)), ts.pos) == (want, pos), text
+    ts = TokenStream("(0,0)")
+    assert (k.read(ts).residue.x, ts.pos) == (XReal(0), 5)
+    with pytest.raises(ShapeError, match="insertion removes it"):
+        k.parse(TokenStream("(0,0)"))
+    d = parse_struct("P")
+    assert _outcome(parse_value, d, "inv((1,2))") == _outcome(_ref_parse, d, "inv((1,2))") == (
+        "ParseError", "expected '(', found 'inv' (at position 0 in 'inv((1,2))')")
+    # a "*" run in a structure that is no semiring reads nothing: "*" is a capability error there
+    assert kernel_of(parse_struct("N0 \\/ Rc")).run(TokenStream("(1,1)*(1,1)"), "*") is None
+
+
+@pytest.mark.parametrize("joiner, inverted", [("*", 0.25), ("+", 0)])
+def test_a_plain_chain_builds_a_few_xreals_and_calls_no_ops(monkeypatch, joiner, inverted):
+    rng = random.Random(5)
+    parts = [f"({rng.randint(-3, 3)},{rng.randrange(1, 2**20)}/{rng.randrange(1, 2**20)})" for _ in range(200)]
+    expr = joiner.join(f"inv({p})" if rng.random() < inverted else p for p in parts)
+    want = eval_expression("P", expr)
+    counts = collections.Counter()
+    init = XReal.__init__
+
+    def counted_init(self, *args):
+        counts["XReal"] += 1
+        init(self, *args)
+    monkeypatch.setattr(XReal, "__init__", counted_init)
+    for name, f in vars(ops).copy().items():
+        if callable(f) and getattr(f, "__module__", None) == ops.__name__:
+            monkeypatch.setattr(ops, name, lambda *a, f=f, name=name: counts.update([name]) or f(*a))
+    assert eval_expression("P", expr) == want
+    assert counts == {"XReal": 1}, counts
+
+
 def _run(capsys, argv):
     """Exit code and stderr of one CLI call; the stderr must be a single line."""
     code = main(argv)
@@ -474,6 +584,26 @@ def test_unreadable_files_are_parse_errors(tmp_path, capsys):
                  ["measure", "validate", str(deep)]):
         code, err = _run(capsys, argv)
         assert code == 2 and f"cannot read {argv[2]!r}" in err
+
+
+def test_a_directory_or_a_non_utf8_file_is_a_one_line_parse_error(tmp_path, capsys):
+    # an input that cannot be read is a usage error, exit 2, whatever the operating system says about it
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"structure": "P", "atoms": [{"id": "\xe9", "value": "(0,1)"}]}')
+    assert _run(capsys, ["measure", "validate", str(tmp_path)]) == (
+        2, f"parse error: cannot read {str(tmp_path)!r}: Is a directory\n")
+    assert _run(capsys, ["tree", "verify", str(binary)]) == (
+        2, f"parse error: cannot read {str(binary)!r}: 'utf-8' codec can't decode byte 0xe9 in position 37: "
+           "invalid continuation byte\n")
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    import runpy
+
+    monkeypatch.setattr(sys, "argv", ["lexiring", "eval", "P", "(0,1/2)*(0,1/2)"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("lexiring", run_name="__main__")
+    assert (exit_.value.code, capsys.readouterr().out) == (0, "(0,1/4)\n")
 
 
 def test_string_event_is_rejected(tmp_path, capsys):

@@ -204,6 +204,15 @@ def test_open_graded_window():
         assert verify_open_graded(k)
 
 
+@pytest.mark.parametrize("planted", [TOP, ZERO])
+def test_open_graded_window_fails_under_a_planted_measure(monkeypatch, planted):
+    # measuring every set as top covers no point at levels <= k; measuring it as 0 covers points above k
+    from lexiring import graded
+
+    monkeypatch.setattr(graded, "graded_measure", lambda E: planted)
+    assert not verify_open_graded(0)
+
+
 @pytest.mark.parametrize("struct", ["S", "O", "P", "Obar", "Sbar"])
 def test_shift_and_align_build_what_the_checking_constructor_accepts(struct):
     d = parse_struct(struct)

@@ -623,6 +623,7 @@ def test_scalar_mul_identity():
     d = parse_struct("O")
     w = ops.OVector(d, [pv("O", "(0,2)"), pv("O", "(-1,7)")])
     assert ops.scalar_mul_vec(one(d), w) == w
+    assert repr(w) == "OVector([(0,2), (-1,7)])"
 
 
 def test_scalar_mul_builds_checked_entries_and_checks_the_scalar():

@@ -48,6 +48,11 @@ def test_order():
     assert ZERO < XReal(1, 1000) < XReal(1) < INF
     assert not INF < INF
     assert XReal(2, 3) <= XReal(2, 3)
+    assert INF >= INF >= XReal(7, 3) >= XReal(14, 6) and not ZERO >= XReal(1, 1000)
+
+
+def test_repr_names_the_value():
+    assert [repr(x) for x in (XReal(6, 8), XReal(5), ZERO, INF)] == ["XReal(3/4)", "XReal(5)", "XReal(0)", "XReal(inf)"]
 
 
 def test_negative_rejected():

@@ -1,4 +1,4 @@
-"""Layer bench of literal reading: best-of-N timeit for one source tree, merged into a JSON file.
+"""Layer bench of literal reading: timeit rows for one or two source trees, merged into a JSON file.
 
 Rows, each in microseconds per call:
 
@@ -6,36 +6,55 @@ Rows, each in microseconds per call:
   * ``tokenstream_200``    -- ``TokenStream`` of a 200-literal product text;
   * ``eval_8``, ``eval_32``, ``eval_200`` -- ``cli.eval_expression`` of a
     product of that many ``P`` literals with 20-bit numerators and
-    denominators, as the ``eval`` workload sends.
+    denominators;
+  * ``eval_prod_inv_200`` -- the same 200-factor product with about a
+    quarter of its factors written ``inv(...)``, and ``eval_sum_200`` -- a
+    sum of 200 ``P`` literals at levels 0 and -1 over distinct 20-bit
+    denominators: the two slowest shapes the ``eval`` workload sends.
 
-Stdlib only.  Run it once per source tree into the same file, for example::
+Stdlib only.  Each tree's package is imported under its own name, so two
+trees load into one process.  Each of N rounds times every row once per
+tree (best of 3 repeats), the trees taking turns to go first; a tree's
+row is the median of its rounds.  With ``--parent`` the two trees are
+timed round by round, so a change in host speed falls on both alike, and
+the file also gets each row's change/parent ratio per round, as its
+quartiles.  For example::
 
-    python3 tools/bench_literals.py --src ../parent/src --label parent
-    python3 tools/bench_literals.py --src src --label change
+    python3 tools/bench_literals.py --parent ../parent/src --src src --out BENCH_23.json
 
-Each run replaces the entry with its label in ``BENCH_17.json`` (in the
-working directory) and keeps the others.  Timings stay out of the test
-suite: pytest does not collect this file.
+Each run replaces the entries with its labels in the ``--out`` file
+(default ``BENCH_17.json``, in the working directory) and keeps the
+others.  Timings stay out of the test suite: pytest does not collect
+this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import timeit
-
-OUT = "BENCH_17.json"
 
 
 def _literals(n, seed=17):
     rng = random.Random(seed)
     lo, hi = 2**19, 2**20
     return [f"({rng.randint(-3, 3)},{rng.randrange(lo, hi)}/{rng.randrange(lo, hi)})" for _ in range(n)]
+
+
+def _workload_shapes(n, seed=23):
+    """The eval workload's slow shapes: an n-factor product with inv(...) factors, and an n-term sum."""
+    rng = random.Random(seed)
+    prod = "*".join(f"inv({lit})" if rng.random() < 0.25 else lit for lit in _literals(n, seed))
+    dens = rng.sample(range(2**19, 2**20), n)
+    return prod, "+".join(f"({rng.choice((0, 0, 0, -1))},{rng.randrange(1, 2**20)}/{d})" for d in dens)
 
 
 def _revision(src):
@@ -49,48 +68,84 @@ def _revision(src):
         return None
 
 
-def measure(src, n, number=2000):
-    """Each row's best time in microseconds; number is the calls per repeat of the one-literal row."""
-    sys.path.insert(0, os.path.abspath(src))
-    from lexiring.cli import eval_expression
-    from lexiring.descriptors import TokenStream, parse_struct
-    from lexiring.values import parse_value
+def _load(src, name):
+    """The lexiring package under src, imported as name."""
+    path = os.path.join(os.path.abspath(src), "lexiring")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(path, "__init__.py"),
+                                                  submodule_search_locations=[path])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    p = parse_struct("P")
+
+def _cases(src, name, number):
+    """Each row's call and its calls per repeat, on the tree under src; number is the one-literal row's."""
+    _load(src, name)
+    eval_expression = importlib.import_module(name + ".cli").eval_expression
+    descriptors = importlib.import_module(name + ".descriptors")
+    parse_value = importlib.import_module(name + ".values").parse_value
+    p = descriptors.parse_struct("P")
     one = _literals(1)[0]
     text200 = "*".join(_literals(200))
     cases = {
         "parse_value_P": (lambda: parse_value(p, one), number),
-        "tokenstream_200": (lambda: TokenStream(text200), max(1, number // 20)),
+        "tokenstream_200": (lambda: descriptors.TokenStream(text200), max(1, number // 20)),
     }
     for terms in (8, 32, 200):
         text = "*".join(_literals(terms))
         cases[f"eval_{terms}"] = (lambda text=text: eval_expression("P", text), max(1, number // terms))
-    rows = {}
-    for name, (f, k) in cases.items():
-        rows[name] = round(min(timeit.repeat(f, repeat=n, number=k)) / k * 1e6, 3)
-        print(f"{name:16s} {rows[name]:12.3f} us  (best of {n} x {k})")
-    return rows
+    for row, text in zip(("eval_prod_inv_200", "eval_sum_200"), _workload_shapes(200)):
+        cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
+    return cases
+
+
+def measure(srcs, n, number=2000):
+    """Per tree, each row's median over n rounds of its best of 3 repeats, in microseconds, and per round
+    the later trees' times over the first's."""
+    trees = [_cases(src, f"lexiring_{i}", number) for i, src in enumerate(srcs)]
+    times = [{row: [] for row in trees[0]} for _ in trees]
+    for r in range(n):
+        order = list(range(len(trees)))
+        for row in trees[0]:
+            for i in order[::-1] if r % 2 else order:
+                f, k = trees[i][row]
+                times[i][row].append(min(timeit.repeat(f, repeat=3, number=k)) / k * 1e6)
+    rows = [{row: round(statistics.median(t), 3) for row, t in tree.items()} for tree in times]
+    ratios = [{row: [a / b for a, b in zip(tree[row], times[0][row])] for row in tree} for tree in times[1:]]
+    for row in trees[0]:
+        print(f"{row:18s}" + "".join(f" {tree[row]:12.3f}" for tree in rows) + " us"
+              + "".join(f"  ratio {statistics.median(r[row]):.3f}" for r in ratios))
+    return rows, ratios
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default="src", help="the src/ directory to import lexiring from")
-    ap.add_argument("--label", default="change", help="the entry this run writes")
-    ap.add_argument("-n", type=int, default=7, help="timeit repeats; the best is kept")
+    ap.add_argument("--label", default="change", help="the entry the --src tree writes")
+    ap.add_argument("--parent", help="a second src/ directory, timed round by round with --src, as 'parent'")
+    ap.add_argument("-n", type=int, default=9, help="rounds; each row keeps its median")
+    ap.add_argument("--out", default="BENCH_17.json", help="the JSON file the entries are merged into")
     args = ap.parse_args(argv)
-    rows = measure(args.src, args.n)
+    if args.n < 2:
+        ap.error("-n must be at least 2: the ratios' quartiles need two rounds")
+    srcs, labels = ([args.parent, args.src], ["parent", args.label]) if args.parent else ([args.src], [args.label])
+    rows, ratios = measure(srcs, args.n)
     try:
-        with open(OUT) as f:
+        with open(args.out) as f:
             doc = json.load(f)
     except FileNotFoundError:
-        doc = {"unit": "us per call, best of N timeit repeats", "runs": {}}
-    doc["runs"][args.label] = {
-        "revision": _revision(args.src), "N": args.n, "rows": rows,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.platform()}",
-        "python": platform.python_version(),
-    }
-    with open(OUT, "w") as f:
+        doc = {"runs": {}}
+    doc["unit"] = "us per call, median over N rounds of the best of 3 timeit repeats"
+    for src, label, tree in zip(srcs, labels, rows):
+        doc["runs"][label] = {
+            "revision": _revision(src), "N": args.n, "rows": tree,
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.platform()}",
+            "python": platform.python_version(),
+        }
+    if ratios:
+        doc[f"ratio_{args.label}_over_parent"] = {
+            row: [round(q, 3) for q in statistics.quantiles(r, n=4)] for row, r in ratios[0].items()}
+    with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
