@@ -41,9 +41,10 @@ class _ExprEval(TokenStream):
     literal is tried first.  When every route fails, the error raised is
     the one of the route that read furthest.
 
-    Every atom is well-shaped when read, and a chain of terms or factors
-    is folded by the kernel's n-ary ``sum`` or ``prod`` without checking
-    it again: a long ``*`` chain reduces its fraction once.
+    Every atom is well-shaped when read, and a chain of terms is folded by
+    the kernel's n-ary ``sum`` and one of factors by its ``mul``, without
+    checking it again.  Only a run reduces its fraction once; any other
+    ``*`` chain reduces at every ``*``.
     """
 
     def __init__(self, desc, text: str):
@@ -88,7 +89,7 @@ class _ExprEval(TokenStream):
             if len(factors) == 2:
                 ops.require_semiring(self.d)  # as soon as a second factor is read, before a third
             if self.pos >= len(toks) or toks[self.pos] != "*":
-                return factors[0] if len(factors) == 1 else self.k.prod(factors)
+                return functools.reduce(self.k.mul, factors)
             self.pos += 1
 
     def atom(self):

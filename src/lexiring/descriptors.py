@@ -178,9 +178,9 @@ class MixedInsert(StructDesc):
 
     ``table`` maps explicitly listed levels to descriptors; ``default``
     covers the rest of the range.  ``lo``/``hi`` may be ``None`` for a
-    half-bounded range (only with base ``Z``); a half-bounded or gappy
-    range requires a default.  ``first`` is the range's least level, None
-    if it is unbounded below.
+    half-bounded range; over ``Z`` that requires a default, and without
+    one only the listed levels carry residues.  ``first`` is the range's
+    least level, None if it is unbounded below.
     """
 
     __slots__ = ("base", "lo", "hi", "table", "default", "first")

@@ -13,17 +13,17 @@ it by every operation.  Variants:
 
 ``kernel_of(d)`` compiles d, the first time it is used, into a ``Kernel``
 of closures (shape check, zero test, comparison, addition, n-ary sum,
-multiplication, n-ary product, inverse, order successor, seeded random
-draws, literal reading and formatting), canonical elements and
-capability flags, and keeps it in d's ``_kernel``
-slot: it lives and dies with the descriptor object.  A composite kernel
-captures its parts' closures, so no call walks the descriptor again
-(Feeley & Lapalme, "Using closures for code generation", Computer
-Languages 12(1), 1987).  All but ``check`` assume well-shaped operands.
+multiplication, inverse, order successor, seeded random draws, literal
+reading and formatting), canonical elements and capability flags, and
+keeps it in d's ``_kernel`` slot: it lives and dies with the descriptor
+object.  A composite kernel captures its parts' closures, so no call
+walks the descriptor again (Feeley & Lapalme, "Using closures for code
+generation", Computer Languages 12(1), 1987).  All but ``check`` assume
+well-shaped operands.
 A pairing of two bases compiles its ``check`` as one inline test of
-exact types and payloads, and one with an integer level its ``read``,
-``parse`` and ``run`` off the tokens; each takes the common case and
-hands anything else to the composed one: every verdict and error is its.
+exact types and payloads, and one with an integer level its ``parse``
+and ``run`` off the tokens; each takes the common case and hands
+anything else to the composed one: every verdict and error is its.
 
 Seeded draws take their integers from ``_below(rng, n)``, which draws
 ``getrandbits(n.bit_length())`` until the result is below n, as CPython's
@@ -39,24 +39,14 @@ commutative, which it is everywhere but under ``double()``: there
 ``sum`` is that ordered fold.  Elsewhere it finds the dominant level
 first and sums only the residues there, once, in the residue
 structure's own ``sum``; a rational residue sum adds the numerators over
-a running common denominator and reduces once.
-
-``prod(values)`` of one or more factors equals the ordered left fold of
-``mul`` from the first factor.  Integers take one ``math.prod``; a
-rational product multiplies all numerators and all denominators and
-reduces once (a zero factor gives 0, otherwise an ``inf`` gives ``inf``);
-an insertion's product is 0 if a factor is, otherwise ``top`` if a factor
-is, otherwise the level structure's ``sum`` of the levels paired with the
-residue structure's ``prod`` of the residues.  That needs the level
-structure's zero to be a left identity of its addition; it is in every
-structure ``validate_desc`` admits, because the operands of ``\\/`` are
-semigroups, whose zero is least.  ``mul``, ``prod``, ``inv`` and ``one``
-exist exactly in semirings.
+a running common denominator and reduces once.  ``mul``, ``inv`` and
+``one`` exist exactly in semirings; a product of many factors is the
+ordered left fold of ``mul``.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod as int_prod
+from math import gcd
 
 from .descriptors import RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, is_digits
 from .errors import CapabilityError, DomainError, ShapeError
@@ -145,12 +135,12 @@ class Kernel:
     """One descriptor's compiled operations and capability flags.
 
     ``zero`` is the additive identity itself, and the empty ``sum``;
-    ``sum`` defaults to the ordered left fold of ``add``; ``mul``,
-    ``prod``, ``inv`` and ``one`` exist exactly where ``facts.semiring``
-    holds, and are None elsewhere; ``prob_depth`` counts the integer
-    levels stacked over the finite rationals (None unless d is such a
-    probability structure); ``facts`` is ``d.facts``, and
-    ``semiring``/``semifield`` are copied from it.
+    ``sum`` defaults to the ordered left fold of ``add``; ``mul``, ``inv``
+    and ``one`` exist exactly where ``facts.semiring`` holds, and are None
+    elsewhere; ``prob_depth`` counts the integer levels stacked over the
+    finite rationals (None unless d is such a probability structure);
+    ``facts`` is ``d.facts``, and ``semiring``/``semifield`` are copied
+    from it.
 
     Callers learn what kind of structure d is here: ``base`` names a base;
     ``parts`` holds an insertion's level and residue kernels, ``int_levels``
@@ -175,24 +165,25 @@ class Kernel:
     ``read(ts)`` reads one literal from a ``TokenStream`` and leaves it
     unchecked: callers check it whole, so a literal cut short is a parse
     error before any shape error; ``parse(ts)`` reads one and checks it.
-    ``run(ts, op)``, None unless d pairs an ``N0``/``Z`` level with a base,
-    folds the longest run of plain literals joined by op ("+" or "*"; in a
-    semifield also ``inv`` of one; a "+" run stops before one a "*" follows)
-    in n int parses and one XReal, where n reads build n Pairs and XReals.
-    It returns None if it reads none.  ``body(ts)`` reads a pair without its
-    parentheses, which flat-tuple sugar continues; it is None for bases and
-    ``double(...)``.  ``fmt(v)`` is v's canonical literal.  ``inv(v)``
+    Where d pairs an ``N0``/``Z`` level with a base, ``parse`` and ``run``
+    take plain literals straight off the tokens.  ``run(ts, op)``, None
+    elsewhere, folds the longest run of plain literals joined by op ("+"
+    or "*"; in a semifield also ``inv`` of one; a "+" run stops before one
+    a "*" follows) in n int parses and one XReal, where n reads build n
+    Pairs and XReals.  It returns None if it reads none.  ``body(ts)``
+    reads a pair without its parentheses, which flat-tuple sugar
+    continues; it is None for bases and ``double(...)``.  ``fmt(v)`` is v's canonical literal.  ``inv(v)``
     inverts a nonzero v of a semiring: a pairing negates its level (in
     ``Z``, or ``N0`` at 0), then inverts its residue.
     """
 
-    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "prod", "gen", "nonzero",
+    __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "gen", "nonzero",
                  "facts", "semiring", "semifield", "int_levels", "prob_depth", "read", "body", "fmt", "inv",
                  "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up",
                  "base", "parts", "sliceable", "bar", "neg", "run", "parse")
 
     def __init__(self, text, facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
-                 prod=None, succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
+                 succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
                  step_up=None, body=None, inv=None, parts=None, int_levels=False, sliceable=False, bar=False,
                  nonzero=None, base=None, neg=None, run=None, parse=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
@@ -204,7 +195,7 @@ class Kernel:
             base, parts, int_levels, sliceable, bar, neg)
         self.sum = sum or _ordered_fold(zero, add)
         self.facts, self.semiring, self.semifield = facts, facts.semiring, facts.semifield
-        self.mul, self.prod, self.inv, self.one = (mul, prod, inv, one) if self.semiring else (None,) * 4
+        self.mul, self.inv, self.one = (mul, inv, one) if self.semiring else (None,) * 3
         self.nonzero = nonzero or _nonzero(text, gen, is_zero)
 
 
@@ -415,34 +406,6 @@ def _xreal_sum(zero):
     return sum_
 
 
-def _int_sum(zero):
-    def sum_(values):
-        total = sum(v.x for v in values)
-        return Scalar(total) if total else zero
-    return sum_
-
-
-def _int_prod(values):
-    return Scalar(int_prod(v.x for v in values))
-
-
-def _xreal_prod(zero):
-    def prod(values):
-        num = den = 1
-        inf = False
-        for v in values:
-            x = v.x
-            if not x.den:
-                inf = True
-            elif not x.num:
-                return zero  # XReal has 0 * inf == 0: a zero factor wins over any inf
-            else:
-                num *= x.num
-                den *= x.den
-        return Scalar(INF if inf else XReal(num, den))
-    return prod
-
-
 def _compile_base(d: Base, text: str) -> Kernel:
     name = d.name
     integers = name in ("N0", "Z")
@@ -495,8 +458,7 @@ def _compile_base(d: Base, text: str) -> Kernel:
     gen, nonzero = _base_draws(name, text)
     unit, f = _INT_ONE if integers else _XR_ONE, d.facts
     return Kernel(text, f, check, _scalar_is_zero, zero, _int_cmp if integers else _xreal_cmp, _scalar_add,
-                  _scalar_mul, gen, read, lambda v: str(v.x), None,
-                  (_int_sum if integers else _xreal_sum)(zero), _int_prod if integers else _xreal_prod(zero),
+                  _scalar_mul, gen, read, lambda v: str(v.x), None, None if integers else _xreal_sum(zero),
                   _BASE_SUCC[name], unit, unit if f.least_positive else None, _XR_INF if f.summable else None,
                   inv=inv, nonzero=nonzero, base=name)
 
@@ -535,12 +497,12 @@ def _fused_check(a, b, nonzero_b, composed):
     return check
 
 
-def _fused_run(level, base, full, facts, composed, check):
-    """``read``, ``parse`` and ``run`` of an integer level paired with a base, off ts.toks (see ``Kernel``).
+def _fused_run(level, base, full, facts, read, check):
+    """``parse`` and ``run`` of an integer level paired with a base, off ts.toks (see ``Kernel``).
 
     ``scan`` tells a plain literal the check takes by its tokens.  At anything else (inf, top, a bare 0, a zero
-    or 0-led residue, a 0-led denominator, a "/" in ``Nbar0``, a third component, the input's end) the reads
-    hand over with ts.pos unmoved, so every error is composed's, and a run stops.
+    or 0-led residue, a 0-led denominator, a "/" in ``Nbar0``, a third component, the input's end) ``parse``
+    hands over to ``check(read(ts))`` with ts.pos unmoved, so every error is the composed one's, and a run stops.
     """
     signed, rational, slash, lo = level == "Z", base != "N0", base in ("Rc", "Ro"), "0" if full else "1"
 
@@ -559,15 +521,13 @@ def _fused_run(level, base, full, facts, composed, check):
             pass
         return None
 
-    def reader(hand_over):
-        def read(ts):
-            r = scan(ts.toks, ts.pos)
-            if r is None:
-                return hand_over(ts)
-            neg, x, y, den, ts.pos = r
-            residue = XReal(int(y), int(den)) if den else XReal(int(y)) if rational else int(y)
-            return Pair(Scalar(-int(x) if neg else int(x)), Scalar(residue))
-        return read
+    def parse(ts):
+        r = scan(ts.toks, ts.pos)
+        if r is None:
+            return check(read(ts))
+        neg, x, y, den, ts.pos = r
+        residue = XReal(int(y), int(den)) if den else XReal(int(y)) if rational else int(y)
+        return Pair(Scalar(-int(x) if neg else int(x)), Scalar(residue))
 
     def run(ts, op):
         toks, at, lev, last = ts.toks, ts.pos, None, len(ts.toks) - 1
@@ -593,14 +553,13 @@ def _fused_run(level, base, full, facts, composed, check):
             if follow != op:
                 break
         return None if lev is None else Pair(Scalar(lev), Scalar(XReal(n, d) if rational else n))
-    return reader(composed), reader(lambda ts: check(composed(ts))), run
+    return parse, run
 
 
 def _compile_pairing(d, text: str) -> Kernel:
     ka, kb = kernel_of(d.a), kernel_of(d.b)
     check_a, check_b, zero_a, zero_b = ka.check, kb.check, ka.is_zero, kb.is_zero
-    cmp_a, cmp_b, add_a, add_b, sum_b, mul_b = ka.cmp, kb.cmp, ka.add, kb.add, kb.sum, kb.mul
-    sum_a, prod_b, succ_a = ka.sum, kb.prod, ka.succ
+    cmp_a, cmp_b, add_a, add_b, sum_b, mul_b, succ_a = ka.cmp, kb.cmp, ka.add, kb.add, kb.sum, kb.mul, ka.succ
     read_a, read_b, body_b, fmt_a, fmt_b, inv_b = ka.read, kb.read, kb.body, ka.fmt, kb.fmt, kb.inv
     gen_a, gen_b, nonzero_b = ka.gen, kb.gen, kb.nonzero
     bar, full = d.bar, d.full  # a full product keeps the pair of zeros
@@ -673,19 +632,6 @@ def _compile_pairing(d, text: str) -> Kernel:
             return TOP
         return Pair(gen_a(rng, ZERO_P), gen_b(rng, ZERO_P) if full else nonzero_b(rng))
 
-    def prod(values):
-        # a semiring is an insertion, so 0 is the adjoined ZERO: no product of nonzero factors is 0
-        levels, residues, top = [], [], False
-        for v in values:
-            if v is ZERO:
-                return ZERO
-            if v is TOP:
-                top = True
-            else:
-                levels.append(v.level)
-                residues.append(v.residue)
-        return TOP if top else Pair(sum_a(levels), prod_b(residues))
-
     least_positive = Pair(ka.zero, kb.least_positive) if d.facts.least_positive else None
     least_b = kb.zero if full else kb.least_positive  # the least residue a level carries
 
@@ -723,9 +669,9 @@ def _compile_pairing(d, text: str) -> Kernel:
     int_levels = not full and int_level in ("N0", "Z")
     read, parse, run = _read_pair(text, bar, zero, body), None, None
     if int_level in ("N0", "Z") and kb.base:
-        read, parse, run = _fused_run(int_level, kb.base, full, d.facts, read, check)
+        parse, run = _fused_run(int_level, kb.base, full, d.facts, read, check)
     return Kernel(text, d.facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth,
-                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)), prod,
+                  _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)),
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
                   one, least_positive, None, residue_kernel, step_up, body, inv, None if full else (ka, kb),
                   int_levels, int_levels and kb.base in ("Rc", "Ro"), bar, run=run, parse=parse)

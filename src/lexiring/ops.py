@@ -124,9 +124,9 @@ def require_shiftable(d):
 
 def shift(d, x: Value, k: int) -> Value:
     """Multiply by (k, 1): shift the top-level integer level by k."""
+    kernel_of(d).check(x)
     if x is ZERO or x is TOP:
         return x
-    kernel_of(d).check(x)
     # the residue was checked with x; only the new level can fall outside (N0 below 0)
     return Pair(require_shiftable(d).check(Scalar(x.level.x + k)), x.residue)
 

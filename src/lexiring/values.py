@@ -4,8 +4,8 @@ The value variants (``ZERO``, ``TOP``, ``Scalar``, ``Pair``, ``Signed``)
 are defined in ``kernel`` and re-exported here.  ``check_value``,
 ``is_zero``, ``zero``, ``one``, ``parse_value`` and ``format_value`` are
 lookups into the descriptor's kernel, which is compiled lazily, once per
-descriptor object: ``parse_value`` reads a literal with the kernel's
-``read`` and checks it whole, and ``format_value`` is its ``fmt``.
+descriptor object: ``parse_value`` reads and checks a literal with the
+kernel's ``parse``, and ``format_value`` is its ``fmt``.
 
 Literals: ``0``, ``top``, ``inf``, integers, ``p/q``, nested tuples, and
 a leading ``-`` under double().  Flat tuples like ``(-1,2,3)`` are

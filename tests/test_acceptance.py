@@ -36,11 +36,9 @@ from lexiring.values import TOP, ZERO, Pair, Scalar, format_value, parse_value
 from lexiring.weights import apply_deck, check_branch_equations, gauge_move
 from lexiring.xreal import XReal
 
+from support import pv
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
-
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
 
 
 def test_criterion_1_dartboard_exactness():

@@ -19,7 +19,7 @@ from lexiring.cli import _ExprEval, _build_parser, eval_expression, main
 from lexiring.dartboard import BUILTIN_SCENES
 from lexiring.descriptors import TokenStream, facts, is_digits, parse_struct
 from lexiring.errors import CapabilityError, DomainError, LexiringError, ParseError, ShapeError
-from lexiring.kernel import Kernel, kernel_of
+from lexiring.kernel import kernel_of
 from lexiring.laws import random_value
 from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, format_value, is_zero, parse_value, zero
 from lexiring.xreal import INF, XReal
@@ -352,12 +352,13 @@ class _RefExprEval(_ExprEval, _RefParser):
 
     def __init__(self, desc, text):
         super().__init__(desc, text)
-        # literals read through self.k.parse: a copy of the kernel whose parse is the reference parser's and
-        # check_value, and whose residue part's is too (series ramps read residues of an insertion), with no run
-        ops_ = {name: getattr(self.k, name) for name in Kernel.__slots__}
+        # a stand-in kernel: only cmp, sum and mul are the kernel's; parse is the reference parser's and
+        # check_value, and so is the residue part's (series ramps read residues of an insertion), with no run.
+        # Any other entry _ExprEval reads raises AttributeError here instead of running the code under test.
+        k = self.k
         residue = types.SimpleNamespace(parse=lambda ts: check_value(desc.b, ts.value(desc.b)))
-        self.k = types.SimpleNamespace(**{**ops_, "parse": lambda ts: check_value(desc, ts.value(desc)), "run": None,
-                                          "parts": ops_["parts"] and (None, residue)})
+        self.k = types.SimpleNamespace(cmp=k.cmp, sum=k.sum, mul=k.mul, run=None, parts=k.parts and (None, residue),
+                                       parse=lambda ts: check_value(desc, ts.value(desc)))
 
 
 def _ref_eval(struct_text, expr_text):
@@ -978,7 +979,7 @@ def test_a_raising_case_fails_its_own_law(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# expressions fold through Kernel.sum and Kernel.prod
+# expressions fold through Kernel.sum and Kernel.mul
 # ---------------------------------------------------------------------------
 
 FOLD_STRUCTURES = ["P", "O", "S", "Obar", "Sbar", "Pn(2)", r"S /\ Rc", r"Obar b/\ Rc", "Ro", "Nbar0"]

@@ -18,9 +18,7 @@ from lexiring.values import TOP, ZERO, Pair, Scalar, parse_value
 from lexiring.xreal import ONE, XReal
 from lexiring.xreal import ZERO as XR_ZERO
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def point_mass_scene():

@@ -18,7 +18,8 @@ import lexiring
 from lexiring import descriptors as D
 from lexiring import ops
 from lexiring.descriptors import BarInsert, Base, Insert, facts, parse_struct
-from lexiring.errors import LexiringError, ShapeError
+from lexiring.cli import eval_expression
+from lexiring.errors import CapabilityError, LexiringError, ShapeError
 from lexiring.kernel import kernel_of
 from lexiring.laws import (
     LAW_STRUCTURES,
@@ -29,7 +30,7 @@ from lexiring.laws import (
     random_value,
     random_weight_system,
 )
-from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, parse_value
+from lexiring.values import TOP, ZERO, Pair, Scalar, Signed, check_value, format_value, parse_value
 from lexiring.xreal import INF, XReal
 
 DRAW_STRUCTURES = LAW_STRUCTURES + (
@@ -194,6 +195,11 @@ def test_shift_checks_the_new_level():
         ops.shift(d, parse_value(d, "(1,2)"), -2)
     with pytest.raises(ShapeError, match="top level is not an integer"):
         ops.shift(parse_struct(r"Nbar0 /\ Rc"), parse_value(parse_struct(r"Nbar0 /\ Rc"), "(1,2)"), 1)
+    # 0 and top shift to themselves only where they are elements
+    for text, message in (("Rc", "expected a Rc scalar, got top"), ("P", "top only exists in bar structures")):
+        with pytest.raises(ShapeError, match=message):
+            ops.shift(parse_struct(text), TOP, 1)
+    assert ops.shift(parse_struct("Obar"), TOP, 1) is TOP and ops.shift(d, ZERO, 1) is ZERO
 
 
 def test_double_addition_is_not_associative():
@@ -270,14 +276,13 @@ def _ordered_product(d, values):
 
 @pytest.mark.parametrize("text", PROD_STRUCTURES)
 def test_prod_equals_the_ordered_fold_of_mul(text):
-    from lexiring.kernel import kernel_of
-
+    """An eval product equals the ordered fold of mul, whether a run reader takes its factors or not."""
     d = parse_struct(text)
-    k = kernel_of(d)
     rng = random.Random(f"prod/{text}")
     for _ in range(80):
         values = [random_value(rng, d) for _ in range(rng.randrange(1, 41))]
-        assert k.prod(values) == _ordered_product(d, values), values
+        got = eval_expression(text, "*".join(format_value(d, v) for v in values))
+        assert got == format_value(d, _ordered_product(d, values)), values
 
 
 @pytest.mark.parametrize("text, literals, expected", [
@@ -296,18 +301,17 @@ def test_prod_equals_the_ordered_fold_of_mul(text):
     ("P", ["(3,5/7)"], "(3,5/7)"),
 ])
 def test_prod_at_zeros_tops_and_infinite_residues(text, literals, expected):
-    from lexiring.kernel import kernel_of
-
     d = parse_struct(text)
     values = [parse_value(d, t) for t in literals]
-    assert kernel_of(d).prod(values) == parse_value(d, expected) == _ordered_product(d, values)
+    assert eval_expression(text, "*".join(literals)) == expected == format_value(d, _ordered_product(d, values))
 
 
 def test_structures_without_multiplication_have_no_prod():
-    from lexiring.kernel import kernel_of
-
     for text in ("double(O)", "mixed(Z; -2..2; 0:P, default:Rc)"):
-        assert kernel_of(parse_struct(text)).prod is None
+        k = kernel_of(parse_struct(text))
+        assert k.mul is None and not hasattr(k, "prod")
+        with pytest.raises(CapabilityError, match="is not a semiring; multiplication undefined"):
+            eval_expression(text, "0*0")
 
 
 # every module but the two that define and compile descriptors; importing __main__ would run the CLI

@@ -22,13 +22,11 @@ from lexiring.laws import random_value
 from lexiring.ops import require_shiftable
 from lexiring.prob import bayes, cond_prob, level_masses, standardize, validate_probability
 from lexiring.scenes import builtin_scene
-from lexiring.values import TOP, ZERO, Pair, Scalar, parse_value, stack_levels
+from lexiring.values import TOP, ZERO, Pair, Scalar, stack_levels
 from lexiring.xreal import INF, XReal
 from lexiring.xreal import ZERO as XR_ZERO
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def test_dartboard_event_values():

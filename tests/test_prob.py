@@ -16,12 +16,10 @@ from lexiring.prob import (
     validate_probability,
 )
 from lexiring.scenes import builtin_scene
-from lexiring.values import ZERO, parse_value
+from lexiring.values import ZERO
 from lexiring.xreal import INF, ONE, XReal
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def test_validate_dartboard():

@@ -21,12 +21,10 @@ from lexiring.scenes import (
     track_from_dict,
     tree_from_dict,
 )
-from lexiring.values import ZERO, parse_value
+from lexiring.values import ZERO
 from lexiring.xreal import XReal
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def test_scene_from_dict_and_file(tmp_path):

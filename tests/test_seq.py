@@ -11,9 +11,7 @@ from lexiring.seq import LevelRamp, Repeat, ResidueRamp, SeqGen, least_positive,
 from lexiring.values import TOP, ZERO, Scalar, check_value, parse_value, zero
 from lexiring.xreal import XReal
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def test_unbounded_levels_sum_to_top_in_bar():

@@ -12,9 +12,7 @@ from lexiring.tree import LTree, distance, meet, segment, verify_metric
 from lexiring.values import ZERO, Pair, Scalar, parse_value, zero
 from lexiring.xreal import XReal
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def path_tree():

@@ -20,9 +20,7 @@ from lexiring.weights import (
 )
 from lexiring.xreal import XReal
 
-
-def pv(struct, text):
-    return parse_value(parse_struct(struct), text)
+from support import pv
 
 
 def one_switch():

@@ -10,7 +10,10 @@ Rows, each in microseconds per call:
   * ``eval_prod_inv_200`` -- the same 200-factor product with about a
     quarter of its factors written ``inv(...)``, and ``eval_sum_200`` -- a
     sum of 200 ``P`` literals at levels 0 and -1 over distinct 20-bit
-    denominators: the two slowest shapes the ``eval`` workload sends.
+    denominators: the two slowest shapes the ``eval`` workload sends;
+  * ``eval_paren_200`` -- 200 ``P`` literals, each in parentheses, and
+    ``eval_pn2_200`` -- 200 ``Pn(2)`` literals, multiplied: products that
+    the run reader does not take, so they fold with ``mul`` factor by factor.
 
 Stdlib only.  Each tree's package is imported under its own name, so two
 trees load into one process.  Each of N rounds times every row once per
@@ -57,6 +60,14 @@ def _workload_shapes(n, seed=23):
     return prod, "+".join(f"({rng.choice((0, 0, 0, -1))},{rng.randrange(1, 2**20)}/{d})" for d in dens)
 
 
+def _unrun_products(n, seed=29):
+    """(structure, text) of two n-factor products the run reader does not take: parenthesised P, and Pn(2)."""
+    rng = random.Random(seed)
+    lits = _literals(n, seed)
+    nested = "*".join(f"({rng.randint(-3, 3)},{lit})" for lit in lits)
+    return ("P", "*".join(f"({lit})" for lit in lits)), ("Pn(2)", nested)
+
+
 def _revision(src):
     """The git revision of src's checkout, with "-dirty" if src has uncommitted changes; None outside git."""
     def git(*args):
@@ -96,6 +107,8 @@ def _cases(src, name, number):
         cases[f"eval_{terms}"] = (lambda text=text: eval_expression("P", text), max(1, number // terms))
     for row, text in zip(("eval_prod_inv_200", "eval_sum_200"), _workload_shapes(200)):
         cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
+    for row, (struct, text) in zip(("eval_paren_200", "eval_pn2_200"), _unrun_products(200)):
+        cases[row] = (lambda struct=struct, text=text: eval_expression(struct, text), max(1, number // 200))
     return cases
 
 
