@@ -56,7 +56,7 @@ class _ExprEval(TokenStream):
     def run(self):
         """Returns ('cmp', -1|0|1) or ('value', Value)."""
         try:
-            if self.peek() == "cmp":
+            if self.text.startswith("cmp", self.at) and self.peek() == "cmp":  # peek, which lexes, only if so
                 self.next()
                 self.expect("(")
                 a = self.expr()
@@ -75,22 +75,20 @@ class _ExprEval(TokenStream):
         return "value", v
 
     def expr(self):
-        terms, toks, run = [], self.toks, self.k.run
+        terms, run = [], self.k.run
         while True:  # where a term starts, a run of plain literals is read whole if the kernel reads one
             terms.append(run and run(self, "+") or self.product())  # a run value, a Pair, is true
-            if self.pos >= len(toks) or toks[self.pos] != "+":
+            if not self.accept("+"):
                 return terms[0] if len(terms) == 1 else self.k.sum(terms)
-            self.pos += 1
 
     def product(self):
-        factors, toks, run = [], self.toks, self.k.run
+        factors, run = [], self.k.run
         while True:
             factors.append(run and run(self, "*") or self.atom())
             if len(factors) == 2:
                 ops.require_semiring(self.d)  # as soon as a second factor is read, before a third
-            if self.pos >= len(toks) or toks[self.pos] != "*":
+            if not self.accept("*"):
                 return functools.reduce(self.k.mul, factors)
-            self.pos += 1
 
     def atom(self):
         tok = self.peek()
@@ -112,8 +110,7 @@ class _ExprEval(TokenStream):
             if self.pos > self.furthest[0]:
                 self.furthest = (self.pos, exc)
             self.pos = save
-        if tok == "(":
-            self.next()
+        if self.accept("("):
             v = self.expr()
             self.expect(")")
             return v
@@ -148,9 +145,7 @@ class _ExprEval(TokenStream):
                 self.expect(")")
             else:
                 head.append(self.expr())
-            more = self.peek() == ","
-            if more:
-                self.next()
+            more = self.accept(",")
         self.expect(")")
         return (sum_sequence if which == "sum" else sup_sequence)(self.d, SeqGen(head, tail))
 

@@ -313,6 +313,7 @@ MAX_DEPTH = 64
 # The longest digit run any grammar reads: CPython refuses to convert longer ints to or from text.
 MAX_DIGITS = 4300
 _LONG_DIGITS = re.compile("[0-9]{%d}" % (MAX_DIGITS + 1))
+_SPACES = re.compile(r"\s*")  # what the lexer skips
 _PARENS = bytes.maketrans(b"()", b"\x02\x00"), bytes(c for c in range(256) if c not in b"()")  # translate() args
 
 
@@ -322,47 +323,70 @@ def is_digits(tok) -> bool:
 
 
 class TokenStream:
-    """A cursor over the tokens of one text, shared by the three grammars."""
+    """A cursor over the tokens of one text, shared by the three grammars.
+
+    ``toks`` is None until a ``peek``, ``next`` or ``done`` lexes the text.  Before that, ``accept`` and the
+    kernel's ``run`` and ``parse`` read off the text from ``at``, its unread part's first character (None once
+    lexed), and move ``pos`` by the tokens they read: ``pos`` is always a token index.
+    """
 
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _TOKEN.findall(text)
-        self.pos = 0
+        self.text, self.pos, self.toks = text, 0, None
+        self.at = _SPACES.match(text).end()  # a text that is no str raises the lexer's TypeError
         if text.count("(") > MAX_DEPTH:
             # each parenthesis is a token: the depth after the kth of the text is the running sum of 2 per
             # '(' and 0 per ')' less k, taken in C; it moves by one, so the first too deep is MAX_DEPTH + 1
             steps = text.encode("utf-8", "surrogatepass").translate(*_PARENS)
             depths = list(map(sub, accumulate(steps), count(1)))
             if MAX_DEPTH + 1 in depths:
-                parens = [i for i, tok in enumerate(self.toks) if tok == "(" or tok == ")"]
+                parens = [i for i, tok in enumerate(self.lex()) if tok == "(" or tok == ")"]
                 at = parens[depths.index(MAX_DEPTH + 1)]
                 raise self.error(f"parentheses nest deeper than {MAX_DEPTH} levels", at)
         if len(text) > MAX_DIGITS and _LONG_DIGITS.search(text):  # found in C; a token walk places it
-            for i, tok in enumerate(self.toks):
+            for i, tok in enumerate(self.lex()):
                 if len(tok) > MAX_DIGITS and is_digits(tok):
                     raise self.error(f"a number longer than {MAX_DIGITS} digits", i)
 
+    def lex(self) -> list:
+        """``toks``, built on first use: a placeholder per token read off the text, then the unread text's."""
+        if self.toks is None:
+            rest = _TOKEN.findall(self.text, self.at) if self.at < len(self.text) else []
+            self.toks, self.at = [None] * self.pos + rest, None
+        return self.toks
+
     @cached_property
-    def _starts(self):
-        """Each token's character position, found on the first error."""
-        return [m.start() for m in _TOKEN.finditer(self.text)]
+    def starts(self):
+        """Each token's character position and then the text's length, found on first use."""
+        return [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+
+    def accept(self, sym: str) -> bool:
+        """Whether the next token is sym, a one-character token no longer one starts with (``+*,(``), moving
+        past it if so."""
+        if self.at is None:
+            hit = self.pos < len(self.toks) and self.toks[self.pos] == sym
+        else:
+            self.at = _SPACES.match(self.text, self.at).end()
+            hit = self.text.startswith(sym, self.at)
+            self.at += hit
+        self.pos += hit
+        return hit
 
     def error(self, message: str, index=None) -> ParseError:
         """A ParseError at the character position of token ``index`` (default: the last one read)."""
         if index is None:
             index = self.pos - 1
-        starts = self._starts
-        return ParseError(message, self.text, starts[index] if 0 <= index < len(starts) else len(self.text))
+        return ParseError(message, self.text, self.starts[index] if 0 <= index < len(self.starts) else len(self.text))
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        toks = self.toks or self.lex()
+        return toks[self.pos] if self.pos < len(toks) else None
 
     def next(self) -> str:
-        pos = self.pos
-        if pos >= len(self.toks):
+        pos, toks = self.pos, self.toks or self.lex()
+        if pos >= len(toks):
             raise self.error("unexpected end of input", pos)
         self.pos = pos + 1
-        return self.toks[pos]
+        return toks[pos]
 
     def expect(self, sym: str):
         tok = self.next()
@@ -370,7 +394,7 @@ class TokenStream:
             raise self.error(f"expected {sym!r}, found {tok!r}")
 
     def done(self):
-        if self.pos < len(self.toks):
+        if self.peek() is not None:
             raise self.error(f"trailing input {self.toks[self.pos]!r}", self.pos)
 
     def int(self) -> int:

@@ -1,6 +1,7 @@
 """Golden-file CLI tests, exit codes, and the selfcheck harness."""
 
 import collections
+import hashlib
 import itertools
 import json
 import os
@@ -545,6 +546,85 @@ def test_a_plain_chain_builds_a_few_xreals_and_calls_no_ops(monkeypatch, joiner,
     assert counts == {"XReal": 1}, counts
 
 
+def test_plain_runs_are_read_off_the_text_and_never_lexed(monkeypatch):
+    rng, d = random.Random(7), parse_struct("P")
+    lits = [f"({rng.randint(-3, 3)},{rng.randrange(1, 2**20)}/{rng.randrange(1, 2**20)})" for _ in range(200)]
+    prod = "*".join(f"inv({p})" if rng.random() < 0.25 else p for p in lits)
+    flat = [prod, "+".join(lits), " * ".join(lits), "+".join(map("*".join, zip(lits[::2], lits[1::2])))]
+    nested = ["((0,1/2))*((1,3))", "(1,1)*(0,inf)", "(1,1)+(2,2)*0", "(1,1/2)*((1,1))*(2,3)"]
+    want = {expr: _outcome(_ref_eval, "P", expr) for expr in flat + nested}
+
+    def evaluate(expr):
+        return format_value(d, _ExprEval(d, expr).run()[1])
+    lexer = _CountingLexer(D._TOKEN)
+    monkeypatch.setattr(D, "_TOKEN", lexer)
+    # a flat run of plain literals, with or without spaces around its ops, and runs joined by + or *
+    for expr in flat:
+        assert _outcome(evaluate, expr) == want[expr]
+        assert (lexer.lexes, lexer.scans) == (0, 0), expr[:40]
+    # where a literal that no run takes stands, the text is lexed once, from there on
+    for expr in nested:
+        lexer.lexes = 0
+        assert _outcome(evaluate, expr) == want[expr]
+        assert lexer.lexes == 1, expr
+
+
+def _pos_rows(lexed):
+    """Each pair edge read by parse and by a "*" and a "+" run, at the start of texts around it, under every
+    pairing with a run reader: the value read (or none, or the error) and ts.pos after it."""
+    rows = []
+    for a, op, b in itertools.product(D.BASE_NAMES, ("/\\", "\\/", "b/\\", "b\\/"), D.BASE_NAMES):
+        kind, d = _outcome(parse_struct, f"{a} {op} {b}")
+        if kind != "value" or kernel_of(d).run is None:
+            continue
+        k = kernel_of(d)
+        for lit in _PAIR_EDGES:
+            for text in (lit, f"{lit}*(1,1)", f"(1,1)*{lit}", f"{lit}+(1,1)", f"(1,1)+{lit}+(2,3)",
+                         f"inv({lit})*(1,1)", f"(1,1)*inv({lit})"):
+                for name, read in (("parse", k.parse), ("*", lambda ts: k.run(ts, "*")),
+                                   ("+", lambda ts: k.run(ts, "+"))):
+                    ts = TokenStream(text)
+                    if lexed:
+                        ts.peek()
+                    kind, v = _outcome(read, ts)
+                    if ts.at is not None:  # read off the text: pos counts the tokens before the cursor
+                        assert ts.pos == len(D._TOKEN.findall(text, 0, ts.at)), (d, text, name)
+                    got = v if kind != "value" else "none" if v is None else k.fmt(v)
+                    rows.append(f"{d!r}|{text}|{name}|{kind}|{got}|{ts.pos}")
+    return rows
+
+
+# SHA-256 of the rows of _pos_rows, recorded with the reader that walked the token list
+POS_DIGEST = "60d0d084e141a5a2809e9a450b19a3f5de3eff4ccfec7f8931d51ecad6a01701"
+
+
+def test_run_and_parse_leave_pos_at_the_token_index_the_token_reader_left():
+    # 24 pairings x 23 edges x 7 texts x 3 readers, read off the text and after a lex
+    for lexed in (False, True):
+        rows = _pos_rows(lexed)
+        assert len(rows) == 11592
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == POS_DIGEST, lexed
+
+
+def test_run_reader_matches_the_reference_with_spaces_between_tokens():
+    # the random chains above with spaces, tabs and newlines (or nothing) before any token, inside literals
+    # too, and at the end: every outcome, message and error position is the reference's
+    rng, outcomes = random.Random(41), collections.Counter()
+    structs = [(text, parse_struct(text)) for text in ORACLE_STRUCTS]
+    for _ in range(1000):
+        text, d = rng.choice(structs)
+        toks = D._TOKEN.findall(_random_chain(rng, d))
+        expr = "".join(rng.choice(("", "", "", " ", "\t", "\n", " \t ")) + tok for tok in toks) + rng.choice(("", "\n"))
+        got = _outcome(eval_expression, text, expr)
+        assert got == _outcome(_ref_eval, text, expr), (text, expr)
+        outcomes[got[0], kernel_of(d).run is not None] += 1
+    kinds = ("value", "ParseError", "ShapeError", "CapabilityError", "DomainError")
+    assert min(outcomes[kind, True] for kind in kinds) >= 5, outcomes
+    k = kernel_of(parse_struct("P"))
+    ts = TokenStream(" ( 1 ,\t2 / 3 )\n*\tinv ( ( - 1 , 2 ) ) + (0,1)")
+    assert (k.fmt(k.run(ts, "*")), ts.pos, ts.at) == ("(2,1/3)", 17, 36)
+
+
 def _run(capsys, argv):
     """Exit code and stderr of one CLI call; the stderr must be a single line."""
     code = main(argv)
@@ -850,13 +930,14 @@ def test_the_library_keeps_the_interpreters_int_to_str_limit():
 
 
 class _CountingLexer:
-    """The lexer's pattern, counting its scans for character positions."""
+    """The lexer's pattern, counting its lexes and its scans for character positions."""
 
     def __init__(self, pattern):
-        self.pattern, self.scans = pattern, 0
+        self.pattern, self.lexes, self.scans = pattern, 0, 0
 
-    def findall(self, text):
-        return self.pattern.findall(text)
+    def findall(self, text, pos=0):
+        self.lexes += 1
+        return self.pattern.findall(text, pos)
 
     def finditer(self, text):
         self.scans += 1

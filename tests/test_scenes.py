@@ -22,7 +22,6 @@ from lexiring.scenes import (
     tree_from_dict,
 )
 from lexiring.values import ZERO
-from lexiring.xreal import XReal
 
 from support import pv
 

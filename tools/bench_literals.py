@@ -3,7 +3,8 @@
 Rows, each in microseconds per call:
 
   * ``parse_value_P``      -- one ``P`` literal through ``values.parse_value``;
-  * ``tokenstream_200``    -- ``TokenStream`` of a 200-literal product text;
+  * ``tokenstream_200``    -- the token list of a 200-literal product text:
+    ``TokenStream`` and its first ``peek``, which lexes it;
   * ``eval_8``, ``eval_32``, ``eval_200`` -- ``cli.eval_expression`` of a
     product of that many ``P`` literals with 20-bit numerators and
     denominators;
@@ -13,7 +14,11 @@ Rows, each in microseconds per call:
     denominators: the two slowest shapes the ``eval`` workload sends;
   * ``eval_paren_200`` -- 200 ``P`` literals, each in parentheses, and
     ``eval_pn2_200`` -- 200 ``Pn(2)`` literals, multiplied: products that
-    the run reader does not take, so they fold with ``mul`` factor by factor.
+    the run reader does not take, so they fold with ``mul`` factor by factor;
+  * ``eval_sumprod_200`` -- 100 two-factor products of ``P`` literals,
+    summed: each product after the first is a run read after the text was
+    lexed, and ``eval_spaced_200`` -- the 200-factor product with " * "
+    between its factors.
 
 Stdlib only.  Each tree's package is imported under its own name, so two
 trees load into one process.  Each of N rounds times every row once per
@@ -100,7 +105,7 @@ def _cases(src, name, number):
     text200 = "*".join(_literals(200))
     cases = {
         "parse_value_P": (lambda: parse_value(p, one), number),
-        "tokenstream_200": (lambda: descriptors.TokenStream(text200), max(1, number // 20)),
+        "tokenstream_200": (lambda: descriptors.TokenStream(text200).peek(), max(1, number // 20)),
     }
     for terms in (8, 32, 200):
         text = "*".join(_literals(terms))
@@ -109,6 +114,10 @@ def _cases(src, name, number):
         cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
     for row, (struct, text) in zip(("eval_paren_200", "eval_pn2_200"), _unrun_products(200)):
         cases[row] = (lambda struct=struct, text=text: eval_expression(struct, text), max(1, number // 200))
+    lits = _literals(200)
+    for row, text in (("eval_sumprod_200", "+".join(map("*".join, zip(lits[::2], lits[1::2])))),
+                      ("eval_spaced_200", " * ".join(lits))):
+        cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
     return cases
 
 
