@@ -38,7 +38,7 @@ they are of one class and their ``_key()`` parts are equal.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from bisect import bisect_left
 from itertools import accumulate, count
 from operator import sub
 from typing import NamedTuple
@@ -323,15 +323,10 @@ def is_digits(tok) -> bool:
 
 
 class TokenStream:
-    """A cursor over the tokens of one text, shared by the three grammars.
-
-    ``toks`` is None until a ``peek``, ``next`` or ``done`` lexes the text.  Before that, ``accept`` and the
-    kernel's ``run`` and ``parse`` read off the text from ``at``, its unread part's first character (None once
-    lexed), and move ``pos`` by the tokens they read: ``pos`` is always a token index.
-    """
+    """A cursor over the tokens of one text, shared by the three grammars, and lexed on first use."""
 
     def __init__(self, text: str):
-        self.text, self.pos, self.toks = text, 0, None
+        self.text, self.pos, self.toks, self.starts = text, 0, None, None
         self.at = _SPACES.match(text).end()  # a text that is no str raises the lexer's TypeError
         if text.count("(") > MAX_DEPTH:
             # each parenthesis is a token: the depth after the kth of the text is the running sum of 2 per
@@ -348,34 +343,43 @@ class TokenStream:
                     raise self.error(f"a number longer than {MAX_DIGITS} digits", i)
 
     def lex(self) -> list:
-        """``toks``, built on first use: a placeholder per token read off the text, then the unread text's."""
+        """``toks``, built on first use; until then ``accept`` and ``match`` read the text at ``at``, with ``pos`` 0."""
         if self.toks is None:
-            rest = _TOKEN.findall(self.text, self.at) if self.at < len(self.text) else []
-            self.toks, self.at = [None] * self.pos + rest, None
+            head = _TOKEN.findall(self.text, 0, self.at)
+            self.toks, self.pos, self.at = head + _TOKEN.findall(self.text, self.at), len(head), None
         return self.toks
 
-    @cached_property
-    def starts(self):
-        """Each token's character position and then the text's length, found on first use."""
-        return [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+    def positions(self) -> list:
+        """``starts``, each token's character position and then the text's length, found on first use: not a
+        ``cached_property``, which writes through ``__dict__``, after which CPython 3.11 reads every attribute of
+        the stream about four times slower."""
+        if self.starts is None:
+            self.starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return self.starts
 
     def accept(self, sym: str) -> bool:
-        """Whether the next token is sym, a one-character token no longer one starts with (``+*,(``), moving
-        past it if so."""
+        """Whether the next token is sym, a one-character token no longer one starts with, moving past it if so."""
         if self.at is None:
             hit = self.pos < len(self.toks) and self.toks[self.pos] == sym
-        else:
-            self.at = _SPACES.match(self.text, self.at).end()
+            self.pos += hit
+        else:  # a match ends past spaces
             hit = self.text.startswith(sym, self.at)
             self.at += hit
-        self.pos += hit
         return hit
+
+    def match(self, pattern):
+        """pattern's match at the next token, moving past it if there is one."""
+        m = pattern.match(self.text, self.positions()[self.pos] if self.at is None else self.at)
+        if m:
+            self.pos, self.at = (bisect_left(self.starts, m.end()), None) if self.at is None else (0, m.end())
+        return m
 
     def error(self, message: str, index=None) -> ParseError:
         """A ParseError at the character position of token ``index`` (default: the last one read)."""
         if index is None:
             index = self.pos - 1
-        return ParseError(message, self.text, self.starts[index] if 0 <= index < len(self.starts) else len(self.text))
+        starts = self.positions()
+        return ParseError(message, self.text, starts[index] if 0 <= index < len(starts) else len(self.text))
 
     def peek(self):
         toks = self.toks or self.lex()
@@ -394,7 +398,7 @@ class TokenStream:
             raise self.error(f"expected {sym!r}, found {tok!r}")
 
     def done(self):
-        if self.peek() is not None:
+        if (self.at is None or self.text[self.at:].strip()) and self.peek() is not None:
             raise self.error(f"trailing input {self.toks[self.pos]!r}", self.pos)
 
     def int(self) -> int:

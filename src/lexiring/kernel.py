@@ -22,9 +22,8 @@ generation", Computer Languages 12(1), 1987).  All but ``check`` assume
 well-shaped operands.
 A pairing of two bases compiles its ``check`` as one inline test of
 exact types and payloads, and one with an integer level its ``parse``
-and ``run`` off the text, by patterns built once per shape; each takes
-the common case and hands anything else to the composed one: every
-verdict and error is its.
+and ``run`` off the text; each takes the common case and hands anything
+else to the composed one: every verdict and error is its.
 
 Seeded draws take their integers from ``_below(rng, n)``, which draws
 ``getrandbits(n.bit_length())`` until the result is below n, as CPython's
@@ -169,13 +168,11 @@ class Kernel:
     unchecked: callers check it whole, so a literal cut short is a parse
     error before any shape error; ``parse(ts)`` reads one and checks it.
     Where d pairs an ``N0``/``Z`` level with a base, ``parse`` and ``run``
-    match plain literals straight off the text, which the stream lexes
-    only on first use, and move ``ts.pos`` by the tokens they cover, so it
-    stays a token index.  ``run(ts, op)``, None elsewhere, folds the
-    longest run of plain literals joined by op ("+" or "*"; in a semifield
-    also ``inv`` of one; a "+" run stops before one a "*" follows) in one
-    match, n int parses and one XReal, where n reads build n Pairs and
-    XReals.  It returns None if it reads none.  ``body(ts)``
+    match plain literals off the text.  ``run(ts, op)``, None elsewhere,
+    folds the longest run of plain literals joined by op ("+" or "*"; in
+    a semifield also ``inv`` of one; a "+" run stops before one a "*"
+    follows) in one match, n int parses and one XReal, where n reads build
+    n Pairs and XReals.  It returns None if it reads none.  ``body(ts)``
     reads a pair without its parentheses, which flat-tuple sugar
     continues; it is None for bases and ``double(...)``.  ``fmt(v)`` is v's canonical literal.  ``inv(v)``
     inverts a nonzero v of a semiring: a pairing negates its level (in
@@ -503,55 +500,42 @@ def _fused_check(a, b, nonzero_b, composed):
 
 
 @cache
-def _literal_patterns(signed, lo, slash, semifield):
-    """One shape's patterns: a plain literal (groups: sign, level, numerator, denominator); a run's literal
-    without spaces, in a semifield also inv(...) of one (groups: inv and those four); a "*" run; a "+" run."""
-    def pair(g):  # g opens a group: "(" captures, "(?:" does not
-        sign, den = g + (r"-?)\s*" if signed else ")"), rf"(?:/\s*{g}[1-9][0-9]*)\s*)?" if slash else g + ")"
+def _patterns(signed, lo, slash, semifield):
+    """A plain literal, a run's literal without spaces (in a semifield also inv(...) of one), a "*" run, a "+" run."""
+    def pair(g):  # g opens a group: "(" captures, "(?:" does not; no two \s* in it meet across an optional part
+        sign, den = rf"(?:{g}-)\s*)?" if signed else g + ")", rf"(?:/\s*{g}[1-9][0-9]*)\s*)?" if slash else g + ")"
         return rf"\(\s*{sign}{g}[0-9]+)\s*,\s*{g}[{lo}-9][0-9]*)\s*{den}\)"
     lit = rf"(?:(inv)\s*\(\s*)?{pair('(')}(?(1)\s*\))" if semifield else "()" + pair("(")
     any_ = rf"(?:{pair('(?:')}|inv\s*\(\s*{pair('(?:')}\s*\))" if semifield else pair("(?:")
-    plus = r"(?!\s*\*)"  # a "+" run stops before a literal that a "*" follows
-    return (re.compile(r"\s*" + pair("(")), re.compile(lit.replace(r"\s*", "")),
-            re.compile(rf"\s*{any_}(?:\s*\*\s*{any_})*"), re.compile(rf"\s*{any_}{plus}(?:\s*\+\s*{any_}{plus})*"))
+    return (re.compile(rf"\s*{pair('(')}\s*"), re.compile(lit.replace(r"\s*", "")),  # all but lit end past spaces
+            re.compile(rf"\s*{any_}(?:\s*\*\s*{any_})*\s*"),
+            re.compile(rf"\s*{any_}(?!\s*\*)(?:\s*\+\s*{any_}(?!\s*\*))*\s*"))  # no literal that a "*" follows
 
 
 def _fused_run(level, base, full, facts, read, check):
     """``parse`` and ``run`` of an integer level paired with a base, off the text (see ``Kernel``).
 
-    Each matches, at the stream's cursor, plain literals the check takes: no "-" on an ``N0`` level, in an
-    insertion a residue that does not start with 0, a "/" only over ``Rc``/``Ro``, a denominator that does not
-    start with 0.  At anything else ``parse`` hands over to ``check(read(ts))`` with the stream unmoved, so
-    every error is the composed one's, and a run stops.  ``ts.pos`` moves by the tokens read: 5 a literal, 1
-    more for a "-", 2 for "/d", 3 for "inv( )", and 1 for each op between literals.
+    Each matches plain literals the check takes: no "-" on an ``N0`` level, in an insertion no 0-led residue,
+    a "/" only over ``Rc``/``Ro``, no 0-led denominator.  At anything else ``parse`` hands over to
+    ``check(read(ts))`` with the stream unmoved, so every error is the composed one's, and a run stops.
     """
     rational, semiring = base != "N0", facts.semiring
-    one, lit, mul_run, add_run = _literal_patterns(level == "Z", "0" if full else "1", base in ("Rc", "Ro"),
-                                                   facts.semifield)
+    one, lit, mul_run, add_run = _patterns(level == "Z", "0" if full else "1", base in ("Rc", "Ro"), facts.semifield)
 
     def parse(ts):
-        at = ts.at
-        m = one.match(ts.text, ts.starts[ts.pos] if at is None else at)
+        m = ts.match(one)
         if m is None:
             return check(read(ts))
         neg, x, y, den = m.groups()
-        ts.at = None if at is None else m.end()
-        ts.pos += 7 + len(neg) if den else 5 + len(neg)
         residue = XReal(int(y), int(den)) if den else XReal(int(y)) if rational else int(y)
         return Pair(Scalar(-int(x) if neg else int(x)), Scalar(residue))
 
     def run(ts, op):
-        text, at = ts.text, ts.at
-        start = ts.starts[ts.pos] if at is None else at
-        m = add_run.match(text, start) if op == "+" else semiring and mul_run.match(text, start)
+        m = ts.match(add_run) if op == "+" else semiring and ts.match(mul_run)
         if not m:  # a "*" run outside a semiring reads nothing
             return None
-        s = m.group()
-        lits = lit.findall("".join(s.split()))  # a run's literals, off its text without spaces
-        ts.at = None if at is None else m.end()
-        ts.pos += 6 * len(lits) - 1 + s.count("-") + 2 * s.count("/") + 3 * s.count("inv")
         lev = None
-        for inv, neg, x, y, den in lits:
+        for inv, neg, x, y, den in lit.findall("".join(m.group().split())):  # off the run's text without spaces
             x, num, den = -int(x) if (not neg) != (not inv) else int(x), int(y), int(den) if den else 1
             num, den = (den, num) if inv else (num, den)  # inv negates the level and turns the residue over
             if lev is None or op == "+" and x > lev:

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -507,6 +508,7 @@ def test_run_reader_returns_none_where_it_reads_nothing_and_stops_before_what_it
     ]:
         ts = TokenStream(text)
         v = k.run(ts, op)
+        ts.lex()
         assert (v if v is None else k.fmt(v), ts.pos) == (value, pos), text
     assert [kernel_of(parse_struct(t)).run for t in ("Rc", "Sn(2)", "double(P)", "mixed(Z; 0..1; 0:Rc)")] == [None] * 4
     # read and parse take one literal on the run's scanner, and no inv(...), which is no literal; a literal
@@ -514,7 +516,7 @@ def test_run_reader_returns_none_where_it_reads_nothing_and_stops_before_what_it
     for text, want, pos in [("(0,1/2)*(1,1)", "(0,1/2)", 7), ("(0,07)", "(0,7)", 5)]:
         for f in (k.read, k.parse):
             ts = TokenStream(text)
-            assert (k.fmt(f(ts)), ts.pos) == (want, pos), text
+            assert (k.fmt(f(ts)), ts.lex() and ts.pos) == (want, pos), text
     ts = TokenStream("(0,0)")
     assert (k.read(ts).residue.x, ts.pos) == (XReal(0), 5)
     with pytest.raises(ShapeError, match="insertion removes it"):
@@ -561,12 +563,12 @@ def test_plain_runs_are_read_off_the_text_and_never_lexed(monkeypatch):
     # a flat run of plain literals, with or without spaces around its ops, and runs joined by + or *
     for expr in flat:
         assert _outcome(evaluate, expr) == want[expr]
-        assert (lexer.lexes, lexer.scans) == (0, 0), expr[:40]
-    # where a literal that no run takes stands, the text is lexed once, from there on
+        assert (lexer.lexed, lexer.scans) == (0, 0), expr[:40]
+    # where a literal that no run takes stands, the text is lexed, each character once
     for expr in nested:
-        lexer.lexes = 0
+        lexer.lexed = 0
         assert _outcome(evaluate, expr) == want[expr]
-        assert lexer.lexes == 1, expr
+        assert lexer.lexed == len(expr), expr
 
 
 def _pos_rows(lexed):
@@ -587,8 +589,8 @@ def _pos_rows(lexed):
                     if lexed:
                         ts.peek()
                     kind, v = _outcome(read, ts)
-                    if ts.at is not None:  # read off the text: pos counts the tokens before the cursor
-                        assert ts.pos == len(D._TOKEN.findall(text, 0, ts.at)), (d, text, name)
+                    assert ts.at is None or ts.pos == 0, (d, text, name)
+                    ts.lex()  # read off the text, pos is 0 until the lex counts the tokens before the cursor
                     got = v if kind != "value" else "none" if v is None else k.fmt(v)
                     rows.append(f"{d!r}|{text}|{name}|{kind}|{got}|{ts.pos}")
     return rows
@@ -622,7 +624,17 @@ def test_run_reader_matches_the_reference_with_spaces_between_tokens():
     assert min(outcomes[kind, True] for kind in kinds) >= 5, outcomes
     k = kernel_of(parse_struct("P"))
     ts = TokenStream(" ( 1 ,\t2 / 3 )\n*\tinv ( ( - 1 , 2 ) ) + (0,1)")
-    assert (k.fmt(k.run(ts, "*")), ts.pos, ts.at) == ("(2,1/3)", 17, 36)
+    assert (k.fmt(k.run(ts, "*")), ts.at, ts.lex() and ts.pos) == ("(2,1/3)", 37, 17)  # at the "+"
+
+
+@pytest.mark.parametrize("head", ["(", "(-", "(1,", "(1,2", "(1,2/", "inv(", "(1,1)", "(1,1)+(1,1)", "(1,1)*"])
+def test_spaces_before_a_bad_token_are_read_in_linear_time(head):
+    # a literal pattern that tried each split of a run of spaces between two of its parts took minutes here
+    text, d = head + " " * 50000 + "x)", parse_struct("P")
+    for read in (eval_expression, parse_value):
+        start = time.perf_counter()
+        assert _outcome(read, "P" if read is eval_expression else d, text)[0] == "ParseError"
+        assert time.perf_counter() - start < 1, read
 
 
 def _run(capsys, argv):
@@ -930,14 +942,14 @@ def test_the_library_keeps_the_interpreters_int_to_str_limit():
 
 
 class _CountingLexer:
-    """The lexer's pattern, counting its lexes and its scans for character positions."""
+    """The lexer's pattern, counting the characters it lexes and its scans for character positions."""
 
     def __init__(self, pattern):
-        self.pattern, self.lexes, self.scans = pattern, 0, 0
+        self.pattern, self.lexed, self.scans = pattern, 0, 0
 
-    def findall(self, text, pos=0):
-        self.lexes += 1
-        return self.pattern.findall(text, pos)
+    def findall(self, text, pos=0, endpos=sys.maxsize):
+        self.lexed += min(endpos, len(text)) - pos
+        return self.pattern.findall(text, pos, endpos)
 
     def finditer(self, text):
         self.scans += 1
