@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import ops
@@ -338,6 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate an expression in a structure")
     pe.add_argument("structure")
     pe.add_argument("expression")
+    # argparse reads an argument that starts with '-' as an option unless this matches it, so that '-(1,1/4)', as
+    # eval prints a negative double, reads back; -h, --help and any "--..." stay options
+    pe._negative_number_matcher = re.compile("-(?!-)")
 
     pm = sub.add_parser("measure", help="scene measure queries")
     pm.add_argument("action", choices=("validate", "eval", "slice", "height", "align", "shift"))

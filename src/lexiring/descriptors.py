@@ -312,7 +312,7 @@ _TOKEN = re.compile(r"b\\/|b/\\|\\/|/\\|\.\.|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
 MAX_DEPTH = 64
 # The longest digit run any grammar reads: CPython refuses to convert longer ints to or from text.
 MAX_DIGITS = 4300
-_LONG_DIGITS = re.compile("[0-9]{%d}" % (MAX_DIGITS + 1))
+_LONG_DIGITS = re.compile("(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))  # tried at a run's start only: linear
 _SPACES = re.compile(r"\s*")  # what the lexer skips
 _PARENS = bytes.maketrans(b"()", b"\x02\x00"), bytes(c for c in range(256) if c not in b"()")  # translate() args
 

@@ -21,16 +21,22 @@ walks the descriptor again (Feeley & Lapalme, "Using closures for code
 generation", Computer Languages 12(1), 1987).  All but ``check`` assume
 well-shaped operands.
 A pairing of two bases compiles its ``check`` as one inline test of
-exact types and payloads, and one with an integer level its ``parse``
-and ``run`` off the text; each takes the common case and hands anything
-else to the composed one: every verdict and error is its.
+exact types and payloads (of a base level over an insertion, it tests
+the level and a ``ZERO`` residue inline, then calls the residue's
+check), and one with an integer level its ``parse`` and ``run`` off the
+text; each takes the common case and hands anything else to the
+composed one: every verdict and error is its.
 
 Seeded draws take their integers from ``_below(rng, n)``, which draws
 ``getrandbits(n.bit_length())`` until the result is below n, as CPython's
 ``randrange(n)`` does: the same bits, the same values, the same rng state
-after.  ``DRAW_DIGEST`` in the tests pins the stream, so a Python whose
-``random`` draws otherwise shows there.  Equal base draws are one shared,
-never mutated object.
+after.  A pairing of an ``N0``/``Z`` level compiles its draw as one
+closure, ``_fused_gen``, which makes the composed draw's rng calls in
+its order, with each ``_below`` inline.  ``DRAW_DIGEST`` and
+``DRAW_STATE_DIGEST`` in the tests pin the stream and the state after
+it, so a Python whose ``random`` draws otherwise, or a draw that takes
+one bit more, shows there.  Equal base draws are one shared, never
+mutated object.
 
 ``sum(values)`` folds event measures, Bayes, finite series, integrals
 and branch equations.  It equals the ordered left fold of ``add`` from
@@ -332,6 +338,7 @@ def _below(rng, n):
     return r
 
 
+_new = object.__new__
 _INT_ONE, _XR_ONE, _XR_INF, _XR_ZERO = Scalar(1), Scalar(ONE), Scalar(INF), Scalar(XR_ZERO)
 # a base's draws, pre-built and shared: n/d for n in 1..12 and d in 1..8 in Rc and Ro, else the table
 _FINITE = tuple(Scalar(XReal(n, d)) for n in range(1, 13) for d in range(1, 9))
@@ -475,17 +482,34 @@ _PAYLOADS = {"N0": (int, 0, 0, 0), "Z": (int, -float("inf"), 0, 0), "Rc": (XReal
              "Ro": (XReal, 0, 1, float("inf")), "Nbar0": (XReal, 0, 0, 1)}
 
 
-def _fused_check(a, b, nonzero_b, composed):
-    """The check of a pairing of bases a and b: one inline test, else the composed check.
+def _fused_check(a, kb, nonzero_b, composed):
+    """The check of a pairing of base a with kb's structure: one inline test, else the composed check.
 
     The test takes exact types (so no bool or subclass) and, for a residue
     that must be nonzero, a positive integer or numerator; whatever it
     accepts, the composed check accepts too, and it hands everything else
-    over, so every verdict and every error is the composed check's.
+    over, so every verdict and every error is the composed check's.  Over a
+    residue that is no base, whose zero is ``ZERO``, it tests the level and
+    the ``ZERO`` residue inline and leaves the residue to kb's check, whose
+    error the composed check would raise next.
     """
     ta, lo_a, dlo_a, dhi_a = _PAYLOADS[a]
-    tb, lo_b, dlo_b, dhi_b = _PAYLOADS[b]
-    int_a, int_b, lo_b = ta is int, tb is int, max(lo_b, 1) if nonzero_b else lo_b  # Z is never a residue
+    int_a = ta is int
+    if not kb.base:
+        check_b = kb.check
+
+        def nested(v):
+            if type(v) is Pair:
+                x, y = v.level, v.residue
+                if type(x) is Scalar and y is not ZERO:
+                    x = x.x
+                    if type(x) is ta and (x >= lo_a if int_a else dlo_a <= x.den <= dhi_a):
+                        check_b(y)
+                        return v
+            return composed(v)
+        return nested
+    tb, lo_b, dlo_b, dhi_b = _PAYLOADS[kb.base]
+    int_b, lo_b = tb is int, max(lo_b, 1) if nonzero_b else lo_b  # Z is never a residue
 
     def check(v):
         if type(v) is Pair:
@@ -497,6 +521,57 @@ def _fused_check(a, b, nonzero_b, composed):
                     return v
         return composed(v)
     return check
+
+
+def _fused_gen(level, kb, full, bar, b):
+    """gen of an ``N0``/``Z`` level paired with kb's structure b: the composed draw's values from the same rng calls.
+
+    It binds the rng's two draws once and draws the level off its table
+    inline.  In an insertion over ``Rc``/``Ro`` it draws the nonzero residue
+    inline too, a 0 again as ``nonzero`` does; over an insertion it calls
+    kb's ``gen(rng, 0.0)``, which draws no 0, where the composed draw calls
+    ``nonzero``.
+    """
+    levels = _BASE_DRAWS[level][0]
+    n = len(levels)
+    k = n.bit_length()  # _below(rng, n)'s bits; each _below below draws 4 bits, for 12 and for 8 alike
+    inline = not full and kb.base in ("Rc", "Ro")
+    _, cut, inf_p = _BASE_DRAWS[kb.base if inline else "Rc"]
+    # a residue not drawn inline: with gen in a full product, else with nonzero, or gen(rng, 0.0) over an insertion
+    gen_b, p = (None, None) if inline else (kb.gen, ZERO_P if full else 0.0) if full or kb.parts else (
+        lambda rng, p, nonzero=kb.nonzero: nonzero(rng), None)
+
+    def gen(rng, zero_p):
+        random = rng.random
+        if not full and random() < zero_p:
+            return ZERO
+        if bar and random() < 0.05:
+            return TOP
+        bits = rng.getrandbits
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        v = _new(Pair)  # Pair(...) without its __init__ frame, a third of a draw's time
+        if gen_b:
+            v.level, v.residue = levels[i], gen_b(rng, p)
+            return v
+        u, tries = random(), 1
+        while u < cut:  # inf, or a 0 that is drawn again: 64 draws in all
+            if u < inf_p:
+                v.level, v.residue = levels[i], _XR_INF
+                return v
+            if tries == 64:
+                raise AssertionError(f"could not generate a nonzero value of {b!r}")
+            u, tries = random(), tries + 1
+        j = bits(4)
+        while j >= 12:
+            j = bits(4)
+        m = bits(4)
+        while m >= 8:
+            m = bits(4)
+        v.level, v.residue = levels[i], _FINITE[j * 8 + m]
+        return v
+    return gen
 
 
 @cache
@@ -584,8 +659,8 @@ def _compile_pairing(d, text: str) -> Kernel:
             raise ShapeError(f"residue of {v!r} is the zero of {b!r}; insertion removes it")
         return v
 
-    if ka.base and kb.base:
-        check = _fused_check(ka.base, kb.base, not full, check)
+    if ka.base and (kb.base or full or kb.is_zero is _is_adjoined_zero):
+        check = _fused_check(ka.base, kb, not full, check)
 
     def cmp(x, y):
         if x is TOP:
@@ -617,12 +692,15 @@ def _compile_pairing(d, text: str) -> Kernel:
             return TOP
         return Pair(add_a(x.level, y.level), mul_b(x.residue, y.residue))
 
-    def gen(rng, zero_p):
-        if not full and rng.random() < zero_p:
-            return ZERO
-        if bar and rng.random() < 0.05:
-            return TOP
-        return Pair(gen_a(rng, ZERO_P), gen_b(rng, ZERO_P) if full else nonzero_b(rng))
+    if ka.base in ("N0", "Z"):
+        gen = _fused_gen(ka.base, kb, full, bar, b)
+    else:
+        def gen(rng, zero_p):
+            if not full and rng.random() < zero_p:
+                return ZERO
+            if bar and rng.random() < 0.05:
+                return TOP
+            return Pair(gen_a(rng, ZERO_P), gen_b(rng, ZERO_P) if full else nonzero_b(rng))
 
     least_positive = Pair(ka.zero, kb.least_positive) if d.facts.least_positive else None
     least_b = kb.zero if full else kb.least_positive  # the least residue a level carries
@@ -717,23 +795,25 @@ def _compile_mixed(d: MixedInsert, text: str) -> Kernel:
 
     # draw among the levels of [glo, ghi] that carry a residue structure,
     # without walking the range (it may span billions of levels); on a
-    # range without gaps this consumes the rng as randrange(glo, ghi + 1) would
+    # range without gaps this consumes the rng as randrange(glo, ghi + 1) would;
+    # where [glo, ghi] holds none, from the first level on, or among every listed one
     glo = (0 if naturals else -3 if hi is None else hi - 4) if lo is None else lo
     ghi = glo + 4 if hi is None else hi
     if default is not None:
         start = glo if d.first is None else d.first
-        width = ghi + 1 - start
+        width = (max(ghi, start) if hi is None else hi) + 1 - start
 
         def level(rng):
             return start + _below(rng, width)
     else:
-        levels = sorted(lev for lev in subs if glo <= lev <= ghi)
+        levels = sorted(lev for lev in subs if glo <= lev <= ghi) or sorted(subs)
+        width = len(levels)
 
         def level(rng):
-            return levels[_below(rng, len(levels))]
+            return levels[_below(rng, width)]
 
     def gen(rng, zero_p):
-        if rng.random() < zero_p:
+        if rng.random() < zero_p or width < 1:  # no level carries residues: 0 is the only element
             return ZERO
         lev = level(rng)
         return Pair(Scalar(lev), sub(lev).nonzero(rng))

@@ -637,6 +637,39 @@ def test_spaces_before_a_bad_token_are_read_in_linear_time(head):
         assert time.perf_counter() - start < 1, read
 
 
+def _slowest_match(cases):
+    """The slowest of the cases (pattern, method, valid prefix, repeated units): the pattern's method over the
+    prefix, 50,000 characters of one unit and a bad character, for each unit and each cut of the prefix."""
+    worst = (0.0, None)
+    for pattern, method, prefix, units in cases:
+        for cut, unit in itertools.product(range(len(prefix) + 1), units):
+            text = prefix[:cut] + unit * (50000 // len(unit)) + "x)"
+            start = time.perf_counter()
+            getattr(pattern, method)(text)
+            worst = max(worst, (time.perf_counter() - start, (pattern.pattern, cut, unit)))
+    return worst
+
+
+def test_every_compiled_pattern_reads_in_linear_time():
+    # each shape _patterns builds and each of its four patterns, then the lexer's patterns, over every class they
+    # repeat: spaces, digits, and for a run its literal and operator again
+    from lexiring.kernel import _patterns
+
+    cases = []
+    for signed, lo, slash, semifield in itertools.product((False, True), "01", (False, True), (False, True)):
+        lit = f"({'-' if signed else ''}{lo},1{'/7' if slash else ''})"  # one digit each: "1" repeats any
+        one, flat, mul_run, add_run = _patterns(signed, lo, slash, semifield)
+        inv = f"inv({lit})" if semifield else lit
+        cases += [(one, "match", lit, (" ", "1")), (flat, "findall", inv, ("1", inv)),
+                  (mul_run, "match", f"{inv} * ", (" ", "1", f"{lit}*", f"{inv} * ")),
+                  (add_run, "match", f"{inv} + ", (" ", "1", f"{lit}+", f"{inv} + "))]
+    cases += [(D._TOKEN, "findall", r"P \/ (1,2)", (" ", "a", "1", "(", r"\/")),
+              (D._SPACES, "match", "", (" ", "\t")),
+              (D._LONG_DIGITS, "search", "(1,", ("1", "1" * D.MAX_DIGITS + " "))]  # runs just too short
+    elapsed, case = _slowest_match(cases)
+    assert elapsed < 0.25, case
+
+
 def _run(capsys, argv):
     """Exit code and stderr of one CLI call; the stderr must be a single line."""
     code = main(argv)
@@ -817,14 +850,27 @@ SEMIGROUP_SCENE = {"structure": r"N0 \/ Rc", "atoms": [{"id": "a", "value": "(1,
     (["eval", "double(Rc)", "0/1"], None, 1, "", "error: signed magnitude must be nonzero\n"),
     (["eval", "double(Nbar0)", "0/1"], None, 1, "", "error: signed magnitude must be nonzero\n"),
     (["eval", r"N0 /\ (Rc /\ Rc)", "(1,0/1,2)"], None, 0, "(1,(0,2))\n", ""),
-    # an expression starting with '-' follows '--', else argparse reads it as an option
+    # an expression starting with '-' is read as one, after '--' or not
     (["eval", "double(O)", "--", "-(1,1/4)"], None, 0, "-(1,1/4)\n", ""),
+    (["eval", "double(O)", "-(1,1/4)"], None, 0, "-(1,1/4)\n", ""),
+    (["eval", "double(O)", "-(1,1/4) + (1,1/2)"], None, 0, "(1,1/4)\n", ""),
 ])
 def test_front_door_outcomes(tmp_path, capsys, argv, doc, code, out, err):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
     assert main([str(f) if a == "FILE" else a for a in argv]) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_a_negative_double_as_eval_prints_it_reads_back(capsys):
+    assert main(["eval", "double(O)", "(1,1/4) + -(1,1/2)"]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert printed == "-(1,1/4)" and main(["eval", "double(O)", printed]) == 0
+    assert capsys.readouterr() == (printed + "\n", "")
+    for argv in (["eval", "double(O)"], ["eval", "double(O)", "-(1,1/4)", "-(1,1/4)"], ["eval", "--x", "-(1,1/4)"],
+                 ["eval", "double(O)", "-x"]):
+        assert main(argv) == 2, argv  # missing, extra and unknown arguments stay usage errors
+        assert capsys.readouterr().out == ""
 
 
 def test_sup_of_a_top_residue_ramp(capsys):

@@ -20,7 +20,7 @@ from lexiring import ops
 from lexiring.descriptors import BarInsert, Base, Insert, facts, parse_struct
 from lexiring.cli import eval_expression
 from lexiring.errors import CapabilityError, LexiringError, ShapeError
-from lexiring.kernel import kernel_of
+from lexiring.kernel import ZERO_P, kernel_of
 from lexiring.laws import (
     LAW_STRUCTURES,
     nonzero_value,
@@ -39,19 +39,23 @@ DRAW_STRUCTURES = LAW_STRUCTURES + (
     r"N0 \/ (Rc \/ Ro)", r"(Nbar0 \/ N0) \/ Rc", r"N0 b\/ Rc", r"(N0 /\ Rc) \/ Ro", r"S /\ Rc",
 )
 
-# SHA-256 of the draws below, recorded with the generators that predate the kernel
+# SHA-256 of the draws below, recorded with the generators that predate the kernel, and of the rng state after each
+# structure's draws, recorded with the composed draws that predate the fused ones: a draw that returns the same
+# values but takes one more bit than it uses shows in the second
 DRAW_DIGEST = "40e57bc9b1682e5d4f17ed8c170b4fc3d5c57e9d5bfe32861c7fc73968568939"
+DRAW_STATE_DIGEST = "c0a8caff640b6628d6498faaf6bd7043df4e56baf09302701b8bfa76eba425c6"
 
 
 def test_seeded_draws_are_pinned():
-    h = hashlib.sha256()
+    h, state = hashlib.sha256(), hashlib.sha256()
     for i, text in enumerate(DRAW_STRUCTURES):
         d = parse_struct(text)
         rng = random.Random(1000 + i)
         for j in range(300):
             v = nonzero_value(rng, d) if j % 3 == 2 else random_value(rng, d)
             h.update(f"{text}|{v!r}\n".encode())
-    assert h.hexdigest() == DRAW_DIGEST
+        state.update(f"{text}|{rng.getstate()!r}\n".encode())
+    assert (h.hexdigest(), state.hexdigest()) == (DRAW_DIGEST, DRAW_STATE_DIGEST)
 
 
 # SHA-256 of the law suites' documents below and the rng state after them
@@ -70,6 +74,20 @@ def test_law_suite_documents_are_pinned():
                     g.sectors, g.switches, list(w.weights.items()), list(c.crossings.items()), rng.getstate()):
             h.update(f"{doc!r}\n".encode())
     assert h.hexdigest() == DOCUMENT_DIGEST
+
+
+@pytest.mark.parametrize("d, levels", [
+    (parse_struct("mixed(N0; -10..; default:Rc)"), {0}), (parse_struct("mixed(N0; ..; 10:Rc, 12:Ro)"), {10, 12}),
+    (D.MixedInsert(D.Z, 1, -1, [], D.N0), set()), (D.MixedInsert(D.N0, None, 2, [], None), set()),
+])
+def test_a_mixed_insertion_draws_where_its_draw_window_holds_no_level(d, levels):
+    # the window is [lo, lo + 4] or [hi - 4, hi]; these drew below 0 forever
+    rng = random.Random(3)
+    draws = [check_value(d, random_value(rng, d)) for _ in range(100)]
+    assert {v.level.x for v in draws if v is not ZERO} == levels
+    if not levels:  # 0 is the only element
+        with pytest.raises(AssertionError, match="could not generate a nonzero value"):
+            nonzero_value(rng, d)
 
 
 def test_gappy_mixed_range_draws_only_levels_with_a_structure():
@@ -421,6 +439,40 @@ def test_law_case_stream_is_pinned(monkeypatch):
     assert failures == BROKEN_ADD_FAILURES
 
 
+def _regrouped(d):
+    """Whether d is a regrouped "(A \\/ B) \\/ C", the target of the assoc_iso suites' map."""
+    return repr(d).startswith("((")
+
+
+# each planted fault below, and the FAIL lines it makes structure_laws(s, 5, 50) or assoc_iso_laws(5, 50) print
+PLANTED_LAW_FAULTS = [
+    ("mul", lambda real: lambda d, x, y: TOP if x is ZERO and y is TOP else real(d, x, y), ["Obar", "Sn(2)"], [
+        "FAIL Obar: mul_commutative (cases=48) -- top,0", "FAIL Obar: top_products (cases=1) -- 0*top",
+        "FAIL Sn(2): top_products (cases=1) -- 0*top"]),
+    ("add", lambda real: lambda d, x, y: x if _regrouped(d) else real(d, x, y), [], [
+        r"FAIL assoc_iso[Ro \/ (Ro \/ N0)]: isomorphism (cases=3) -- addition not preserved at (4/3,(5/6,3)),(11/4,(3,6))",
+        r"FAIL assoc_iso[Ro \/ (N0 \/ Ro)]: isomorphism (cases=1) -- addition not preserved at (3/5,(1,10)),(2,(1,5/8))",
+        r"FAIL assoc_iso[Ro \/ (Rc \/ Nbar0)]: isomorphism (cases=2) -- addition not preserved at (2,(4/3,8)),(4,(6/5,inf))"]),
+    ("cmp", lambda real: lambda d, x, y: -real(d, x, y) if _regrouped(d) else real(d, x, y), [], [
+        r"FAIL assoc_iso[Ro \/ (Ro \/ N0)]: isomorphism (cases=1) -- order not preserved at (4,(1/3,7)),(7/2,(1/4,6))",
+        r"FAIL assoc_iso[Ro \/ (Rc \/ Nbar0)]: isomorphism (cases=1) -- order not preserved at (0,(3/8,0)),(1/4,(1,3))",
+        r"FAIL assoc_iso[Rc \/ (Rc \/ Rc)]: isomorphism (cases=1) -- order not preserved at (7/5,(inf,3/5)),(inf,(10,2))"]),
+    ("assoc_iso_inv", lambda real: lambda d, x: ZERO, [], [
+        r"FAIL assoc_iso[Ro \/ (Ro \/ N0)]: isomorphism (cases=1) -- not injective at (4,(1/3,7))",
+        r"FAIL assoc_iso[Ro \/ (Rc \/ Nbar0)]: isomorphism (cases=1) -- not injective at (0,(3/8,0))",
+        r"FAIL assoc_iso[Rc \/ (Rc \/ Rc)]: isomorphism (cases=1) -- not injective at (7/5,(inf,3/5))"]),
+]
+
+
+@pytest.mark.parametrize("name, plant, structures, failures", PLANTED_LAW_FAULTS, ids=[p[0] for p in PLANTED_LAW_FAULTS])
+def test_planted_faults_reach_the_top_products_and_assoc_iso_failures(monkeypatch, name, plant, structures, failures):
+    from lexiring.laws import assoc_iso_laws, structure_laws
+
+    monkeypatch.setattr(ops, name, plant(getattr(ops, name)))
+    results = [r for s in structures for r in structure_laws(s, 5, 50)] or assoc_iso_laws(5, 50)
+    assert [r.line() for r in results if not r.ok] == failures
+
+
 FUSED_STRUCTURES = LAW_STRUCTURES + (r"S /\ Rc", r"N0 b/\ Rc", r"Nbar0 b/\ N0")
 R1 = Scalar(XReal(1))
 ILL_SHAPED = [
@@ -455,7 +507,7 @@ def test_fused_check_agrees_with_the_composed_check(monkeypatch):
     def n_fused(checks):
         return sum(c.__qualname__.startswith("_fused_check") for c in checks.values())
 
-    assert (n_fused(fused), n_fused(composed)) == (6, 0)  # every pairing of two bases is fused
+    assert (n_fused(fused), n_fused(composed)) == (9, 0)  # every pairing of a base level with a base or an insertion
 
     values = {text: list(ILL_SHAPED) for text in FUSED_STRUCTURES}
     for text, d, v, mutated in _mutations(random.Random(13), FUSED_STRUCTURES, 3000):
@@ -471,3 +523,68 @@ def test_fused_check_agrees_with_the_composed_check(monkeypatch):
             assert got == _verdict(composed[text], v), (text, v)
             verdicts[got[0]] += 1
     assert verdicts["ok"] >= 3000 and verdicts["ShapeError"] >= 200, verdicts
+
+
+def _composed_draw(d, rng, zero_p):
+    """A pairing's draw as its parts compose it: its 0, its top, then its level and its residue, where an insertion
+    draws a 0 residue again, 64 draws in all.  Every other structure draws with its kernel."""
+    if not isinstance(d, D._Pairing):
+        return kernel_of(d).gen(rng, zero_p)
+    if not d.full and rng.random() < zero_p:
+        return ZERO
+    if d.bar and rng.random() < 0.05:
+        return TOP
+    level = _composed_draw(d.a, rng, ZERO_P)
+    return Pair(level, _composed_draw(d.b, rng, ZERO_P) if d.full else _composed_nonzero(d.b, rng))
+
+
+def _composed_nonzero(d, rng):
+    for _ in range(64):
+        v = _composed_draw(d, rng, 0.0)
+        if not kernel_of(d).is_zero(v):
+            return v
+    raise AssertionError(f"could not generate a nonzero value of {d!r}")
+
+
+def test_fused_draws_agree_with_the_composed_draws():
+    """Over valid random descriptors up to three deep, half of them an ``N0``/``Z`` level paired with one, each
+    kernel's gen and nonzero give the composed draw's values and leave the rng in its state."""
+    from test_structures import PAIRINGS, _random_desc
+
+    pool, rng = [], random.Random(27)
+    while len(pool) < 400:
+        d = _random_desc(rng, 2)
+        d = rng.choice(PAIRINGS)(rng.choice((D.N0, D.Z)), d) if len(pool) % 2 else d
+        if not d.fault:
+            pool.append(d)
+    fused = 0
+    for i, d in enumerate(pool):
+        k = kernel_of(d)
+        fused += k.gen.__qualname__.startswith("_fused_gen")
+        ours, theirs = random.Random(i), random.Random(i)
+        for j in range(24):
+            zero_p = (ZERO_P, 0.0, 0.5)[j % 3]
+            got = _verdict(lambda r: k.gen(r, zero_p), ours)
+            assert got == _verdict(lambda r: _composed_draw(d, r, zero_p), theirs), (d, j)
+            assert _verdict(k.nonzero, ours) == _verdict(lambda r: _composed_nonzero(d, r), theirs), (d, j)
+            assert ours.getstate() == theirs.getstate(), (d, j)
+    assert fused >= 180, fused
+
+
+class _ZeroResidues(random.Random):
+    """An rng whose random() is always 0.15, and counts its calls: no adjoined zero at ZERO_P, no top, and an Rc or
+    Ro residue of 0."""
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 0.15
+
+
+@pytest.mark.parametrize("text, base, calls", [("S", "Rc", 65), ("P", "Ro", 65), ("Obar", "Rc", 66), ("Pn(2)", "Ro", 66)])
+def test_a_residue_drawn_zero_64_times_is_an_error(text, base, calls):
+    d, ours, theirs = parse_struct(text), _ZeroResidues(5), _ZeroResidues(5)
+    for draw, rng in ((random_value, ours), (lambda rng, d: _composed_draw(d, rng, ZERO_P), theirs)):
+        with pytest.raises(AssertionError, match=f"^could not generate a nonzero value of {base}$"):
+            draw(rng, d)
+    assert ours.calls == theirs.calls == calls and ours.getstate() == theirs.getstate()

@@ -1,4 +1,4 @@
-"""Layer bench of literal reading: timeit rows for one or two source trees, merged into a JSON file.
+"""Layer bench of literal reading and law suites: timeit rows for one or two source trees, merged into a JSON file.
 
 Rows, each in microseconds per call:
 
@@ -18,7 +18,10 @@ Rows, each in microseconds per call:
   * ``eval_sumprod_200`` -- 100 two-factor products of ``P`` literals,
     summed: each product after the first is a run read after the text was
     lexed, and ``eval_spaced_200`` -- the 200-factor product with " * "
-    between its factors.
+    between its factors;
+  * ``draw_<S>`` -- one ``laws.random_value`` of the law structure S, and
+    ``suite_<S>`` -- one ``laws.structure_laws(S, seed, 10)``, the ``laws``
+    workload's request, for each of the seven law structures.
 
 Stdlib only.  Each tree's package is imported under its own name, so two
 trees load into one process.  Each of N rounds times every row once per
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import platform
@@ -118,6 +122,12 @@ def _cases(src, name, number):
     for row, text in (("eval_sumprod_200", "+".join(map("*".join, zip(lits[::2], lits[1::2])))),
                       ("eval_spaced_200", " * ".join(lits))):
         cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
+    laws = importlib.import_module(name + ".laws")
+    for struct in laws.LAW_STRUCTURES:
+        d, rng, seeds = descriptors.parse_struct(struct), random.Random(7), itertools.count()
+        cases[f"draw_{struct}"] = (lambda d=d, rng=rng: laws.random_value(rng, d), number)
+        cases[f"suite_{struct}"] = (lambda d=d, seeds=seeds: laws.structure_laws(d, next(seeds), 10),
+                                    max(1, number // 200))
     return cases
 
 
