@@ -473,7 +473,8 @@ def test_planted_faults_reach_the_top_products_and_assoc_iso_failures(monkeypatc
     assert [r.line() for r in results if not r.ok] == failures
 
 
-FUSED_STRUCTURES = LAW_STRUCTURES + (r"S /\ Rc", r"N0 b/\ Rc", r"Nbar0 b/\ N0")
+FUSED_STRUCTURES = LAW_STRUCTURES + (r"S /\ Rc", r"N0 b/\ Rc", r"Nbar0 b/\ N0", r"N0 \/ (Rc \/ Ro)",
+                                     r"Z /\ mixed(Z; ..; default:Ro)", r"Z b/\ (N0 \/ Rc)")
 R1 = Scalar(XReal(1))
 ILL_SHAPED = [
     Pair(Scalar(-1), R1), Pair(Scalar(0), Scalar(INF)), Pair(Scalar(0), Scalar(XReal(0))), Pair(Scalar(1), Scalar(0)),
@@ -494,7 +495,7 @@ def _verdict(check, v):
 
 
 def test_fused_check_agrees_with_the_composed_check(monkeypatch):
-    """Where a pairing's parts are bases, its check accepts well-shaped pairs inline and hands everything else to
+    """Where a pairing's level is a base, its check accepts well-shaped pairs inline and hands everything else to
     the composed check: on the mutated literals and ill-shaped values below, both give the same verdict."""
     from test_cli import _mutations
 
@@ -507,7 +508,8 @@ def test_fused_check_agrees_with_the_composed_check(monkeypatch):
     def n_fused(checks):
         return sum(c.__qualname__.startswith("_fused_check") for c in checks.values())
 
-    assert (n_fused(fused), n_fused(composed)) == (9, 0)  # every pairing of a base level with a base or an insertion
+    # a base level over a base, over a residue whose zero is ZERO, or in a full product
+    assert (n_fused(fused), n_fused(composed)) == (11, 0)
 
     values = {text: list(ILL_SHAPED) for text in FUSED_STRUCTURES}
     for text, d, v, mutated in _mutations(random.Random(13), FUSED_STRUCTURES, 3000):
