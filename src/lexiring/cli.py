@@ -151,9 +151,15 @@ class _ExprEval(TokenStream):
         return (sum_sequence if which == "sum" else sup_sequence)(self.d, SeqGen(head, tail))
 
 
+@functools.lru_cache(maxsize=32)
+def _eval_struct(text: str):
+    """``eval``'s parsed structures, so that each keeps its compiled kernel; a failed parse is not kept."""
+    return parse_struct(text)
+
+
 def eval_expression(struct_text: str, expr_text: str) -> str:
     """``lexiring eval``'s result: a literal or LT/EQ/GT; ``ValueError`` past the int-to-str limit (see ``errors``)."""
-    d = parse_struct(struct_text)
+    d = _eval_struct(struct_text)
     kind, out = _ExprEval(d, expr_text).run()
     if kind == "cmp":
         return {-1: "LT", 0: "EQ", 1: "GT"}[out]

@@ -53,6 +53,7 @@ ordered left fold of ``mul``.
 from __future__ import annotations
 
 import re
+import sys
 from functools import cache
 from math import gcd
 
@@ -574,17 +575,24 @@ def _fused_gen(level, kb, full, bar, b):
     return gen
 
 
+_POSSESSIVE = sys.version_info >= (3, 11)  # re takes possessive quantifiers from Python 3.11
+
+
 @cache
-def _patterns(signed, lo, slash, semifield):
+def _patterns(signed, lo, slash, semifield, possessive=_POSSESSIVE):
     """A plain literal, a run's literal without spaces (in a semifield also inv(...) of one), a "*" run, a "+" run."""
     def pair(g):  # g opens a group: "(" captures, "(?:" does not; no two \s* in it meet across an optional part
         sign, den = rf"(?:{g}-)\s*)?" if signed else g + ")", rf"(?:/\s*{g}[1-9][0-9]*)\s*)?" if slash else g + ")"
         return rf"\(\s*{sign}{g}[0-9]+)\s*,\s*{g}[{lo}-9][0-9]*)\s*{den}\)"
+
+    def spaced(p):  # no space or digit run is followed by another, so keeping each whole keeps every match's span
+        return re.compile(p.replace(r"\s*", r"\s*+").replace("[0-9]*", "[0-9]*+").replace("[0-9]+", "[0-9]++")
+                          if possessive else p)
     lit = rf"(?:(inv)\s*\(\s*)?{pair('(')}(?(1)\s*\))" if semifield else "()" + pair("(")
     any_ = rf"(?:{pair('(?:')}|inv\s*\(\s*{pair('(?:')}\s*\))" if semifield else pair("(?:")
-    return (re.compile(rf"\s*{pair('(')}\s*"), re.compile(lit.replace(r"\s*", "")),  # all but lit end past spaces
-            re.compile(rf"\s*{any_}(?:\s*\*\s*{any_})*\s*"),
-            re.compile(rf"\s*{any_}(?!\s*\*)(?:\s*\+\s*{any_}(?!\s*\*))*\s*"))  # no literal that a "*" follows
+    return (spaced(rf"\s*{pair('(')}\s*"), re.compile(lit.replace(r"\s*", "")),  # all but lit end past spaces
+            spaced(rf"\s*{any_}(?:\s*\*\s*{any_})*\s*"),
+            spaced(rf"\s*{any_}(?!\s*\*)(?:\s*\+\s*{any_}(?!\s*\*))*\s*"))  # no literal that a "*" follows
 
 
 def _fused_run(level, base, full, facts, read, check):

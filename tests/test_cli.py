@@ -670,12 +670,63 @@ def test_every_compiled_pattern_reads_in_linear_time():
     assert elapsed < 0.25, case
 
 
+def test_possessive_patterns_match_what_the_backtracking_ones_match():
+    # each shape _patterns builds: its spaced patterns, possessive where re takes them, against the backtracking
+    # form of every Python, on chains of one to three literals, mutated or not, with and without spaces
+    from lexiring.kernel import _POSSESSIVE, _patterns
+
+    rng, texts, outcomes = random.Random(67), [], collections.Counter()
+    for text, d, v, mutated in _mutations(random.Random(71), ORACLE_STRUCTS, 600, flat=True):
+        lits = [mutated, format_value(d, v)] + [format_value(d, random_value(rng, d)) for _ in range(2)]
+        first, *rest = rng.sample(lits, rng.randint(1, 3))
+        chain = first + "".join(rng.choice(("*", "+", " * ", "+ ")) + lit for lit in rest)
+        spaced = "".join(rng.choice(("", " ", "\t", "  \n")) + tok for tok in D._TOKEN.findall(chain)) + " "
+        texts += [chain, spaced]
+    for shape in itertools.product((False, True), "01", (False, True), (False, True)):
+        plain, fast = _patterns(*shape, possessive=False), _patterns(*shape)
+        for p, q in ((plain[i], fast[i]) for i in (0, 2, 3)):  # the plain literal, the "*" run and the "+" run
+            assert ("*+" in q.pattern) == _POSSESSIVE and "*+" not in p.pattern
+            for text in texts:
+                m, n = p.match(text), q.match(text)
+                assert (m and m.span()) == (n and n.span()), (p.pattern, text)
+                outcomes[m is not None and m.end() == len(text)] += 1
+    assert min(outcomes.values()) >= 2000, outcomes
+
+
 def _run(capsys, argv):
     """Exit code and stderr of one CLI call; the stderr must be a single line."""
     code = main(argv)
     err = capsys.readouterr().err
     assert err.count("\n") == (1 if code else 0), err
     return code, err
+
+
+def test_eval_compiles_each_structure_text_once_per_process(monkeypatch, capsys):
+    from lexiring import cli, kernel
+
+    compiled = []
+    real_compile = kernel._compile
+    monkeypatch.setattr(kernel, "_compile", lambda d: compiled.append(d) or real_compile(d))
+    cli._eval_struct.cache_clear()
+    for _ in range(5):
+        assert main(["eval", "P", "(0,1/2)*(1,1/3)+(1,1)"]) == 0
+        assert capsys.readouterr().out == "(1,7/6)\n"
+    assert [repr(d) for d in compiled].count(r"(Z /\ Ro)") == 1
+    cases = [("Pn(2)", "(1,(0,1/2))*(0,(2,3))", "(1,(2,3/2))"), ("S", "(0,1/2)+(0,1/3)", "(0,5/6)"),
+             ("P", "cmp((0,1),(1,1/2))", "LT"), ("double(O)", "-(1,1/4)+(1,1/2)", "(1,1/4)"),
+             (r"N0 /\ (N0 /\ N0)", "(1,1,2)*(2,(0,3))", "(3,(1,6))"), ("P", "(0,1/2)*(1,1/3)+(1,1)", "(1,7/6)")]
+    first = None
+    for _ in range(3):  # alternating texts: each compiled in the first round only, once per descriptor object
+        for struct, expr, want in cases:
+            assert main(["eval", struct, expr]) == 0
+            assert capsys.readouterr().out == want + "\n"
+        first = first or list(compiled)
+    assert compiled == first and len(set(map(id, compiled))) == len(compiled)
+    kept = cli._eval_struct.cache_info().currsize
+    for _ in range(3):  # a malformed text fails alike on every call, and is not kept
+        assert _run(capsys, ["eval", "P /\\", "0"]) == (2, "parse error: unexpected end of input (at position 4 in "
+                                                           "'P /\\\\')\n")
+    assert cli._eval_struct.cache_info().currsize == kept == 5
 
 
 def test_eval_reports_the_error_of_the_route_that_read_furthest(capsys):
@@ -1044,22 +1095,74 @@ def test_parse_errors_format_their_text_only_when_read():
     assert text.reprs == 1
 
 
+def _nesting_outcome(text):
+    """Where TokenStream(text) finds the nesting too deep, and where a walk over the text does; None if nowhere."""
+    depths = itertools.accumulate(1 if c == "(" else -1 if c == ")" else 0 for c in text)
+    at = next((i for i, depth in enumerate(depths) if depth > D.MAX_DEPTH), None)
+    try:
+        TokenStream(text)
+        return None, at
+    except ParseError as exc:
+        assert str(exc).startswith(f"parentheses nest deeper than {D.MAX_DEPTH} levels (at position {exc.pos} ")
+        return exc.pos, at
+
+
+def _height_and_unmatched(text):
+    """The height of text's matched parentheses plus its unmatched '(': what bounds the depth without a walk."""
+    open_, height = [], 0  # per open '(', the height of the highest pair closed in it so far
+    for c in text:
+        if c == "(":
+            open_.append(0)
+        elif c == ")" and open_:
+            pair = open_.pop() + 1
+            height = max(height, pair)
+            if open_:
+                open_[-1] = max(open_[-1], pair)
+    return height + len(open_)
+
+
 def test_nesting_limit_is_found_where_a_walk_over_the_text_finds_it():
     # a parenthesis is always a token of its own, also between non-ASCII text and lone surrogates
     rng, outcomes = random.Random(61), collections.Counter()
     for _ in range(300):
         text = "".join(rng.choice("((()x é\udcff") for _ in range(rng.randrange(60, 400)))
-        depths = itertools.accumulate(1 if c == "(" else -1 if c == ")" else 0 for c in text)
-        at = next((i for i, depth in enumerate(depths) if depth > D.MAX_DEPTH), None)
-        try:
-            TokenStream(text)
-            got = None
-        except ParseError as exc:
-            assert str(exc).startswith(f"parentheses nest deeper than {D.MAX_DEPTH} levels (at position {exc.pos} ")
-            got = exc.pos
+        got, at = _nesting_outcome(text)
         assert got == at, text
         outcomes[at is None] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+    def spread(rng, parens):  # parens with text between them
+        return "".join(rng.choice(("", "", "x", " é", "\udcff", "1,2/3*")) + c for c in parens)
+
+    # shallow balanced texts of more than MAX_DEPTH '(': random walks that never go deeper than it
+    for _ in range(100):
+        parens, depth = [], 0
+        for _ in range(rng.randrange(140, 600)):
+            up = depth == 0 or depth < D.MAX_DEPTH and rng.random() < 0.5 + 0.3 * (depth < 40)
+            parens.append("(" if up else ")")
+            depth += 1 if up else -1
+        text = spread(rng, "".join(parens) + ")" * depth)
+        assert text.count("(") > D.MAX_DEPTH and _nesting_outcome(text) == (None, None), text
+
+    # matched height plus unmatched '(' at the edge: stray ')' before, a chain of pairs with shallow pairs
+    # beside and inside it, unmatched '(' around it, and ')' after that close some of them
+    edges = collections.Counter()
+    for _ in range(400):
+        bound = rng.choice((63, 64, 65, 66))
+        unmatched = rng.randrange(0, 20)
+        height = bound - unmatched
+        inner = rng.randrange(1, height)  # shallow pairs at this depth of the chain
+        chain = "(" * inner + "()" * rng.randrange(3) + "(" * (height - inner) + ")" * height
+        tail = rng.randrange(0, min(unmatched, 3) + 1)
+        parens = ")" * rng.randrange(3) + "()" * rng.randrange(30) + "(" * (unmatched - tail) + chain
+        parens += "(" * tail + "()" * rng.randrange(1, 30) + ")" * rng.randrange(0, unmatched + 1)
+        text = spread(rng, parens)
+        got, at = _nesting_outcome(text)
+        assert got == at, text
+        assert text.count("(") > D.MAX_DEPTH, text
+        edges[_height_and_unmatched(text), at is None] += 1
+    assert set(edges) >= {(63, True), (64, True), (65, True), (65, False), (66, True), (66, False)}, edges
+    assert min(edges.values()) >= 10, edges
 
 
 def test_selfcheck_deterministic(capsys):

@@ -7,7 +7,10 @@ Rows, each in microseconds per call:
     ``TokenStream`` and its first ``peek``, which lexes it;
   * ``eval_8``, ``eval_32``, ``eval_200`` -- ``cli.eval_expression`` of a
     product of that many ``P`` literals with 20-bit numerators and
-    denominators;
+    denominators, and ``main_eval_8`` -- the 8-literal product through
+    ``cli.main(["eval", "P", ...])`` with its output redirected, as the
+    ``eval`` workload calls it: argparse and whatever ``eval`` keeps
+    between calls, which ``eval_expression`` alone does not show;
   * ``eval_prod_inv_200`` -- the same 200-factor product with about a
     quarter of its factors written ``inv(...)``, and ``eval_sum_200`` -- a
     sum of 200 ``P`` literals at levels 0 and -1 over distinct 20-bit
@@ -42,8 +45,10 @@ this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -98,10 +103,18 @@ def _load(src, name):
     return module
 
 
+def _main(cli, argv):
+    """cli.main(argv) with its output redirected, as the eval workload calls it; its exit code must be 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+
+
 def _cases(src, name, number):
     """Each row's call and its calls per repeat, on the tree under src; number is the one-literal row's."""
     _load(src, name)
-    eval_expression = importlib.import_module(name + ".cli").eval_expression
+    cli = importlib.import_module(name + ".cli")
+    eval_expression = cli.eval_expression
     descriptors = importlib.import_module(name + ".descriptors")
     parse_value = importlib.import_module(name + ".values").parse_value
     p = descriptors.parse_struct("P")
@@ -114,6 +127,7 @@ def _cases(src, name, number):
     for terms in (8, 32, 200):
         text = "*".join(_literals(terms))
         cases[f"eval_{terms}"] = (lambda text=text: eval_expression("P", text), max(1, number // terms))
+    cases["main_eval_8"] = (lambda text="*".join(_literals(8)): _main(cli, ["eval", "P", text]), max(1, number // 8))
     for row, text in zip(("eval_prod_inv_200", "eval_sum_200"), _workload_shapes(200)):
         cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
     for row, (struct, text) in zip(("eval_paren_200", "eval_pn2_200"), _unrun_products(200)):
