@@ -315,7 +315,6 @@ MAX_DIGITS = 4300
 _LONG_DIGITS = re.compile("(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))  # tried at a run's start only: linear
 _SPACES = re.compile(r"\s*")  # what the lexer skips
 _PARENS = bytes.maketrans(b"()", b"\x02\x00"), bytes(c for c in range(256) if c not in b"()")  # translate() args
-_DEEP = b"(" * (MAX_DEPTH + 1)  # left over after any pass, it sends a text to the walk
 
 
 def is_digits(tok) -> bool:
@@ -330,15 +329,13 @@ class TokenStream:
         self.text, self.pos, self.toks, self.starts = text, 0, None, None
         self.at = _SPACES.match(text).end()  # a text that is no str raises the lexer's TypeError
         if text.count("(") > MAX_DEPTH:
-            # each pass deleting every '()' lowers the matched pairs' height by one, and the depth anywhere is at
-            # most that height plus the unmatched '(': the passes plus the '(' left over bound it
-            parens, passes = text.encode("utf-8", "surrogatepass").translate(None, _PARENS[1]), 0
-            while b"()" in parens and passes <= MAX_DEPTH and _DEEP not in parens:
-                parens, passes = parens.replace(b"()", b""), passes + 1
-            if passes + parens.count(b"(") > MAX_DEPTH:
+            # deleting every '()' lowers the depth anywhere by at most one, so fewer than MAX_DEPTH '(' left
+            # over prove the text shallow; the one pass costs about a tenth of the exact walk
+            parens = text.encode("utf-8", "surrogatepass").translate(None, _PARENS[1])
+            if parens.replace(b"()", b"").count(b"(") >= MAX_DEPTH:
                 # each parenthesis is a token: the depth after the kth of the text is the running sum of 2 per
                 # '(' and 0 per ')' less k, taken in C; it moves by one, so the first too deep is MAX_DEPTH + 1
-                steps = text.encode("utf-8", "surrogatepass").translate(*_PARENS)
+                steps = parens.translate(_PARENS[0])
                 depths = list(map(sub, accumulate(steps), count(1)))
                 if MAX_DEPTH + 1 in depths:
                     parens = [i for i, tok in enumerate(self.lex()) if tok == "(" or tok == ")"]

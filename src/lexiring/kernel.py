@@ -579,7 +579,7 @@ _POSSESSIVE = sys.version_info >= (3, 11)  # re takes possessive quantifiers fro
 
 
 @cache
-def _patterns(signed, lo, slash, semifield, possessive=_POSSESSIVE):
+def _patterns(signed, lo, slash, semifield):
     """A plain literal, a run's literal without spaces (in a semifield also inv(...) of one), a "*" run, a "+" run."""
     def pair(g):  # g opens a group: "(" captures, "(?:" does not; no two \s* in it meet across an optional part
         sign, den = rf"(?:{g}-)\s*)?" if signed else g + ")", rf"(?:/\s*{g}[1-9][0-9]*)\s*)?" if slash else g + ")"
@@ -587,7 +587,7 @@ def _patterns(signed, lo, slash, semifield, possessive=_POSSESSIVE):
 
     def spaced(p):  # no space or digit run is followed by another, so keeping each whole keeps every match's span
         return re.compile(p.replace(r"\s*", r"\s*+").replace("[0-9]*", "[0-9]*+").replace("[0-9]+", "[0-9]++")
-                          if possessive else p)
+                          if _POSSESSIVE else p)
     lit = rf"(?:(inv)\s*\(\s*)?{pair('(')}(?(1)\s*\))" if semifield else "()" + pair("(")
     any_ = rf"(?:{pair('(?:')}|inv\s*\(\s*{pair('(?:')}\s*\))" if semifield else pair("(?:")
     return (spaced(rf"\s*{pair('(')}\s*"), re.compile(lit.replace(r"\s*", "")),  # all but lit end past spaces

@@ -1,5 +1,6 @@
 """Golden-file CLI tests, exit codes, and the selfcheck harness."""
 
+import argparse
 import collections
 import hashlib
 import itertools
@@ -683,9 +684,9 @@ def test_possessive_patterns_match_what_the_backtracking_ones_match():
         spaced = "".join(rng.choice(("", " ", "\t", "  \n")) + tok for tok in D._TOKEN.findall(chain)) + " "
         texts += [chain, spaced]
     for shape in itertools.product((False, True), "01", (False, True), (False, True)):
-        plain, fast = _patterns(*shape, possessive=False), _patterns(*shape)
-        for p, q in ((plain[i], fast[i]) for i in (0, 2, 3)):  # the plain literal, the "*" run and the "+" run
-            assert ("*+" in q.pattern) == _POSSESSIVE and "*+" not in p.pattern
+        for q in (_patterns(*shape)[i] for i in (0, 2, 3)):  # the plain literal, the "*" run and the "+" run
+            assert ("*+" in q.pattern) == _POSSESSIVE
+            p = re.compile(q.pattern.replace("*+", "*").replace("++", "+"))  # the form re takes before 3.11
             for text in texts:
                 m, n = p.match(text), q.match(text)
                 assert (m and m.span()) == (n and n.span()), (p.pattern, text)
@@ -701,32 +702,27 @@ def _run(capsys, argv):
     return code, err
 
 
-def test_eval_compiles_each_structure_text_once_per_process(monkeypatch, capsys):
-    from lexiring import cli, kernel
+def test_plain_eval_command_lines_read_as_the_argument_parser_reads_them(capsys):
+    from lexiring.cli import _args
 
-    compiled = []
-    real_compile = kernel._compile
-    monkeypatch.setattr(kernel, "_compile", lambda d: compiled.append(d) or real_compile(d))
-    cli._eval_struct.cache_clear()
-    for _ in range(5):
-        assert main(["eval", "P", "(0,1/2)*(1,1/3)+(1,1)"]) == 0
-        assert capsys.readouterr().out == "(1,7/6)\n"
-    assert [repr(d) for d in compiled].count(r"(Z /\ Ro)") == 1
-    cases = [("Pn(2)", "(1,(0,1/2))*(0,(2,3))", "(1,(2,3/2))"), ("S", "(0,1/2)+(0,1/3)", "(0,5/6)"),
-             ("P", "cmp((0,1),(1,1/2))", "LT"), ("double(O)", "-(1,1/4)+(1,1/2)", "(1,1/4)"),
-             (r"N0 /\ (N0 /\ N0)", "(1,1,2)*(2,(0,3))", "(3,(1,6))"), ("P", "(0,1/2)*(1,1/3)+(1,1)", "(1,7/6)")]
-    first = None
-    for _ in range(3):  # alternating texts: each compiled in the first round only, once per descriptor object
-        for struct, expr, want in cases:
-            assert main(["eval", struct, expr]) == 0
-            assert capsys.readouterr().out == want + "\n"
-        first = first or list(compiled)
-    assert compiled == first and len(set(map(id, compiled))) == len(compiled)
-    kept = cli._eval_struct.cache_info().currsize
-    for _ in range(3):  # a malformed text fails alike on every call, and is not kept
-        assert _run(capsys, ["eval", "P /\\", "0"]) == (2, "parse error: unexpected end of input (at position 4 in "
-                                                           "'P /\\\\')\n")
-    assert cli._eval_struct.cache_info().currsize == kept == 5
+    pool = ["P", "", " ", "eval", "(0,1/2)*(1,1/3)", "-(1,1/4)", "-1", "--", "-h", "--help", "--format", "json",
+            "@P", "x y", "é", "sum(", "-", "--format=json"]
+    plain = 0
+    for a, b in itertools.product(pool, repeat=2):
+        for argv in (["eval", a, b], ["--format", "text", "eval", a, b], ["eval", a], ["eval", a, b, b]):
+            try:
+                want = _build_parser().parse_args(argv)
+            except SystemExit as exc:
+                want = exc.code
+            capsys.readouterr()
+            try:
+                got = _args(argv)
+            except SystemExit as exc:
+                got = exc.code
+            capsys.readouterr()
+            assert got == want, argv
+            plain += len(argv) == 3 and isinstance(got, argparse.Namespace)
+    assert plain >= 150, plain
 
 
 def test_eval_reports_the_error_of_the_route_that_read_furthest(capsys):
@@ -1107,18 +1103,18 @@ def _nesting_outcome(text):
         return exc.pos, at
 
 
-def _height_and_unmatched(text):
-    """The height of text's matched parentheses plus its unmatched '(': what bounds the depth without a walk."""
-    open_, height = [], 0  # per open '(', the height of the highest pair closed in it so far
+def _pretest_bound(text):
+    """The bound TokenStream's pre-test puts on text's depth: one, for the pass that deletes every '()', plus the
+    '(' left over, which are the unmatched ones and those of pairs with a pair inside."""
+    open_, left = [], 0  # per open '(', whether a pair was closed in it
     for c in text:
         if c == "(":
-            open_.append(0)
+            open_.append(False)
         elif c == ")" and open_:
-            pair = open_.pop() + 1
-            height = max(height, pair)
+            left += open_.pop()
             if open_:
-                open_[-1] = max(open_[-1], pair)
-    return height + len(open_)
+                open_[-1] = True
+    return 1 + left + len(open_)
 
 
 def test_nesting_limit_is_found_where_a_walk_over_the_text_finds_it():
@@ -1144,12 +1140,12 @@ def test_nesting_limit_is_found_where_a_walk_over_the_text_finds_it():
         text = spread(rng, "".join(parens) + ")" * depth)
         assert text.count("(") > D.MAX_DEPTH and _nesting_outcome(text) == (None, None), text
 
-    # matched height plus unmatched '(' at the edge: stray ')' before, a chain of pairs with shallow pairs
-    # beside and inside it, unmatched '(' around it, and ')' after that close some of them
+    # the pre-test's bound at the edge: stray ')' before, a chain of pairs with shallow pairs beside and inside
+    # it, unmatched '(' around it, and ')' after that close some of them
     edges = collections.Counter()
-    for _ in range(400):
+    for _ in range(600):
         bound = rng.choice((63, 64, 65, 66))
-        unmatched = rng.randrange(0, 20)
+        unmatched = rng.randrange(0, 20) if rng.random() < 0.7 else bound - rng.randrange(2, 6)  # chains to 2 high
         height = bound - unmatched
         inner = rng.randrange(1, height)  # shallow pairs at this depth of the chain
         chain = "(" * inner + "()" * rng.randrange(3) + "(" * (height - inner) + ")" * height
@@ -1160,7 +1156,7 @@ def test_nesting_limit_is_found_where_a_walk_over_the_text_finds_it():
         got, at = _nesting_outcome(text)
         assert got == at, text
         assert text.count("(") > D.MAX_DEPTH, text
-        edges[_height_and_unmatched(text), at is None] += 1
+        edges[_pretest_bound(text), at is None] += 1
     assert set(edges) >= {(63, True), (64, True), (65, True), (65, False), (66, True), (66, False)}, edges
     assert min(edges.values()) >= 10, edges
 

@@ -9,8 +9,8 @@ Rows, each in microseconds per call:
     product of that many ``P`` literals with 20-bit numerators and
     denominators, and ``main_eval_8`` -- the 8-literal product through
     ``cli.main(["eval", "P", ...])`` with its output redirected, as the
-    ``eval`` workload calls it: argparse and whatever ``eval`` keeps
-    between calls, which ``eval_expression`` alone does not show;
+    ``eval`` workload calls it: the reading of the command line, which
+    ``eval_expression`` alone does not show;
   * ``eval_prod_inv_200`` -- the same 200-factor product with about a
     quarter of its factors written ``inv(...)``, and ``eval_sum_200`` -- a
     sum of 200 ``P`` literals at levels 0 and -1 over distinct 20-bit
