@@ -57,7 +57,8 @@ import sys
 from functools import cache
 from math import gcd
 
-from .descriptors import RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert, StructDesc, is_digits
+from .descriptors import (MAX_DIGITS, RC, Base, BarInsert, BarSInsert, DoubleOf, Insert, MixedInsert, SInsert,
+                          StructDesc, is_digits)
 from .errors import CapabilityError, DomainError, ShapeError
 from .xreal import INF, ONE, XReal
 from .xreal import ZERO as XR_ZERO
@@ -175,7 +176,9 @@ class Kernel:
     unchecked: callers check it whole, so a literal cut short is a parse
     error before any shape error; ``parse(ts)`` reads one and checks it.
     Where d pairs an ``N0``/``Z`` level with a base, ``parse`` and ``run``
-    match plain literals off the text.  ``run(ts, op)``, None elsewhere,
+    match plain literals off the text, and ``whole(text)``, None elsewhere,
+    reads a text that is one plain literal with ``parse``'s pattern in one
+    ``fullmatch``, or returns a false value.  ``run(ts, op)``, None elsewhere,
     folds the longest run of plain literals joined by op ("+" or "*"; in
     a semifield also ``inv`` of one; a "+" run stops before one a "*"
     follows) in one match, n int parses and one XReal, where n reads build
@@ -189,15 +192,15 @@ class Kernel:
     __slots__ = ("check", "is_zero", "zero", "cmp", "add", "sum", "mul", "gen", "nonzero",
                  "facts", "semiring", "semifield", "int_levels", "prob_depth", "read", "body", "fmt", "inv",
                  "one", "least_positive", "repeat_limit", "residue_kernel", "succ", "step_up",
-                 "base", "parts", "sliceable", "bar", "neg", "run", "parse")
+                 "base", "parts", "sliceable", "bar", "neg", "run", "parse", "whole")
 
     def __init__(self, text, facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth=None, sum=None,
                  succ=None, one=None, least_positive=None, repeat_limit=None, residue_kernel=None,
                  step_up=None, body=None, inv=None, parts=None, int_levels=False, sliceable=False, bar=False,
-                 nonzero=None, base=None, neg=None, run=None, parse=None):
+                 nonzero=None, base=None, neg=None, run=None, parse=None, whole=None):
         self.check, self.is_zero, self.zero, self.cmp = check, is_zero, zero, cmp
         self.add, self.gen, self.prob_depth, self.parse = add, gen, prob_depth, parse or (lambda ts: check(read(ts)))
-        self.read, self.body, self.fmt, self.run = read, body, fmt, run
+        self.read, self.body, self.fmt, self.run, self.whole = read, body, fmt, run, whole
         self.least_positive, self.repeat_limit = least_positive, repeat_limit
         self.residue_kernel, self.succ, self.step_up = residue_kernel, succ, step_up
         self.base, self.parts, self.int_levels, self.sliceable, self.bar, self.neg = (
@@ -595,23 +598,31 @@ def _patterns(signed, lo, slash, semifield):
             spaced(rf"\s*{any_}(?!\s*\*)(?:\s*\+\s*{any_}(?!\s*\*))*\s*"))  # no literal that a "*" follows
 
 
+def _plain_pair(m, rational):
+    """The pair a match of a plain literal's pattern reads: a rational residue unless the base is N0."""
+    neg, x, y, den = m.groups()
+    residue = XReal(int(y), int(den)) if den else XReal(int(y)) if rational else int(y)
+    return Pair(Scalar(-int(x) if neg else int(x)), Scalar(residue))
+
+
 def _fused_run(level, base, full, facts, read, check):
-    """``parse`` and ``run`` of an integer level paired with a base, off the text (see ``Kernel``).
+    """``parse``, ``run`` and ``whole`` of an integer level paired with a base, off the text (see ``Kernel``).
 
     Each matches plain literals the check takes: no "-" on an ``N0`` level, in an insertion no 0-led residue,
     a "/" only over ``Rc``/``Ro``, no 0-led denominator.  At anything else ``parse`` hands over to
-    ``check(read(ts))`` with the stream unmoved, so every error is the composed one's, and a run stops.
+    ``check(read(ts))`` with the stream unmoved, so every error is the composed one's, and a run stops;
+    ``whole`` leaves such a text, and one that is no str or longer than ``MAX_DIGITS``, to the token stream.
     """
     rational, semiring = base != "N0", facts.semiring
     one, lit, mul_run, add_run = _patterns(level == "Z", "0" if full else "1", base in ("Rc", "Ro"), facts.semifield)
 
     def parse(ts):
         m = ts.match(one)
-        if m is None:
-            return check(read(ts))
-        neg, x, y, den = m.groups()
-        residue = XReal(int(y), int(den)) if den else XReal(int(y)) if rational else int(y)
-        return Pair(Scalar(-int(x) if neg else int(x)), Scalar(residue))
+        return check(read(ts)) if m is None else _plain_pair(m, rational)
+
+    def whole(text):  # too short a str for a digit run past the limit, which the token stream reports
+        m = isinstance(text, str) and len(text) <= MAX_DIGITS and one.fullmatch(text)
+        return m and _plain_pair(m, rational)
 
     def run(ts, op):
         m = ts.match(add_run) if op == "+" else semiring and ts.match(mul_run)
@@ -628,7 +639,7 @@ def _fused_run(level, base, full, facts, read, check):
             elif x == lev:
                 n, d = n * den + num * d, d * den
         return Pair(Scalar(lev), Scalar(XReal(n, d) if rational else n))
-    return parse, run
+    return parse, run, whole
 
 
 def _compile_pairing(d, text: str) -> Kernel:
@@ -745,14 +756,14 @@ def _compile_pairing(d, text: str) -> Kernel:
     # positional: keywords would cost about 0.5 us more per compile, and each `eval` compiles its structure
     one = Pair(ka.zero, kb.one)  # dropped outside semirings
     int_levels = not full and int_level in ("N0", "Z")
-    read, parse, run = _read_pair(text, bar, zero, body), None, None
+    read, parse, run, whole = _read_pair(text, bar, zero, body), None, None, None
     if int_level in ("N0", "Z") and kb.base:
-        parse, run = _fused_run(int_level, kb.base, full, d.facts, read, check)
+        parse, run, whole = _fused_run(int_level, kb.base, full, d.facts, read, check)
     return Kernel(text, d.facts, check, is_zero, zero, cmp, add, mul, gen, read, fmt, prob_depth,
                   _dominant_sum(zero, cmp_a, lambda level, residues: sum_b(residues)),
                   _pair_succ(DENSE if least_positive is None else least_positive, residue_kernel, step_up),
                   one, least_positive, None, residue_kernel, step_up, body, inv, None if full else (ka, kb),
-                  int_levels, int_levels and kb.base in ("Rc", "Ro"), bar, run=run, parse=parse)
+                  int_levels, int_levels and kb.base in ("Rc", "Ro"), bar, None, None, None, run, parse, whole)
 
 
 # ---------------------------------------------------------------------------

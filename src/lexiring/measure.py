@@ -69,9 +69,8 @@ class AtomSpace:
             ev = None
         if ev is None or isinstance(members, dict):  # a dict would read as its keys
             raise DomainError(f"an event is a list of atom ids, not {members!r}")
-        unknown = ev - self._atom_set
-        if unknown:
-            raise DomainError(f"unknown atoms {sorted(unknown, key=repr)}")  # members may mix kinds
+        if not ev <= self._atom_set:
+            raise DomainError(f"unknown atoms {sorted(ev - self._atom_set, key=repr)}")  # members may mix kinds
         return ev
 
     def event(self, name: str) -> frozenset:

@@ -14,6 +14,9 @@ finite scene.
 
 Cost, for N atoms: ``cond_prob`` evaluates two events, one scan of the
 atoms each; ``bayes`` sums each cell and its part inside B as sets.
+``level_masses`` (and so ``validate_probability``) groups the residues by
+attained level (vector) in one scan and sums each group once, in the
+innermost residue kernel's ``sum``: no gcd per atom.
 Each of these sums folds the values the measure was built with and
 relabels only the dominant level of its result, so a measure written by
 ``shift_levels`` or ``align_levels`` (an O(levels) write, as in
@@ -23,13 +26,11 @@ relabels only the dominant level of its result, so a measure written by
 from __future__ import annotations
 
 from .errors import CapabilityError, DomainError, InfiniteMassError
-from .integrate import SimpleFunction, integrate_lvalued, integrate_real
 from .kernel import kernel_of
 from .measure import LMeasure, align_levels, shift_levels
 from .ops import divide
 from .values import ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels
 from .xreal import ONE as XR_ONE
-from .xreal import XReal
 
 
 def _require_prob_desc(d) -> int:
@@ -42,16 +43,20 @@ def _require_prob_desc(d) -> int:
 
 
 def level_masses(m: LMeasure) -> dict:
-    """Total residue mass per attained level (vector)."""
+    """Total residue mass per attained level (vector), in the order the atoms first attain them."""
     n = _require_prob_desc(m.desc)
-    masses = {}
+    k, groups = kernel_of(m.desc), {}
     for v in m.atom_values.values():
-        if v is ZERO:
-            continue
-        vec, s = level_vector(v, n)
-        key = vec[0] if n == 1 else vec
-        masses[key] = masses.get(key, XReal(0)) + s
-    return masses
+        if v is not ZERO:
+            key = v.level.x
+            if n > 1:  # nested levels: the key is the level vector, and v its innermost pair
+                key = level_vector(v, n)[0]
+                for _ in range(1, n):
+                    v = v.residue
+            groups.setdefault(key, []).append(v.residue)
+    for _ in range(n):
+        k = k.parts[1]  # the innermost residues' kernel: each level's are summed once
+    return {key: k.sum(residues).x for key, residues in groups.items()}
 
 
 def validate_probability(m: LMeasure) -> dict:
@@ -163,7 +168,7 @@ def bayes(m, partition, B) -> dict:
         prior_of.append(m._sum(ev))
         if k.is_zero(prior_of[-1]):
             raise DomainError(f"partition cell {name!r} has zero measure")
-    if seen != frozenset(m.space.atoms):
+    if seen != m.space._atom_set:
         raise DomainError("partition does not cover the atom space")
     ev_b = m.space.event(B) if isinstance(B, str) else m.space.check_event(B)
     joint_of = [m._sum(ev & ev_b) for _, ev in cells]
@@ -185,8 +190,10 @@ def bayes(m, partition, B) -> dict:
     }
 
 
-def normalize_from_density(mu: LMeasure, f: SimpleFunction) -> LMeasure:
-    """Integrate a density against a scene, renormalize each level to mass one, and standardize."""
+def normalize_from_density(mu: LMeasure, f) -> LMeasure:
+    """Integrate a density (a ``SimpleFunction``) against a scene, renormalize each level to one, and standardize."""
+    from .integrate import integrate_lvalued, integrate_real  # loaded already wherever f was built
+
     if kernel_of(mu.desc).prob_depth != 1:
         raise CapabilityError("densities are supported over single-stack probability scenes")
     atom_values = {}

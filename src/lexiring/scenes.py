@@ -27,6 +27,15 @@ edge texts), so loading costs one dict lookup per repeat and the loaded
 object holds one value per distinct text.  Equal values spelled
 differently, ``(0,2/4)`` and ``(0,1/2)``, are parsed separately.  A scene
 builds its measure from these checked values without checking them again.
+A text that is one plain literal, such as ``(-1,3/7)`` in ``P``, is read by
+``parse_value`` in one match, and any other through the token stream.
+
+Each loader imports its own kind's modules when it is called:
+``scene_from_dict`` imports ``measure``, ``tree_from_dict`` ``tree``,
+``track_from_dict`` ``weights``, ``function_from_dict`` ``integrate`` and
+``builtin_scene`` ``dartboard``.  So loading a scene compiles neither
+``tree`` nor ``weights``, and loading a tree neither ``measure``,
+``integrate`` nor ``weights``.
 """
 
 from __future__ import annotations
@@ -36,14 +45,9 @@ import pathlib
 from itertools import chain
 from operator import itemgetter
 
-from .dartboard import BUILTIN_SCENES
 from .descriptors import RC, parse_struct, struct_text
 from .errors import DomainError, ParseError
-from .integrate import SimpleFunction
-from .measure import AtomSpace, LMeasure
-from .tree import LTree
 from .values import format_value, parse_value
-from .weights import BranchedGraph, Cocycle, WeightSystem
 
 
 _JSON_KINDS = {str: "a string", list: "a list", dict: "an object"}
@@ -85,7 +89,10 @@ class _Literals(dict):
         return v
 
 
-def scene_from_dict(doc: dict) -> LMeasure:
+def scene_from_dict(doc: dict):
+    """The ``measure.LMeasure`` of a scene document."""
+    from .measure import AtomSpace, LMeasure
+
     desc = parse_struct(_field(doc, "structure", str))
     atom_docs = _field(doc, "atoms", list)
     events = _field(doc, "events", dict) if "events" in doc else {}
@@ -102,7 +109,7 @@ def scene_from_dict(doc: dict) -> LMeasure:
     return LMeasure._built(desc, space, {a: read[t] for a, t in zip(ids, texts)})
 
 
-def scene_to_dict(m: LMeasure) -> dict:
+def scene_to_dict(m) -> dict:
     """A scene document that loads back to an equal measure."""
     return {
         "structure": struct_text(m.desc),
@@ -121,18 +128,23 @@ def _read_json(path):
         raise ParseError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_scene(path: str) -> LMeasure:
+def load_scene(path: str):
     """The scene document in the file at path, even one named like a built-in scene."""
     return scene_from_dict(_read_json(path))
 
 
-def builtin_scene(name: str) -> LMeasure:
+def builtin_scene(name: str):
+    from .dartboard import BUILTIN_SCENES
+
     if name not in BUILTIN_SCENES:
         raise DomainError(f"no builtin scene {name!r}; have {sorted(BUILTIN_SCENES)}")
     return scene_from_dict(BUILTIN_SCENES[name])
 
 
-def function_from_dict(doc: dict, measure: LMeasure) -> SimpleFunction:
+def function_from_dict(doc: dict, measure):
+    """The ``integrate.SimpleFunction`` of a function document over the atoms of the scene measure."""
+    from .integrate import SimpleFunction
+
     kind = _field(doc, "kind", str)
     texts = _field(doc, "values", dict)
     for a in texts:
@@ -153,11 +165,14 @@ def function_from_dict(doc: dict, measure: LMeasure) -> SimpleFunction:
     return SimpleFunction.signed(desc, values)
 
 
-def load_function(path: str, measure: LMeasure) -> SimpleFunction:
+def load_function(path: str, measure):
     return function_from_dict(_read_json(path), measure)
 
 
-def tree_from_dict(doc: dict) -> LTree:
+def tree_from_dict(doc: dict):
+    """The ``tree.LTree`` of a tree document."""
+    from .tree import LTree
+
     desc = parse_struct(_field(doc, "structure", str))
     nodes, edge_docs, read = _field(doc, "nodes", list), _field(doc, "edges", list), _Literals(desc)
     try:  # a value that is not a string raises TypeError, in the lookup or in parse_value
@@ -172,7 +187,7 @@ def tree_from_dict(doc: dict) -> LTree:
     return LTree(desc, nodes, edges)
 
 
-def load_tree(path: str) -> LTree:
+def load_tree(path: str):
     return tree_from_dict(_read_json(path))
 
 
@@ -195,6 +210,9 @@ def _switch_side(switch, key: str, where: str) -> list:
 
 
 def track_from_dict(doc: dict):
+    """The ``weights`` (BranchedGraph, WeightSystem, Cocycle) of a track document."""
+    from .weights import BranchedGraph, Cocycle, WeightSystem
+
     desc = parse_struct(_field(doc, "structure", str))
     sectors = _strings(_field(doc, "sectors", list), "sectors")
     switches = [

@@ -5,7 +5,10 @@ are defined in ``kernel`` and re-exported here.  ``check_value``,
 ``is_zero``, ``zero``, ``one``, ``parse_value`` and ``format_value`` are
 lookups into the descriptor's kernel, which is compiled lazily, once per
 descriptor object: ``parse_value`` reads and checks a literal with the
-kernel's ``parse``, and ``format_value`` is its ``fmt``.
+kernel's ``parse``, and ``format_value`` is its ``fmt``.  A text that is
+one plain literal of an integer level over a base, such as ``(-1,3/7)``
+in ``P``, is read whole by the kernel's ``whole``, in one match of the
+fused reader's pattern; any other text goes through a ``TokenStream``.
 
 Literals: ``0``, ``top``, ``inf``, integers, ``p/q``, nested tuples, and
 a leading ``-`` under double().  Flat tuples like ``(-1,2,3)`` are
@@ -75,8 +78,12 @@ def check_value(d, v: Value) -> Value:
 
 def parse_value(d, text: str) -> Value:
     """The literal text, read and checked whole by d's kernel."""
+    k = kernel_of(d)
+    v = k.whole and k.whole(text)
+    if v:
+        return v
     ts = TokenStream(text)
-    v = kernel_of(d).parse(ts)
+    v = k.parse(ts)
     ts.done()
     return v
 

@@ -694,6 +694,96 @@ def test_possessive_patterns_match_what_the_backtracking_ones_match():
     assert min(outcomes.values()) >= 2000, outcomes
 
 
+def _whole_read_texts():
+    """Texts for the whole-text read: plain literals of every shape and their edges, the mutation corpus, space-padded
+    copies of all of them, literals with 4,300- and 4,301-digit runs, and objects that are no str."""
+    rng, texts = random.Random(79), list(_PAIR_EDGES)
+    for _ in range(300):
+        sign = rng.choice(("", "", "-", "- ", "--"))
+        lev = rng.choice(("0", "1", "07", "12", str(rng.randrange(10**30))))
+        res, den = rng.choice(("0", "1", "05", "3", str(rng.randrange(1, 10**30)))), rng.choice(("", "/7", "/0", "/07"))
+        texts.append(f"({sign}{lev},{res}{den})")
+    for _, d, v, mutated in _mutations(random.Random(73), ORACLE_STRUCTS, 400, flat=True):
+        texts += [mutated, format_value(d, v)]
+    texts += [" " + t for t in texts] + [f"\t {t} \n" for t in texts] + [
+        " ".join(D._TOKEN.findall(t)) for t in texts] + [t + " x" for t in texts[:50]]
+    long = "1" * D.MAX_DIGITS
+    return texts + [f"(1,{long})", f"(1,{long}1)", f"({long}1,1)", f"(1,1/{long}1)", b"(1,1)", None, 12, ["(1,1)"]]
+
+
+def _stream_read(parse, text):
+    """text read as the token stream reads it: parse on a TokenStream, then nothing may be left."""
+    ts = TokenStream(text)
+    v = parse(ts)
+    ts.done()
+    return v
+
+
+def _exact_outcome(f, *args):
+    """f's value with the type of each of its scalars, or its error's class, message and position."""
+    try:
+        v = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return v, [type(s.x) for s in (v.level, v.residue)] if isinstance(v, Pair) else None
+
+
+def test_every_shape_of_whole_literal_text_reads_as_the_token_stream_reads_it():
+    # each of the 16 shapes _patterns builds, made by _fused_run with a composed reader that marks where parse hands
+    # over: whole takes a text exactly when the fused parse reads it all, and gives the value parse gives
+    from lexiring.kernel import _fused_run
+
+    class HandedOver(Exception):
+        pass
+
+    def composed(ts):
+        raise HandedOver
+
+    texts, shapes = _whole_read_texts(), set()
+    for level, base, full, semifield in itertools.product(("N0", "Z"), ("N0", "Nbar0", "Rc"), (False, True),
+                                                          (False, True)):
+        parse, _, whole = _fused_run(level, base, full, types.SimpleNamespace(semiring=True, semifield=semifield),
+                                     composed, lambda v: v)
+        shapes.add((level, base == "Rc", full, semifield))
+        taken = 0
+        for text in texts:
+            got, want = _exact_outcome(whole, text), _exact_outcome(_stream_read, parse, text)
+            if got[0]:
+                assert got == want, (level, base, full, semifield, text)
+                taken += 1
+            else:  # refused: the token stream reads no value, or the text is too long to be matched whole
+                assert want[0] in (HandedOver, ParseError, TypeError) or len(text) > D.MAX_DIGITS, (level, text)
+        assert taken >= 100, (level, base, full, semifield)
+    assert len(shapes) == 16
+
+
+def test_parse_value_reads_a_whole_literal_text_as_the_token_stream_reads_it():
+    # every pairing with a whole-text read: the same value, or the same error class, message and position
+    texts, pairings, outcomes = _whole_read_texts(), 0, collections.Counter()
+    for a, op, b in itertools.product(D.BASE_NAMES, ("/\\", "\\/", "b/\\", "b\\/"), D.BASE_NAMES):
+        kind, d = _outcome(parse_struct, f"{a} {op} {b}")
+        if kind != "value" or kernel_of(d).whole is None:
+            continue
+        pairings += 1
+        for text in texts:
+            got = _exact_outcome(parse_value, d, text)
+            assert got == _exact_outcome(_stream_read, kernel_of(d).parse, text), (d, text)
+            outcomes[got[0] if isinstance(got[0], type) else "value"] += 1
+    assert pairings == 24
+    assert min(outcomes[kind] for kind in ("value", ParseError, ShapeError, TypeError)) >= 20, outcomes
+    assert [kernel_of(parse_struct(t)).whole for t in ("Rc", "Sn(2)", "Pn(2)", "double(P)")] == [None] * 4
+
+
+def test_a_plain_literal_text_is_read_without_a_token_stream(monkeypatch):
+    import lexiring.values as values
+
+    d = parse_struct("P")
+    monkeypatch.setattr(values, "TokenStream", None)  # calling it would raise TypeError
+    assert format_value(d, parse_value(d, " ( -1 , 6/4 ) ")) == "(-1,3/2)"
+    with pytest.raises(TypeError):
+        parse_value(d, "(1,0)")
+
+
 def _run(capsys, argv):
     """Exit code and stderr of one CLI call; the stderr must be a single line."""
     code = main(argv)

@@ -1,10 +1,13 @@
 """Depth probability: validation, standard form, conditioning, Bayes."""
 
+import random
+
 import pytest
 
 from lexiring.descriptors import parse_struct
 from lexiring.errors import CapabilityError, DomainError, InfiniteMassError
 from lexiring.integrate import SimpleFunction
+from lexiring.laws import random_value
 from lexiring.measure import AtomSpace, LMeasure, shift_levels
 from lexiring.prob import (
     bayes,
@@ -41,6 +44,34 @@ def test_validate_bad_mass():
 
 def test_level_masses_depth2():
     assert level_masses(builtin_scene("dartboard-depth2")) == {0: ONE, -1: ONE, -2: ONE}
+
+
+def _folded_masses(m, n):
+    """Each attained level (vector) and its mass, one XReal addition per atom, in the order the atoms attain them."""
+    masses = {}
+    for v in m.atom_values.values():
+        if v is ZERO:
+            continue
+        vec = []
+        for _ in range(n):
+            vec.append(v.level.x)
+            v = v.residue
+        key = vec[0] if n == 1 else tuple(vec)
+        masses[key] = masses.get(key, XReal(0)) + v.x
+    return masses
+
+
+@pytest.mark.parametrize("struct, n", [("P", 1), ("Pn(2)", 2), ("Pn(3)", 3)])
+def test_level_masses_equal_a_fold_over_the_atoms(struct, n):
+    d, rng = parse_struct(struct), random.Random(61 + n)
+    for atoms in (1, 7, 400):
+        space = AtomSpace([f"a{i}" for i in range(atoms)])
+        m = LMeasure(d, space, {a: random_value(rng, d) for a in space.atoms})
+        for scene in (m, shift_levels(m, -2)):
+            masses = level_masses(scene)
+            assert masses == _folded_masses(scene, n)
+            assert list(masses) == list(_folded_masses(scene, n))
+            assert all(type(mass) is XReal for mass in masses.values())
 
 
 def test_validate_zero_measure_fails():

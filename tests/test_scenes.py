@@ -1,8 +1,12 @@
 """JSON interfaces: scene, function, tree, and track files."""
 
 import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -245,3 +249,17 @@ def test_struct_text_roundtrip():
     ):
         d = parse_struct(s)
         assert parse_struct(struct_text(d)) == d
+
+
+@pytest.mark.parametrize("loader, doc, unloaded", [
+    ("scene_from_dict", {"structure": "P", "atoms": [{"id": "a", "value": "(0,1)"}]}, ["tree", "weights"]),
+    ("tree_from_dict", {"structure": "O", "nodes": ["x", "y"], "edges": [{"a": "x", "b": "y", "value": "(0,1)"}]},
+     ["measure", "integrate", "weights"]),
+])
+def test_each_loader_imports_only_its_own_kind(loader, doc, unloaded):
+    check = (f"import sys, lexiring.scenes as s; s.{loader}({doc!r}); "
+             f"loaded = [m for m in {unloaded!r} if 'lexiring.' + m in sys.modules]; "
+             "assert not loaded, loaded")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

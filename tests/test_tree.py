@@ -261,6 +261,44 @@ def test_verify_metric_certifies_the_segments_the_queries_return(monkeypatch):
     assert "d(n0,n5) != d(n0,n3) + d(n3,n5)" in failures
 
 
+def _shortcut_a_to_c(segment):
+    """A planted segment of the path tree a-b-c that goes from a straight to c, and back from c through b."""
+    def planted(t, x, y):
+        return {("a", "c"): ["a", "c"], ("c", "a"): ["c", "b", "a"]}.get((x, y)) or segment(t, x, y)
+    return planted
+
+
+def _one_way_longer(path_sum):
+    """A planted path sum that adds (0,1) going against the node order."""
+    def planted(t, path):
+        v = path_sum(t, path)
+        return add(t.desc, v, pv("O", "(0,1)")) if path[0] > path[-1] else v
+    return planted
+
+
+def _a_to_c_at_level_one(path_sum):
+    """A planted path sum that puts the distance between a and c a level up, above d(a,b) + d(b,c)."""
+    def planted(t, path):
+        return pv("O", "(1,1)") if {path[0], path[-1]} == {"a", "c"} else path_sum(t, path)
+    return planted
+
+
+@pytest.mark.parametrize("name, plant, failure", [
+    ("_path_sum", _one_way_longer, "d(a,b) != d(b,a)"),
+    ("segment", _shortcut_a_to_c, "segment(a,c) does not reverse to segment(c,a)"),
+    ("_path_sum", _a_to_c_at_level_one, "triangle inequality fails at (b,a,c)"),
+    ("segment", _shortcut_a_to_c, "segments [a,b] and [b,c] do not concatenate"),
+    ("segment", _shortcut_a_to_c, "meet(a,b,c) is not a median"),
+])
+def test_verify_metric_reports_each_failed_axiom(monkeypatch, name, plant, failure):
+    import lexiring.tree as tree
+
+    assert verify_metric(path_tree())["ok"]
+    monkeypatch.setattr(tree, name, plant(getattr(tree, name)))
+    report = verify_metric(path_tree())
+    assert not report["ok"] and failure in report["failures"], report["failures"]
+
+
 def test_tree_laws_catch_a_wrong_climb_or_edge_record(monkeypatch):
     import lexiring.tree as tree
     from lexiring.laws import tree_laws

@@ -24,7 +24,12 @@ Rows, each in microseconds per call:
     between its factors;
   * ``draw_<S>`` -- one ``laws.random_value`` of the law structure S, and
     ``suite_<S>`` -- one ``laws.structure_laws(S, seed, 10)``, the ``laws``
-    workload's request, for each of the seven law structures.
+    workload's request, for each of the seven law structures;
+  * ``load_scene_3000`` -- ``scenes.scene_from_dict`` and then
+    ``prob.validate_probability`` of a 3,000-atom ``P`` scene shaped like
+    the ``inference`` workload's: levels 0, -1 and -3, each atom's residue
+    its weight over its level's total, 8 events and an 8-cell partition;
+    and ``level_masses_3000`` -- ``prob.level_masses`` of that scene.
 
 Stdlib only.  Each tree's package is imported under its own name, so two
 trees load into one process.  Each of N rounds times every row once per
@@ -32,9 +37,11 @@ tree (best of 3 repeats), the trees taking turns to go first; a tree's
 row is the median of its rounds.  With ``--parent`` the two trees are
 timed round by round, so a change in host speed falls on both alike, and
 the file also gets each row's change/parent ratio per round, as its
-quartiles.  For example::
+quartiles.  ``--parent`` is a src/ directory or a git revision of this
+repository, whose src/ is extracted with ``git archive`` into a temporary
+directory for the run and removed after it.  For example::
 
-    python3 tools/bench_literals.py --parent ../parent/src --src src --out BENCH_23.json
+    python3 tools/bench_literals.py --parent HEAD --src src --out BENCH_29.json
 
 Each run replaces the entries with its labels in the ``--out`` file
 (default ``BENCH_17.json``, in the working directory) and keeps the
@@ -57,7 +64,10 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _literals(n, seed=17):
@@ -82,6 +92,19 @@ def _unrun_products(n, seed=29):
     return ("P", "*".join(f"({lit})" for lit in lits)), ("Pn(2)", nested)
 
 
+def _scene(n, seed=31):
+    """A scene document of n atoms over P, shaped like the inference workload's."""
+    rng = random.Random(seed)
+    atoms = [(f"a{i}", rng.choices((0, -1, -3), weights=(5, 3, 2))[0], rng.randint(1, 1000)) for i in range(n)]
+    totals = {lev: sum(w for _, l, w in atoms if l == lev) for lev in (0, -1, -3)}
+    events = {f"E{j}": [a for a, _, _ in atoms if rng.random() < 0.05 + 0.06 * j] or [atoms[j][0]] for j in range(8)}
+    cells = {f"C{j}": [] for j in range(8)}
+    for i, (a, _, _) in enumerate(atoms):
+        cells[f"C{i if i < 8 else rng.randrange(8)}"].append(a)
+    return {"structure": "P", "atoms": [{"id": a, "value": f"({lev},{w}/{totals[lev]})"} for a, lev, w in atoms],
+            "events": {**events, **cells}}
+
+
 def _revision(src):
     """The git revision of src's checkout, with "-dirty" if src has uncommitted changes; None outside git."""
     def git(*args):
@@ -91,6 +114,24 @@ def _revision(src):
         return rev + ("-dirty" if git("status", "--porcelain", "--", ".") else "")
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+@contextlib.contextmanager
+def _tree(src):
+    """(src/ directory, its revision): src itself if it is a directory, else git revision src's src/, extracted
+    into a temporary directory that is removed afterwards."""
+    if os.path.isdir(src):
+        yield src, _revision(src)
+        return
+    try:
+        rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", "--verify", src + "^{commit}"],
+                             capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        raise SystemExit(f"bench_literals: {src!r} is neither a directory nor a git revision") from None
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"], capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        yield os.path.join(tmp, "src"), rev
 
 
 def _load(src, name):
@@ -136,6 +177,11 @@ def _cases(src, name, number):
     for row, text in (("eval_sumprod_200", "+".join(map("*".join, zip(lits[::2], lits[1::2])))),
                       ("eval_spaced_200", " * ".join(lits))):
         cases[row] = (lambda text=text: eval_expression("P", text), max(1, number // 200))
+    scenes, prob = importlib.import_module(name + ".scenes"), importlib.import_module(name + ".prob")
+    doc = _scene(3000)
+    cases["load_scene_3000"] = (lambda: prob.validate_probability(scenes.scene_from_dict(doc)), max(1, number // 1000))
+    m = scenes.scene_from_dict(doc)
+    cases["level_masses_3000"] = (lambda: prob.level_masses(m), max(1, number // 200))
     laws = importlib.import_module(name + ".laws")
     for struct in laws.LAW_STRUCTURES:
         d, rng, seeds = descriptors.parse_struct(struct), random.Random(7), itertools.count()
@@ -168,23 +214,26 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default="src", help="the src/ directory to import lexiring from")
     ap.add_argument("--label", default="change", help="the entry the --src tree writes")
-    ap.add_argument("--parent", help="a second src/ directory, timed round by round with --src, as 'parent'")
+    ap.add_argument("--parent", help="a second src/ directory or git revision, timed round by round with --src, "
+                                     "as 'parent'")
     ap.add_argument("-n", type=int, default=9, help="rounds; each row keeps its median")
     ap.add_argument("--out", default="BENCH_17.json", help="the JSON file the entries are merged into")
     args = ap.parse_args(argv)
     if args.n < 2:
         ap.error("-n must be at least 2: the ratios' quartiles need two rounds")
-    srcs, labels = ([args.parent, args.src], ["parent", args.label]) if args.parent else ([args.src], [args.label])
-    rows, ratios = measure(srcs, args.n)
+    with contextlib.ExitStack() as stack:
+        trees = [stack.enter_context(_tree(src)) for src in ([args.parent, args.src] if args.parent else [args.src])]
+        rows, ratios = measure([src for src, _ in trees], args.n)
+    labels = ["parent", args.label] if args.parent else [args.label]
     try:
         with open(args.out) as f:
             doc = json.load(f)
     except FileNotFoundError:
         doc = {"runs": {}}
     doc["unit"] = "us per call, median over N rounds of the best of 3 timeit repeats"
-    for src, label, tree in zip(srcs, labels, rows):
+    for (_, revision), label, tree in zip(trees, labels, rows):
         doc["runs"][label] = {
-            "revision": _revision(src), "N": args.n, "rows": tree,
+            "revision": revision, "N": args.n, "rows": tree,
             "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.platform()}",
             "python": platform.python_version(),
         }
