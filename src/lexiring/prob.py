@@ -13,7 +13,11 @@ shift-only, because closing lexicographic gaps is not meaningful on a
 finite scene.
 
 Cost, for N atoms: ``cond_prob`` evaluates two events, one scan of the
-atoms each; ``bayes`` sums each cell and its part inside B as sets.
+atoms each; ``bayes`` sums each cell and its part inside B as sets, and
+checks its partition in O(N + cells), adding each cell to one set of the
+atoms seen so far.  Both divide with the kernel, whose sums are already
+zero-tested: ``bayes`` inverts P(B) once, and each posterior is one
+product.
 ``level_masses`` (and so ``validate_probability``) groups the residues by
 attained level (vector) in one scan and sums each group once, in the
 innermost residue kernel's ``sum``: no gcd per atom.
@@ -28,7 +32,6 @@ from __future__ import annotations
 from .errors import CapabilityError, DomainError, InfiniteMassError
 from .kernel import kernel_of
 from .measure import LMeasure, align_levels, shift_levels
-from .ops import divide
 from .values import ZERO, Pair, Scalar, Value, is_zero, level_vector, stack_levels
 from .xreal import ONE as XR_ONE
 
@@ -133,7 +136,7 @@ def cond_prob(m, A, B) -> Value:
     vab = m._sum(filter((ev_a & ev_b).__contains__, atoms))
     if k.is_zero(vab):
         return k.zero
-    return divide(m.desc, vab, vb)
+    return k.mul(vab, k.inv(vb))  # both sums are the kernel's, and vb is nonzero: divide without checking again
 
 
 def bayes(m, partition, B) -> dict:
@@ -144,14 +147,17 @@ def bayes(m, partition, B) -> dict:
     computed once; ``laws.prob_laws`` checks that they obey the law of
     total probability and Bayes' rule.
 
-    The cells are checked and summed one at a time, in partition order.
+    The cells are checked and summed one at a time, in partition order:
+    a cell must miss the atoms of the cells before it, then have nonzero
+    measure, and at the end the cells must count every atom.  Each check
+    costs the size of its cell, so the partition costs O(atoms + cells).
     A cell's prior and its part inside B are sums over sets: a probability
     structure is never ``double(...)``, so no sum depends on the order of
-    its terms.  P(B) sums those disjoint parts.
+    its terms.  P(B) sums those disjoint parts and is inverted once; each
+    posterior multiplies its part by that inverse.
     """
-    d = m.desc
-    _require_prob_desc(d)
-    k = kernel_of(d)
+    _require_prob_desc(m.desc)
+    k = kernel_of(m.desc)
     cells = []
     for name_or_set in partition:
         if isinstance(name_or_set, str):
@@ -160,15 +166,15 @@ def bayes(m, partition, B) -> dict:
             cells.append((f"cell{len(cells) + 1}", m.space.check_event(name_or_set)))
     if len({name for name, _ in cells}) != len(cells):
         raise DomainError("partition cell names repeat")
-    seen, prior_of = frozenset(), []
+    seen, prior_of = set(), []
     for name, ev in cells:
-        if seen & ev:
+        if not seen.isdisjoint(ev):
             raise DomainError(f"partition cells overlap at {sorted(seen & ev)}")
-        seen |= ev
+        seen.update(ev)
         prior_of.append(m._sum(ev))
         if k.is_zero(prior_of[-1]):
             raise DomainError(f"partition cell {name!r} has zero measure")
-    if seen != m.space._atom_set:
+    if len(seen) != len(m.space.atoms):  # disjoint checked subsets of the atoms: they cover them iff they count them
         raise DomainError("partition does not cover the atom space")
     ev_b = m.space.event(B) if isinstance(B, str) else m.space.check_event(B)
     joint_of = [m._sum(ev & ev_b) for _, ev in cells]
@@ -176,12 +182,13 @@ def bayes(m, partition, B) -> dict:
     if k.is_zero(vb):
         raise DomainError("conditioning on a zero-measure event")
 
+    inv_b = k.inv(vb)
     conditionals, priors, posteriors = {}, {}, {}
     for (name, _), prior, joint in zip(cells, prior_of, joint_of):
         null = k.is_zero(joint)
-        conditionals[name] = k.zero if null else divide(d, joint, prior)
+        conditionals[name] = k.zero if null else k.mul(joint, k.inv(prior))
         priors[name] = prior
-        posteriors[name] = k.zero if null else divide(d, joint, vb)
+        posteriors[name] = k.zero if null else k.mul(joint, inv_b)
     return {
         "conditionals": conditionals,
         "priors": priors,

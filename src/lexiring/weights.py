@@ -22,9 +22,9 @@ class BranchedGraph:
     def __init__(self, sectors, switches):
         """switches: iterable of (side1, side2); sides are lists of (sector, end)."""
         self.sectors = list(sectors)
-        if len(set(self.sectors)) != len(self.sectors):
+        self.sector_set = sector_set = frozenset(self.sectors)  # membership in O(1), for the branch equations too
+        if len(sector_set) != len(self.sectors):
             raise DomainError("sector identifiers must be distinct")
-        sector_set = set(self.sectors)
         self.switches = []
         seen_ends = set()
         for side1, side2 in switches:
@@ -92,7 +92,7 @@ def check_branch_equations(g: BranchedGraph, w: WeightSystem, c: Cocycle) -> dic
     if not c.is_empty() and c.desc != w.desc:
         raise ShapeError("cocycle multipliers and weights live in different structures")
     for sec in w.weights:
-        if sec not in g.sectors:
+        if sec not in g.sector_set:
             raise DomainError(f"weight on unknown sector {sec!r}")
     switches = []
     ok = True

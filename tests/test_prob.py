@@ -1,13 +1,14 @@
 """Depth probability: validation, standard form, conditioning, Bayes."""
 
 import random
+import time
 
 import pytest
 
 from lexiring.descriptors import parse_struct
 from lexiring.errors import CapabilityError, DomainError, InfiniteMassError
 from lexiring.integrate import SimpleFunction
-from lexiring.laws import random_value
+from lexiring.laws import random_prob_scene, random_value
 from lexiring.measure import AtomSpace, LMeasure, shift_levels
 from lexiring.prob import (
     bayes,
@@ -215,6 +216,47 @@ def test_prob_laws_catch_a_broken_bayes(monkeypatch, fault, detail):
     assert [r.line() for r in prob_laws(0, 20)] == ["PASS prob: total_probability_and_shift (cases=20)"]
     monkeypatch.setattr(prob_mod, "bayes", planted)
     assert [r.line() for r in prob_laws(0, 20)] == [f"FAIL prob: total_probability_and_shift (cases=1) -- {detail}"]
+
+
+def _scene_with_null_atoms(massive, null):
+    """A P scene whose mass sits at level 0, in equal parts, on its first massive atoms, and then null atoms of 0."""
+    atoms = [f"m{i}" for i in range(massive)] + [f"z{i}" for i in range(null)]
+    part = pv("P", f"(0,1/{massive})")
+    return LMeasure(parse_struct("P"), AtomSpace(atoms), {a: part if a[0] == "m" else ZERO for a in atoms})
+
+
+@pytest.mark.parametrize("massive", [1, 2])
+def test_prob_laws_pass_on_scenes_of_mostly_null_atoms(monkeypatch, massive):
+    # one atom of mass leaves no two cells to draw and the case passes as it is; with two among thirty null atoms
+    # the drawn B often misses both, has measure 0, and is widened by one atom of mass (or bayes would refuse it)
+    import lexiring.laws as laws
+
+    scene = _scene_with_null_atoms(massive, 30)
+    monkeypatch.setattr(laws, "random_prob_scene", lambda rng: scene)
+    assert [r.line() for r in laws.prob_laws(0, 20)] == ["PASS prob: total_probability_and_shift (cases=20)"]
+
+
+def _doubled_scene(rng):
+    from lexiring.kernel import kernel_of
+
+    m = random_prob_scene(rng)
+    k = kernel_of(m.desc)
+    return LMeasure(m.desc, m.space, {a: k.add(v, v) for a, v in m.atom_values.items()})
+
+
+@pytest.mark.parametrize("module, name, plant, detail", [
+    ("lexiring.laws", "random_prob_scene", _doubled_scene, "generator produced an invalid scene"),
+    ("lexiring.prob", "cond_prob", lambda m, A, B: m.value(set(A) & set(B)),  # P(A and B), never divided
+     "conditional probability not shift invariant"),
+])
+def test_prob_laws_catch_a_bad_scene_or_conditioning(monkeypatch, module, name, plant, detail):
+    import importlib
+
+    from lexiring.laws import prob_laws
+
+    monkeypatch.setattr(importlib.import_module(module), name, plant)
+    [r] = prob_laws(0, 20)
+    assert not r.ok and r.detail == detail, r.line()
 
 
 def test_bayes_two_cell_symmetry():
@@ -557,6 +599,19 @@ def test_bayes_partition_errors_keep_their_messages():
         bayes(m, ["AB", "CZ"], "Z")
     with pytest.raises(DomainError, match=r"^partition cell names repeat$"):
         bayes(m, ["AB", "AB", "CZ"], "X")
+
+
+def test_bayes_checks_a_fine_partition_in_linear_time():
+    # 20,000 atoms in 20,000 singleton cells: a check that unions each cell into a new set of the cells before it
+    # took 4.5 s here
+    m = _random_p_scene(random.Random(30), 20000)
+    atoms, given = m.space.atoms, m.space.atoms[::3]
+    start = time.perf_counter()
+    out = bayes(m, [[a] for a in atoms], given)
+    assert time.perf_counter() - start < 1.5
+    assert out["total"] == m.value(given)
+    assert out["priors"]["cell1"] == m.value(atoms[:1]) and out["posteriors"]["cell2"] is ZERO
+    assert out["posteriors"]["cell1"] == cond_prob(m, atoms[:1], given)
 
 
 def _bayes_cell_by_cell(m, partition, B):

@@ -1,6 +1,7 @@
 """Branch equations, deck scaling, and multiplier cocycles."""
 
 import random
+import time
 
 import pytest
 
@@ -159,6 +160,21 @@ def test_gauge_move_preserves_report():
         assert before == after
 
 
+@pytest.mark.parametrize("name, plant, detail", [
+    ("apply_deck", lambda w, lam: WeightSystem(w.desc, {}), "deck scaling changed the report"),  # weights lost
+    ("gauge_move", lambda g, w, c, sector, unit: (gauge_move(g, w, c, sector, unit)[0], c),  # multipliers kept
+     "gauge move changed the report"),
+])
+def test_weights_laws_catch_a_bad_deck_or_gauge_move(monkeypatch, name, plant, detail):
+    import lexiring.weights as weights
+    from lexiring.laws import weights_laws
+
+    assert weights_laws(0, 20)[0].ok
+    monkeypatch.setattr(weights, name, plant)
+    [r] = weights_laws(0, 20)
+    assert not r.ok and r.detail == detail, r.line()
+
+
 def test_identity_cocycle_is_plain_weight_check():
     g = one_switch()
     d = parse_struct("P")
@@ -195,3 +211,17 @@ def test_weight_system_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_branch_equations_check_their_sectors_in_linear_time():
+    # a weight on each of 20,000 sectors: looking each one up in the list of sectors took 2 s here
+    d, sectors = parse_struct("P"), [f"s{i}" for i in range(20000)]
+    g = BranchedGraph(sectors, [([("s0", "r")], [("s19999", "l")])])
+    w = WeightSystem(d, {s: pv("P", "(0,1)") for s in reversed(sectors)})
+    start = time.perf_counter()
+    report = check_branch_equations(g, w, Cocycle(d, {}))
+    assert time.perf_counter() - start < 0.5
+    assert report["ok"] and report["switches"] == [{"switch": 0, "side1": "(0,1)", "side2": "(0,1)", "equal": True}]
+    w.weights["s20000"] = pv("P", "(0,1)")
+    with pytest.raises(DomainError, match=r"^weight on unknown sector 's20000'$"):
+        check_branch_equations(g, w, Cocycle(d, {}))

@@ -29,7 +29,10 @@ Rows, each in microseconds per call:
     ``prob.validate_probability`` of a 3,000-atom ``P`` scene shaped like
     the ``inference`` workload's: levels 0, -1 and -3, each atom's residue
     its weight over its level's total, 8 events and an 8-cell partition;
-    and ``level_masses_3000`` -- ``prob.level_masses`` of that scene.
+    and ``level_masses_3000`` -- ``prob.level_masses`` of that scene;
+  * ``bayes_8_cells_3000`` -- ``prob.bayes`` of that scene over its 8
+    cells given one of its events, as the ``inference`` workload calls it,
+    and ``bayes_3000_cells_3000`` -- the same over 3,000 singleton cells.
 
 Stdlib only.  Each tree's package is imported under its own name, so two
 trees load into one process.  Each of N rounds times every row once per
@@ -182,6 +185,9 @@ def _cases(src, name, number):
     cases["load_scene_3000"] = (lambda: prob.validate_probability(scenes.scene_from_dict(doc)), max(1, number // 1000))
     m = scenes.scene_from_dict(doc)
     cases["level_masses_3000"] = (lambda: prob.level_masses(m), max(1, number // 200))
+    cells, singletons = [f"C{j}" for j in range(8)], [[a] for a in m.space.atoms]
+    cases["bayes_8_cells_3000"] = (lambda: prob.bayes(m, cells, "E3"), max(1, number // 200))
+    cases["bayes_3000_cells_3000"] = (lambda: prob.bayes(m, singletons, "E3"), max(1, number // 1000))
     laws = importlib.import_module(name + ".laws")
     for struct in laws.LAW_STRUCTURES:
         d, rng, seeds = descriptors.parse_struct(struct), random.Random(7), itertools.count()
