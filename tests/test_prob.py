@@ -603,7 +603,7 @@ def test_bayes_partition_errors_keep_their_messages():
 
 def test_bayes_checks_a_fine_partition_in_linear_time():
     # 20,000 atoms in 20,000 singleton cells: a check that unions each cell into a new set of the cells before it
-    # took 4.5 s here
+    # took 4.6 s on a 2-CPU x86_64 host under Python 3.11
     m = _random_p_scene(random.Random(30), 20000)
     atoms, given = m.space.atoms, m.space.atoms[::3]
     start = time.perf_counter()

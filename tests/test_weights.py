@@ -214,7 +214,7 @@ def test_weight_system_refusals(call, error, message):
 
 
 def test_branch_equations_check_their_sectors_in_linear_time():
-    # a weight on each of 20,000 sectors: looking each one up in the list of sectors took 2 s here
+    # a weight on each of 20,000 sectors: looking each one up in the list of sectors took 2.1 s on a 2-CPU x86_64 host
     d, sectors = parse_struct("P"), [f"s{i}" for i in range(20000)]
     g = BranchedGraph(sectors, [([("s0", "r")], [("s19999", "l")])])
     w = WeightSystem(d, {s: pv("P", "(0,1)") for s in reversed(sectors)})
